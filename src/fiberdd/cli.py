@@ -290,9 +290,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error:\n{exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

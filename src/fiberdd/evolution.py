@@ -51,6 +51,12 @@ def _overlap_at(seq, spectrum: NoiseSpectrum, length: float) -> tuple[float, boo
         return exc.best_estimate, False
 
 
+def _dephased_concurrence(state: TwoQubitXState, gamma: float) -> float:
+    """Concurrence after dephasing by gamma.  A coherence factor that
+    underflowed to 0 leaves no coherence, so the pair is separable."""
+    return 0.0 if gamma == 0.0 else concurrence(apply_dephasing(state, gamma))
+
+
 def coherence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                  length: float) -> float:
     """Coherence factor of a sequence at one length."""
@@ -61,8 +67,8 @@ def coherence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
 def concurrence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                    state: TwoQubitXState, length: float) -> float:
     """Concurrence of the dephased state at one length."""
-    return concurrence(apply_dephasing(state, coherence_at(
-        seq, spectrum, profile, length)))
+    return _dephased_concurrence(state, coherence_at(seq, spectrum, profile,
+                                                     length))
 
 
 def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -85,7 +91,7 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     for i, length in enumerate(lengths):
         overlap[i], ok[i] = _overlap_at(seq, spectrum, length)
         gamma[i] = coherence_factor(overlap[i], profile)
-        conc[i] = concurrence(apply_dephasing(state, gamma[i]))
+        conc[i] = _dephased_concurrence(state, gamma[i])
     return DecoherenceCurve(lengths, overlap, gamma, conc, ok)
 
 

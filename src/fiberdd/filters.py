@@ -28,7 +28,9 @@ def _as_freq_array(omega):
     return w, w.ndim == 0
 
 
-def _check_positions(positions: np.ndarray, length: float) -> np.ndarray:
+def check_positions(positions, length: float) -> np.ndarray:
+    """Pulse positions as a float array; raises ValueError unless they are
+    strictly increasing inside (0, length) with a positive finite length."""
     positions = np.asarray(positions, dtype=float)
     if not (np.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
@@ -55,7 +57,7 @@ def filter_generic(positions, length: float, omega):
     length : total propagation length.
     omega : scalar or array of frequencies (any sign).
     """
-    positions = _check_positions(positions, length)
+    positions = check_positions(positions, length)
     w, scalar = _as_freq_array(omega)
     w1 = np.atleast_1d(w).ravel()
 

@@ -124,6 +124,18 @@ def test_figure_fig3_structure(tmp_path, capsys):
     assert conc[-1] > conc[0]  # decoupling beats free evolution
 
 
+def test_simulate_gamma_underflow_is_complete_dephasing(tmp_path, capsys):
+    # exp(-w0^2 f) underflows to 0 along most of this sweep
+    out = tmp_path / "strong.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--sigma", "0", "--noise-amp", "50",
+        "--out", str(out))
+    assert code == 0, err
+    _, _, rows = read_csv(out)
+    assert float(rows[-1][2]) == 0.0
+    assert float(rows[-1][3]) == 0.0
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

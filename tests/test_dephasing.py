@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from fiberdd.dephasing import (SpectralProfile, coherence_factor,
+from fiberdd.dephasing import (SpectralProfile, _tail, coherence_factor,
                                overlap_from_positions, overlap_integral)
 from fiberdd.filters import filter_generic
 from fiberdd.noise import NoiseSpectrum
+from fiberdd.quadrature import (QuadratureError, band_boundaries,
+                                integrate_panels)
 from fiberdd.sequences import CpmgCount, Free, SpinEcho
+from oracles import full_band_overlap
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -33,6 +36,59 @@ def test_overlap_against_riemann(seq, spec, length):
     adaptive = overlap_integral(seq, spec, length)
     brute = riemann_overlap(seq, spec, length)
     assert adaptive == pytest.approx(brute, rel=1e-6)
+
+
+# (alpha, band, length, pulses) from the grid alpha in {0, .01, .5, .99, 1,
+# 1+1e-9, 1.01, 1.5, 1.99, 2} x four bands x L in {0.05, 1, 7.3, 30, 100}
+# x N in {0, 1, 4, 17, 64}, chosen to keep the full-band oracle cheap.
+# N = 64 at L = 1 on (0.05, 50) is where an unsplit pair sum cancels;
+# on (2, 1e3) the low band vanishes whenever pi / g_min < 2 (N <= 17
+# here), leaving the pair sum alone.
+ORACLE_CASES = [
+    (1.5, (0.05, 50.0), 1.0, 64),
+    (2.0, (0.05, 50.0), 1.0, 64),
+    (1.0, (1e-3, 1e3), 7.3, 17),
+    (1.0 + 1e-9, (1e-3, 1e3), 7.3, 17),
+    (1.0, (2.0, 1e3), 1.0, 64),
+    (1.0 + 1e-9, (1e-2, 3.0), 30.0, 64),
+    (0.0, (1e-3, 1e3), 1.0, 0),
+    (0.01, (1e-2, 3.0), 30.0, 64),
+    (0.5, (2.0, 1e3), 7.3, 1),
+    (0.99, (0.05, 50.0), 100.0, 4),
+    (1.01, (1e-3, 1e3), 0.05, 64),
+    (1.99, (2.0, 1e3), 30.0, 0),
+    (2.0, (1e-3, 1e3), 7.3, 4),
+    (1.5, (2.0, 1e3), 100.0, 17),
+]
+
+
+@pytest.mark.parametrize("alpha,band,length,pulses", ORACLE_CASES)
+def test_split_route_matches_full_band_oracle(alpha, band, length, pulses):
+    spec = NoiseSpectrum(0.3, alpha, *band)
+    pos = CpmgCount(pulses).positions(length) if pulses else np.empty(0)
+    oracle = full_band_overlap(pos, spec, length)
+    assert overlap_from_positions(pos, spec, length) == \
+        pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0])
+def test_tail_integral_matches_quadrature(alpha):
+    # K(x) = int_x^inf t^-(2+alpha) (1 - cos t) dt on both sides of the
+    # series / rotated-contour switch at x = 4, and its large-x limit
+    def integrand(t):
+        return t ** -(2.0 + alpha) * 2.0 * np.sin(0.5 * t) ** 2
+
+    for lo, hi in [(1e-6, 4.0), (0.3, 4.0), (np.pi, 4.0), (4.0, 60.0),
+                   (3.0, 1e3)]:
+        ref = integrate_panels(integrand, band_boundaries(lo, hi, 0.5),
+                               atol=0.0, rtol=1e-14).value
+        got = _tail(np.array([lo, hi]), alpha)
+        assert got[0] - got[1] == pytest.approx(ref, rel=1e-12)
+    far = _tail(np.array([1e8]), alpha)[0]
+    assert far == pytest.approx(1e8 ** -(1.0 + alpha) / (1.0 + alpha),
+                                rel=1e-7)
+    # x^e of the high series terms underflows here; the sum must not
+    assert 0.0 < _tail(np.array([1e-300]), alpha)[0] < np.inf
 
 
 def test_white_noise_linear_growth():
@@ -78,6 +134,17 @@ def test_with_error_reports_converged_estimate():
     f, err = overlap_integral(Free(), spec, 2.0, with_error=True)
     assert err > 0.0
     assert abs(f - riemann_overlap(Free(), spec, 2.0)) <= max(err * 10, 1e-6 * f)
+
+
+def test_low_band_nonconvergence_carries_whole_band_estimate():
+    # an unreachable tolerance exhausts the low-band panel budget; the
+    # attached estimate still includes the closed-form band above w_c
+    spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
+    f = overlap_integral(Free(), spec, 5.0)
+    with pytest.raises(QuadratureError) as info:
+        overlap_integral(Free(), spec, 5.0, atol=0.0, rtol=0.0)
+    assert info.value.best_estimate == pytest.approx(f, rel=1e-12)
+    assert "overlap integral at length 5.0" in str(info.value)
 
 
 def test_overlap_from_positions_matches_sequence_route():

@@ -1,0 +1,84 @@
+"""Property tests of the overlap integral over random spectra and pulses."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiberdd.dephasing import overlap_from_positions
+from fiberdd.noise import NoiseSpectrum
+from oracles import full_band_overlap
+
+# Fixed example sequence per test: reruns are reproducible and no
+# example database is written.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+@st.composite
+def spectra(draw, max_uv=1e3):
+    ir = draw(st.floats(1e-3, 1.0))
+    uv = ir * draw(st.floats(2.0, 1e4))
+    return NoiseSpectrum(1.0, draw(st.floats(0.0, 2.0)), ir, min(uv, max_uv))
+
+
+@st.composite
+def pulse_positions(draw, length, max_pulses=12):
+    """Sorted, unequally spaced pulses; no segment below 1/20 of the mean."""
+    n = draw(st.integers(0, max_pulses))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1,
+                                  max_size=n + 1)))
+    return length * np.cumsum(gaps)[:-1] / gaps.sum()
+
+
+@st.composite
+def configurations(draw, max_uv=1e3, max_length=40.0):
+    spectrum = draw(spectra(max_uv))
+    length = draw(st.floats(0.05, max_length))
+    return draw(pulse_positions(length)), spectrum, length
+
+
+@PROPERTY
+@given(configurations())
+def test_overlap_nonnegative(config):
+    positions, spectrum, length = config
+    assert overlap_from_positions(positions, spectrum, length) >= 0.0
+
+
+@PROPERTY
+@given(configurations(), st.floats(1e-6, 1e3), st.integers(-20, 20),
+       st.floats(0.1, 10.0))
+def test_overlap_linear_in_amplitude(config, amplitude, power, ratio):
+    positions, unit, length = config
+
+    def f(a):
+        spec = NoiseSpectrum(a, unit.exponent, unit.ir_cutoff,
+                             unit.uv_cutoff)
+        return overlap_from_positions(positions, spec, length)
+
+    base = f(amplitude)
+    assert f(amplitude * 2.0 ** power) == base * 2.0 ** power
+    assert f(amplitude * ratio) == pytest.approx(base * ratio, rel=1e-15)
+
+
+@PROPERTY
+@given(spectra(), st.floats(0.0, 1.0), st.floats(1e-4, 1.0))
+def test_free_overlap_monotone_in_length(spectrum, where, step):
+    # df/dL = (A/pi) L^alpha int_{ir L}^{uv L} t^-(1+alpha) sin t dt, which
+    # is positive while ir * L <= pi/2: the lobe from pi/2 to pi outweighs
+    # every later partial sum.  Beyond that a band-limited free f(L) can
+    # oscillate.
+    top = min(100.0, 0.5 * np.pi / spectrum.ir_cutoff)
+    longer = 0.01 + where * (top - 0.01)
+    shorter = longer / (1.0 + step)
+    free = np.empty(0)
+    assert overlap_from_positions(free, spectrum, shorter) < \
+        overlap_from_positions(free, spectrum, longer)
+
+
+@PROPERTY
+@given(configurations(max_uv=200.0, max_length=10.0))
+def test_overlap_matches_full_band_oracle(config):
+    positions, spectrum, length = config
+    assert overlap_from_positions(positions, spectrum, length) == \
+        pytest.approx(full_band_overlap(positions, spectrum, length),
+                      rel=1e-10, abs=0.0)
