@@ -78,6 +78,12 @@ class SpectralProfile:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        # coherence_factor squares both; a float product overflows to inf
+        # where the power operator would raise OverflowError.
+        for name, value in (("omega0", self.omega0), ("sigma", self.sigma)):
+            if not np.isfinite(value * value):
+                raise ValueError(
+                    f"{name} = {value} is too large: its square overflows")
 
 
 @cache
@@ -237,5 +243,12 @@ def coherence_factor(overlap: float, profile: SpectralProfile) -> float:
     """
     if not (np.isfinite(overlap) and overlap >= 0.0):
         raise ValueError(f"overlap must be >= 0, got {overlap}")
+    # Python floats overflow to inf without a warning; inf is the
+    # completely dephased limit.
+    overlap = float(overlap)
     bulge = 1.0 + profile.sigma ** 2 * overlap
+    if bulge == np.inf:
+        # Gamma <= 1/sqrt(bulge) = 0, and w0^2 f may be inf as well
+        # (inf/inf would give nan)
+        return 0.0
     return float(np.exp(-profile.omega0 ** 2 * overlap / bulge) / np.sqrt(bulge))

@@ -15,10 +15,20 @@ pulse sequence by trapezoid integration, and the coherence factor is
 estimated as the average of cos(phase).  Agreement with the analytic
 route within a few standard errors validates spectrum, filter, and
 quadrature at once.
+
+The trials of one call run in contiguous ranges on a thread pool, one
+thread per CPU the process may use (small calls run inline).  numpy
+draws normals without holding the interpreter lock, so the threads run
+in parallel.  Every trial has its own random stream and its own slot in
+the result arrays, and the mean and standard error are reduced over the
+full arrays in trial order, so results are bit-identical whatever the
+number of threads.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,10 @@ MAX_GRID_POINTS = 10_000_000
 # Chunk size (modes) for the trajectory-grid trig matrices.
 _MODE_BLOCK = 2048
 
+# Fewest trials worth a thread of their own (one trial is a few hundred
+# microseconds, a thread's start-up far less); smaller calls run inline.
+_MIN_TRIALS_PER_WORKER = 256
+
 
 @dataclass(frozen=True)
 class McSettings:
@@ -39,7 +53,9 @@ class McSettings:
 
     trials : number of independent noise trajectories.
     seed : root seed; every trial uses an independent child stream, so
-        results are bit-reproducible for a fixed (seed, trials, grid).
+        results are bit-reproducible for a fixed (seed, trials, grid),
+        whatever the number of threads the trials run on (one per CPU
+        the process may use; there is no setting for it).
     resolution : trajectory grid points per unit length.
     frequency_modes : number of synthesis modes across the band.
     """
@@ -189,22 +205,24 @@ def validate_settings(positions: np.ndarray, length: float,
     return problems
 
 
-def mc_coherence(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
-                 length: float, settings: McSettings = McSettings()) -> McResult:
-    """Monte Carlo estimate of the coherence factor at one length.
+def _worker_count(trials: int) -> int:
+    """Threads for one call: no more than the CPUs this process may use,
+    and no more than leave each thread _MIN_TRIALS_PER_WORKER trials."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, trials // _MIN_TRIALS_PER_WORKER))
 
-    Raises ValueError (all violations listed) if the settings fail the
-    discretization guardrails.  The per-trial phase is computed as a
-    signed trapezoid of the trajectory against the toggling frame of
-    ``seq``, contracted analytically over the mode coefficients, so no
-    trajectory is ever materialized.
+
+def _phase_weights(positions: np.ndarray, length: float,
+                   spectrum: NoiseSpectrum, settings: McSettings):
+    """Mode weights (cos_w, sin_w) of the per-trial phase.
+
+    A trial with mode coefficients a, b and photon frequency k has phase
+    k * (a @ cos_w + b @ sin_w): the signed trapezoid of its trajectory
+    against the toggling frame, contracted over the modes.
     """
-    positions = seq.positions(length)
-    problems = validate_settings(positions, length, spectrum, settings)
-    if problems:
-        raise ValueError("Monte Carlo settings rejected:\n  "
-                         + "\n  ".join(problems))
-
     grid = trajectory_grid(length, settings.resolution)
     step = grid[1] - grid[0]
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -221,11 +239,20 @@ def mc_coherence(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
         block = omega[i:i + _MODE_BLOCK, None] * grid
         cos_w[i:i + _MODE_BLOCK] = weight[i:i + _MODE_BLOCK] * (np.cos(block) @ trap)
         sin_w[i:i + _MODE_BLOCK] = weight[i:i + _MODE_BLOCK] * (np.sin(block) @ trap)
+    return cos_w, sin_w
 
+
+def _fill_trials(cos_phase: np.ndarray, sin_phase: np.ndarray,
+                 lo: int, hi: int, cos_w: np.ndarray, sin_w: np.ndarray,
+                 profile: SpectralProfile, settings: McSettings) -> None:
+    """Write cos/sin of the phase of trials lo..hi-1 into their slots.
+
+    Trial t draws from its own child stream (a, then b, then the photon
+    frequency), so a trial's value does not depend on which range or
+    thread computes it.
+    """
     freq_std = profile.sigma / np.sqrt(2.0)
-    cos_phase = np.empty(settings.trials)
-    sin_phase = np.empty(settings.trials)
-    for t in range(settings.trials):
+    for t in range(lo, hi):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=settings.seed, spawn_key=(t,)))
         a = rng.standard_normal(settings.frequency_modes)
@@ -235,6 +262,44 @@ def mc_coherence(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
         phase = photon * (a @ cos_w + b @ sin_w)
         cos_phase[t] = np.cos(phase)
         sin_phase[t] = np.sin(phase)
+
+
+def mc_coherence(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
+                 length: float, settings: McSettings = McSettings()) -> McResult:
+    """Monte Carlo estimate of the coherence factor at one length.
+
+    Raises ValueError (all violations listed) if the settings fail the
+    discretization guardrails.  The per-trial phase is computed as a
+    signed trapezoid of the trajectory against the toggling frame of
+    ``seq``, contracted analytically over the mode coefficients, so no
+    trajectory is ever materialized.  Contiguous trial ranges run in
+    threads, one per CPU the process may use; the result is the same
+    whatever that count.
+    """
+    positions = seq.positions(length)
+    problems = validate_settings(positions, length, spectrum, settings)
+    if problems:
+        raise ValueError("Monte Carlo settings rejected:\n  "
+                         + "\n  ".join(problems))
+
+    cos_w, sin_w = _phase_weights(positions, length, spectrum, settings)
+    # NaN until filled: a trial no range covered would show in the result.
+    cos_phase = np.full(settings.trials, np.nan)
+    sin_phase = np.full(settings.trials, np.nan)
+    workers = _worker_count(settings.trials)
+    fill = functools.partial(_fill_trials, cos_phase, sin_phase,
+                             cos_w=cos_w, sin_w=sin_w, profile=profile,
+                             settings=settings)
+    if workers == 1:
+        fill(0, settings.trials)
+    else:
+        # Imported here: concurrent.futures loads logging, start-up time
+        # every command would pay although only large calls use a pool.
+        from concurrent.futures import ThreadPoolExecutor
+        bounds = [settings.trials * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # list() reads every future, so a worker's exception is raised.
+            list(pool.map(fill, bounds[:-1], bounds[1:]))
 
     root_n = np.sqrt(settings.trials)
     return McResult(

@@ -136,6 +136,17 @@ def test_simulate_gamma_underflow_is_complete_dephasing(tmp_path, capsys):
     assert float(rows[-1][3]) == 0.0
 
 
+def test_simulate_overflowing_bulge_is_complete_dephasing(tmp_path, capsys):
+    # sigma^2 f and w0^2 f both overflow to inf along the sweep
+    out = tmp_path / "huge.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--omega0", "1e154", "--sigma", "1e154",
+        "--out", str(out))
+    assert code == 0, err
+    _, _, rows = read_csv(out)
+    assert float(rows[-1][3]) == 0.0
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(
@@ -191,6 +202,18 @@ def test_mc_check_guardrails_reject_wide_band(capsys):
     assert code == 2
     assert "mc:" in stderr
     assert "spectral edge" in stderr
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--omega0", "1e200"), "omega0"),
+    (("simulate", "--sigma", "1e200"), "sigma"),
+    (("mc-check", "--omega0", "1e200"), "omega0"),
+])
+def test_overflowing_profile_is_a_config_error(capsys, argv, name):
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config error:" in stderr
+    assert f"optical profile: {name} = 1e+200" in stderr
 
 
 def test_validate_config_ok(capsys):

@@ -218,3 +218,16 @@ def test_profile_validation():
         SpectralProfile(1.0, -0.1)
     with pytest.raises(ValueError):
         coherence_factor(-0.1, SpectralProfile(1.0))
+
+
+def test_profile_rejects_overflowing_squares():
+    # coherence_factor squares omega0 and sigma; 1e200**2 raises
+    # OverflowError, so such profiles must be rejected up front
+    with pytest.raises(ValueError, match="omega0"):
+        SpectralProfile(1e200)
+    with pytest.raises(ValueError, match="sigma"):
+        SpectralProfile(1.0, 1e200)
+    big = SpectralProfile(1e150, 1e150)
+    assert 0.0 <= coherence_factor(1.0, big) <= 1.0
+    # finite squares whose products with f overflow: complete dephasing
+    assert coherence_factor(2.0, SpectralProfile(1e154, 1e154)) == 0.0

@@ -7,7 +7,9 @@ import pytest
 
 from fiberdd.dephasing import SpectralProfile, coherence_factor, \
     overlap_integral
+from fiberdd import montecarlo
 from fiberdd.montecarlo import (MAX_GRID_POINTS, McResult, McSettings,
+                                _fill_trials, _phase_weights, _worker_count,
                                 auto_resolution, mc_coherence,
                                 sample_trajectory, trajectory_grid,
                                 validate_settings, z_score)
@@ -85,6 +87,65 @@ def test_bit_identical_rerun_and_seed_sensitivity():
     c = mc_coherence(Free(), SPEC, PROF, 2.0,
                      McSettings(trials=500, seed=43, resolution=32))
     assert c.estimate != a.estimate
+
+
+def test_trial_ranges_are_split_invariant():
+    settings = McSettings(trials=23, seed=4, resolution=64)
+    length = 2.0
+    weights = _phase_weights(CpmgCount(4).positions(length), length, SPEC,
+                             settings)
+    n = settings.trials
+    whole = np.empty(n), np.empty(n)
+    _fill_trials(*whole, 0, n, *weights, PROF, settings)
+    split = np.empty(n), np.empty(n)
+    for lo, hi in ((7, n), (0, 1), (1, 7)):
+        _fill_trials(*split, lo, hi, *weights, PROF, settings)
+    assert np.array_equal(whole[0], split[0])
+    assert np.array_equal(whole[1], split[1])
+
+
+def test_result_does_not_depend_on_worker_count(monkeypatch):
+    settings = McSettings(trials=61, seed=8, resolution=32)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_worker_count",
+                            lambda trials, w=workers: w)
+        results.append(mc_coherence(SpinEcho(), SPEC, PROF, 2.0, settings))
+    assert results[0] == results[1] == results[2]
+
+
+def test_worker_count_respects_cpus_and_small_calls(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 2, 5}, raising=False)
+    assert _worker_count(2) == 1
+    assert _worker_count(600) == 2
+    assert _worker_count(10**7) == 3
+    # no affinity API: fall back to the CPU count
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert _worker_count(10**7) == 1
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    assert _worker_count(10**7) == 4
+
+
+def test_phase_weights_reproduce_overlap_integral():
+    # Given the weights, the trial phase per unit photon frequency is
+    # Gaussian with variance |cos_w|^2 + |sin_w|^2, so the estimator's
+    # expectation is the coherence factor of half that variance: a
+    # deterministic check on the discretization bias, next to the
+    # statistical z-score checks.
+    length = 2.0
+    for amp in (0.15, 0.75):
+        spectrum = NoiseSpectrum(amp, 1.0, 0.05, 50.0)
+        for seq in (Free(), SpinEcho(), CpmgCount(4)):
+            positions = seq.positions(length)
+            settings = McSettings(
+                resolution=auto_resolution(positions, length, spectrum))
+            cos_w, sin_w = _phase_weights(positions, length, spectrum,
+                                          settings)
+            implied = 0.5 * (cos_w @ cos_w + sin_w @ sin_w)
+            assert implied == pytest.approx(
+                overlap_integral(seq, spectrum, length), rel=1e-2)
 
 
 def test_quadrupling_trials_roughly_halves_std_error():
