@@ -9,10 +9,12 @@ coherence factor -> X-state concurrence, plus sweep utilities, a Monte
 Carlo cross-check, and a CSV-emitting command line (``fiberdd``).
 """
 
-from .dephasing import (SpectralProfile, coherence_factor,
-                        overlap_from_positions, overlap_integral)
+from .dephasing import (Overlaps, SpectralProfile, coherence_factor,
+                        overlap_from_positions, overlap_integral,
+                        overlaps_from_positions)
 from .evolution import (DecoherenceCurve, PulseBudget, coherence_at,
-                        concurrence_at, decoherence_curve, esd_length,
+                        concurrence_at, curve_death_length,
+                        decoherence_curve, esd_length,
                         min_pulses_for_target, refine_esd, sweep_positions)
 from .filters import (filter_cpmg_closed, filter_fixed_density, filter_free,
                       filter_generic, filter_spin_echo, sequence_filter)
@@ -31,11 +33,11 @@ from .states import (StateFileError, StateViolation, TwoQubitXState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralProfile", "coherence_factor", "overlap_from_positions",
-    "overlap_integral",
+    "Overlaps", "SpectralProfile", "coherence_factor",
+    "overlap_from_positions", "overlap_integral", "overlaps_from_positions",
     "DecoherenceCurve", "PulseBudget", "coherence_at", "concurrence_at",
-    "decoherence_curve", "esd_length", "min_pulses_for_target", "refine_esd",
-    "sweep_positions",
+    "curve_death_length", "decoherence_curve", "esd_length",
+    "min_pulses_for_target", "refine_esd", "sweep_positions",
     "filter_cpmg_closed", "filter_fixed_density", "filter_free",
     "filter_generic", "filter_spin_echo", "sequence_filter",
     "McResult", "McSettings", "auto_resolution", "mc_coherence",

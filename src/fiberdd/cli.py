@@ -14,6 +14,7 @@ non-convergence, 4 I/O error, 5 Monte Carlo z-score failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import config as cfg
 from .dephasing import coherence_factor, overlap_from_positions
-from .evolution import decoherence_curve, refine_esd
+from .evolution import curve_death_length, decoherence_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
 from .noise import NoiseSpectrum
@@ -74,17 +75,6 @@ def _curve_rows(curve):
                curve.concurrence[i])
 
 
-def _summary_esd(seq, spectrum, profile, state, curve, length_max):
-    """Death length refined from the curve's first dead grid point."""
-    dead = np.flatnonzero(curve.concurrence == 0.0)
-    if dead.size == 0:
-        return None
-    i = int(dead[0])
-    lo = curve.lengths[i - 1] if i > 0 else curve.lengths[0] * 1e-9
-    return refine_esd(seq, spectrum, profile, state, lo, curve.lengths[i],
-                      tol=1e-7 * length_max)
-
-
 def _cmd_simulate(args) -> int:
     config = _resolve(args)
     seq, spectrum, profile, state = cfg.build_runtime(config)
@@ -97,8 +87,8 @@ def _cmd_simulate(args) -> int:
     out = config.out or "simulate.csv"
     _write_csv(out, lines, "L,f_L,gamma,concurrence", _curve_rows(curve))
 
-    esd = _summary_esd(seq, spectrum, profile, state, curve,
-                       config.length_max)
+    esd = curve_death_length(seq, spectrum, profile, state, curve,
+                             tol=1e-7 * config.length_max)
     print(f"esd_length = {'none' if esd is None else _fmt(esd)}; "
           f"final_concurrence = {_fmt(curve.concurrence[-1])}; "
           f"csv = {out}")
@@ -217,7 +207,10 @@ def _cmd_validate_config(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can reuse it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key = value config file; flags override it")

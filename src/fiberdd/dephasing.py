@@ -26,9 +26,18 @@ split at w_c = min(uv, max(ir, pi / g_min)), g_min the shortest segment:
   -sum_{j<k} u_j u_k d_jk^(1+alpha) [K(w_c d_jk) - K(uv d_jk)].
 
 The cost is about L*w_c/pi low-band panels plus (N+2)(N+1)/2 pair terms,
-independent of uv.  The error estimate is the low-band Gauss-Kronrod
+independent of uv; the pair terms need K only at their distinct
+arguments (an equally spaced train of N pulses has about 2N distinct
+separations).  The error estimate is the low-band Gauss-Kronrod
 estimate plus a rounding bound of 64 machine epsilons times the summed
 magnitudes of the pair terms.
+
+``overlaps_from_positions`` evaluates many lengths at once: one K pass
+over every length's pair arguments and one grouped quadrature whose
+groups are the lengths' low bands, so a curve costs a few numpy passes
+instead of a few per point.  Every sum over one length's terms runs
+over that length's own terms in a fixed order, so its result is bit for
+bit the one-length result (``overlap_from_positions``).
 
 Averaging the random phase over the Gaussian noise *and* over the
 photon's optical bandwidth gives the coherence factor
@@ -43,11 +52,12 @@ traveling-photon coherences of the two-qubit state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .filters import check_positions, filter_generic
+from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError, band_boundaries, integrate_panels
 
@@ -57,6 +67,10 @@ from .quadrature import QuadratureError, band_boundaries, integrate_panels
 _TAIL_X0 = 4.0
 _TAIL_SERIES_TERMS = 24
 _LAGUERRE_NODES = 60
+# Arguments per K evaluation pass, bounding its (arguments x nodes) arrays.
+_TAIL_CHUNK = 2048
+# Pair terms plus initial Kronrod points per batch block of lengths.
+_BATCH_WORK = 65_536
 # Rounding bound on the pair sum, relative to its summed term magnitudes.
 _PAIR_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
@@ -116,6 +130,28 @@ def _tail_rotated(x: np.ndarray, p: float) -> np.ndarray:
     return x ** (1.0 - p) / (p - 1.0) + np.sin(x) * re - np.cos(x) * im
 
 
+def _frozen(*arrays):
+    """The arrays made read-only, for caches that hand them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _series_terms(p: float):
+    """Coefficients and exponents of the _tail_series terms for one p."""
+    n = np.arange(1, _TAIL_SERIES_TERMS + 1)
+    e = 2 * n + 1 - p
+    return _frozen(np.cumprod(-1.0 / ((2 * n - 1) * (2 * n))), e, e > 0.0,
+                   e < 0.0)
+
+
+@lru_cache(maxsize=64)
+def _tail_at_x0(p: float) -> float:
+    """K(_TAIL_X0) for p = 2 + alpha, where the series takes over."""
+    return float(_tail_rotated(np.array([_TAIL_X0]), p)[0])
+
+
 def _tail_series(x: np.ndarray, p: float) -> np.ndarray:
     """int_x^X0 t^-p (1 - cos t) dt by the power series of 1 - cos t.
 
@@ -123,98 +159,238 @@ def _tail_series(x: np.ndarray, p: float) -> np.ndarray:
     through expm1 so it stays accurate for e near 0 (log case at e = 0)
     and never forms an overflowing power for large |e ln(X0/x)|.
     """
-    n = np.arange(1, _TAIL_SERIES_TERMS + 1)
-    coef = np.cumprod(-1.0 / ((2 * n - 1) * (2 * n)))
-    e = 2 * n + 1 - p
+    coef, e, up, down = _series_terms(p)
     ell = np.log(_TAIL_X0 / x)[:, None]
-    terms = np.empty((x.size, n.size))
-    up, down, flat = e > 0.0, e < 0.0, e == 0.0
+    terms = np.empty((x.size, e.size))
     terms[:, up] = _TAIL_X0 ** e[up] * -np.expm1(-e[up] * ell) / e[up]
     terms[:, down] = (x[:, None] ** e[down] * np.expm1(e[down] * ell)
                       / e[down])
-    terms[:, flat] = ell
-    return -(terms @ coef)
+    terms[:, e == 0.0] = ell
+    return -(terms * coef).sum(axis=1)
+
+
+def _chunked(fn, x: np.ndarray, p: float) -> np.ndarray:
+    """fn(x, p) in slices of _TAIL_CHUNK arguments, bounding the
+    (arguments x terms) workspace; fn works row by row, so slicing
+    changes no value."""
+    if x.size <= _TAIL_CHUNK:
+        return fn(x, p)
+    return np.concatenate([fn(x[i:i + _TAIL_CHUNK], p)
+                           for i in range(0, x.size, _TAIL_CHUNK)])
 
 
 def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
-    """K(x) = int_x^inf t^-(2+alpha) (1 - cos t) dt for x > 0."""
+    """K(x) = int_x^inf t^-(2+alpha) (1 - cos t) dt for x > 0, each value
+    a function of its own argument only."""
     p = 2.0 + alpha
     far = x >= _TAIL_X0
-    rotated = _tail_rotated(np.append(x[far], _TAIL_X0), p)
     out = np.empty_like(x)
-    out[far] = rotated[:-1]
+    out[far] = _chunked(_tail_rotated, x[far], p)
     near = ~far
     if near.any():
-        out[near] = rotated[-1] + _tail_series(x[near], p)
+        out[near] = _tail_at_x0(p) + _chunked(_tail_series, x[near], p)
     return out
 
 
-def _pair_sum_band(bounds: np.ndarray, alpha: float, lo: float, hi: float):
-    """int_lo^hi w^-(2+alpha) F(w) dw by the pair sum, with a rounding bound.
+def _by_pulse_count(positions, lengths):
+    """(rows, boundaries) for each distinct pulse count: the boundaries
+    (0, l_1, ..., l_N, L) of those lengths, one row per length."""
+    groups = {}
+    for i, p in enumerate(positions):
+        groups.setdefault(p.size, []).append(i)
+    for n, rows in groups.items():
+        bounds = np.empty((len(rows), n + 2))
+        bounds[:, 0] = 0.0
+        bounds[:, -1] = lengths[rows]
+        for i, r in enumerate(rows):
+            bounds[i, 1:-1] = positions[r]
+        yield np.array(rows), bounds
 
-    ``bounds`` are the segment boundaries (0, l_1, ..., l_N, L).
-    """
-    if lo >= hi:
-        return 0.0, 0.0
-    signs = np.where(np.arange(bounds.size - 1) % 2, -1.0, 1.0)
+
+@lru_cache(maxsize=64)
+def _pair_pattern(size: int):
+    """Pair indices j < k of ``size`` boundaries and the products
+    -u_j u_k of their weights u = (-1, +-2, ..., (-1)^N)."""
+    signs = np.where(np.arange(size - 1) % 2, -1.0, 1.0)
     weights = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-    j, k = np.triu_indices(bounds.size, 1)
-    d = bounds[k] - bounds[j]
-    tails = _tail(np.concatenate((lo * d, hi * d)), alpha)
-    terms = (-weights[j] * weights[k] * d ** (1.0 + alpha)
-             * (tails[:d.size] - tails[d.size:]))
-    return float(terms.sum()), _PAIR_ROUNDING * float(np.abs(terms).sum())
+    j, k = np.triu_indices(size, 1)
+    return _frozen(j, k, -weights[j] * weights[k])
+
+
+def _pair_sums(tables, w_c: np.ndarray, uv: float, alpha: float):
+    """int_{w_c}^uv w^-(2+alpha) F(w) dw by the pair sum, per length.
+
+    One _tail call serves every length, evaluated once per distinct
+    argument (an equally spaced train repeats its separations).  Each
+    length's terms are summed along its own row in pair order.  Returns
+    the band values and their rounding bounds (0 where w_c = uv).
+    """
+    high = np.zeros(w_c.size)
+    rounding = np.zeros(w_c.size)
+    pairs = []
+    for rows, bounds in tables:
+        live = w_c[rows] < uv
+        if not live.any():
+            continue
+        rows, bounds = rows[live], bounds[live]
+        j, k, coef = _pair_pattern(bounds.shape[1])
+        # C order: the row sums below then run along contiguous rows,
+        # each the same pairwise sum a lone length gets
+        d = np.ascontiguousarray(bounds[:, k] - bounds[:, j])
+        pairs.append((rows, d, coef))
+    if not pairs:
+        return high, rounding
+
+    args = np.concatenate([np.concatenate(((w_c[rows, None] * d).ravel(),
+                                           (uv * d).ravel()))
+                           for rows, d, _ in pairs])
+    distinct, inverse = np.unique(args, return_inverse=True)
+    tails = _tail(distinct, alpha)[inverse]
+    start = 0
+    for rows, d, coef in pairs:
+        lo = tails[start:start + d.size].reshape(d.shape)
+        hi = tails[start + d.size:start + 2 * d.size].reshape(d.shape)
+        start += 2 * d.size
+        terms = coef * d ** (1.0 + alpha) * (lo - hi)
+        high[rows] = terms.sum(axis=1)
+        rounding[rows] = _PAIR_ROUNDING * np.abs(terms).sum(axis=1)
+    return high, rounding
+
+
+class Overlaps(NamedTuple):
+    """Per-length overlap integrals of one batch.
+
+    ``value`` and ``error`` are f and its error estimate; a length whose
+    low-band quadrature did not converge keeps its best estimate and a
+    false ``converged`` flag.  ``panels`` counts low-band panels.
+    """
+
+    value: np.ndarray
+    error: np.ndarray
+    converged: np.ndarray
+    panels: np.ndarray
+
+
+def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
+                            atol: float = 1e-8,
+                            rtol: float = 1e-8) -> Overlaps:
+    """Overlap integrals for many (pulse positions, length) pairs at once.
+
+    ``positions[i]`` are the pulses of length ``lengths[i]``.  The band
+    splits at w_c = min(uv, max(ir, pi/g_min)) per length (see the module
+    docstring).  Above w_c, one pair-sum pass covers every length, exact
+    up to rounding.  Below it, one grouped quadrature covers every
+    length: each starts from panels no wider than pi/length (half the
+    shortest oscillation period of its filter) with a geometric prefix
+    resolving the spectral edge, then refines adaptively until its own
+    ``atol``/``rtol`` are met.  The noise amplitude is factored out and
+    both parts are computed for unit amplitude, so the refinement path
+    never depends on the amplitude and f stays exactly proportional to
+    it.  Lengths run in blocks of about _BATCH_WORK pair terms and
+    quadrature points, which bounds memory for any number of lengths.  A
+    length's result does not depend on the other lengths of the batch,
+    bit for bit.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.ndim != 1 or len(positions) != lengths.size:
+        raise ValueError("need one pulse-position array per length")
+    positions = [check_positions(p, length)
+                 for p, length in zip(positions, lengths)]
+    count = lengths.size
+    result = Overlaps(np.zeros(count), np.zeros(count),
+                      np.ones(count, dtype=bool), np.zeros(count, np.intp))
+    if spectrum.amplitude == 0.0 or count == 0:
+        return result
+
+    ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
+    tables = list(_by_pulse_count(positions, lengths))
+    w_c = np.empty(count)
+    pairs = np.empty(count)
+    for rows, bounds in tables:
+        shortest = np.diff(bounds, axis=1).min(axis=1)
+        w_c[rows] = np.minimum(uv, np.maximum(ir, np.pi / shortest))
+        pairs[rows] = bounds.shape[1] * (bounds.shape[1] - 1) // 2
+    # Kronrod points of about L*w_c/pi uniform and log(w_c/ir)/log(1.25)
+    # geometric initial panels, plus the pair terms
+    points = 15.0 * (lengths * (w_c - ir) / np.pi
+                     + np.log(w_c / ir) / np.log(1.25) + 1.0)
+    work = np.where(w_c < uv, pairs, 0.0) + np.where(w_c > ir, points, 0.0)
+    for lo, hi in _blocks(work, _BATCH_WORK):
+        block = [(rows[keep] - lo, bounds[keep]) for rows, bounds in tables
+                 if (keep := (rows >= lo) & (rows < hi)).any()]
+        _overlap_block(block, lengths[lo:hi], w_c[lo:hi], spectrum,
+                       atol, rtol, Overlaps(*(a[lo:hi] for a in result)))
+    return result
+
+
+def _blocks(work: np.ndarray, budget: float):
+    """Consecutive (lo, hi) index ranges whose summed work stays within
+    ``budget``; a single item above it forms a range of its own."""
+    lo, total = 0, 0.0
+    for i, w in enumerate(work.tolist()):
+        if total + w > budget and i > lo:
+            yield lo, i
+            lo, total = i, 0.0
+        total += w
+    yield lo, work.size
+
+
+def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum, atol, rtol,
+                   out: Overlaps) -> None:
+    """Overlaps of one block of lengths, written into ``out``."""
+    ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
+    segments = max(bounds.shape[1] for _, bounds in tables) - 1
+    gaps = np.zeros((segments, lengths.size))
+    mids = np.zeros((segments, lengths.size))
+    for rows, bounds in tables:
+        g = np.diff(bounds, axis=1)
+        gaps[:g.shape[1], rows] = g.T
+        mids[:g.shape[1], rows] = (0.5 * (bounds[:, :-1] + bounds[:, 1:])).T
+    high, rounding = _pair_sums(tables, w_c, uv, spectrum.exponent)
+
+    low = np.flatnonzero(w_c > ir)
+    if low.size:
+        power = -(spectrum.exponent + 2.0)
+
+        def integrand(points):
+            w = points["x"]
+            return segment_filter(gaps, mids, w, low[points["group"]]) \
+                * w ** power
+
+        bands = [band_boundaries(ir, w_c[i], min(np.pi / lengths[i],
+                                                 w_c[i] - ir))
+                 for i in low]
+        res = integrate_panels(integrand, bands, atol=atol, rtol=rtol,
+                               grouped=True)
+        out.value[low] = res.values
+        out.error[low] = res.errors
+        out.converged[low] = res.converged
+        out.panels[low] = res.group_panels
+
+    scale = spectrum.amplitude / np.pi
+    out.value[:] = scale * (out.value + high)
+    out.error[:] = scale * (out.error + rounding)
 
 
 def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
                            *, atol: float = 1e-8, rtol: float = 1e-8,
                            with_error: bool = False):
-    """Overlap integral for explicit pulse positions.
-
-    The band splits at w_c = min(uv, max(ir, pi/g_min)) (see the module
-    docstring).  Below it, the quadrature starts from panels no wider
-    than pi/length (half the shortest oscillation period of the filter)
-    with a geometric prefix resolving the spectral edge, then refines
-    adaptively until ``atol``/``rtol`` are met; above it, the pair sum
-    is exact up to rounding.  The noise amplitude is factored out and
-    both parts are computed for unit amplitude, so the refinement path
-    never depends on the amplitude and f stays exactly proportional
-    to it.
+    """Overlap integral for explicit pulse positions: the one-length case
+    of ``overlaps_from_positions``, which it returns bit for bit.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
     Raises QuadratureError (best estimate of the whole band attached)
     when the low-band quadrature does not converge.
     """
-    positions = check_positions(positions, length)
-    if spectrum.amplitude == 0.0:
-        return (0.0, 0.0) if with_error else 0.0
-
-    scale = spectrum.amplitude / np.pi
-    ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
-    bounds = np.concatenate(([0.0], positions, [length]))
-    w_c = min(uv, max(ir, np.pi / float(np.diff(bounds).min())))
-    high, rounding = _pair_sum_band(bounds, spectrum.exponent, w_c, uv)
-
-    low = low_error = 0.0
-    if w_c > ir:
-        power = -(spectrum.exponent + 2.0)
-
-        def integrand(w):
-            return filter_generic(positions, length, w) * w ** power
-
-        panels = band_boundaries(ir, w_c, min(np.pi / length, w_c - ir))
-        try:
-            res = integrate_panels(integrand, panels, atol=atol, rtol=rtol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"overlap integral at length {length}: {exc}",
-                scale * (exc.best_estimate + high),
-                scale * (exc.error_estimate + rounding),
-                exc.panels) from exc
-        low, low_error = res.value, res.error
-
-    value = scale * (low + high)
-    return (value, scale * (low_error + rounding)) if with_error else value
+    res = overlaps_from_positions([positions], spectrum, [length],
+                                  atol=atol, rtol=rtol)
+    value, error = float(res.value[0]), float(res.error[0])
+    if not res.converged[0]:
+        raise QuadratureError(
+            f"overlap integral at length {length}: low band not converged "
+            f"after {int(res.panels[0])} panels (error {error:.3e})",
+            value, error, int(res.panels[0]))
+    return (value, error) if with_error else value
 
 
 def overlap_integral(seq, spectrum: NoiseSpectrum, length: float,

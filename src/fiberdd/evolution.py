@@ -4,6 +4,12 @@ Sweep-level machinery tying the lower layers together: attenuation
 curves C(L) for a sequence, the sudden-death length where entanglement
 hits exactly zero at finite L, and the minimum pulse budget reaching a
 concurrence target at a given length.
+
+A curve takes its overlaps from one batched pass
+(``overlaps_from_positions``); single-length evaluations (death-length
+probes, pulse budgets) use the one-length case and get the same bits.
+Death lengths are bracketed on a curve and refined by regula falsi on
+the coherence factor, each probe classified by the concurrence itself.
 """
 
 from __future__ import annotations
@@ -12,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import SpectralProfile, coherence_factor, overlap_from_positions
+from .dephasing import SpectralProfile, coherence_factor, \
+    overlap_from_positions, overlaps_from_positions
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
 from .sequences import CpmgCount, Free, SequenceDegenerateError
-from .states import TwoQubitXState, apply_dephasing, concurrence
+from .states import TwoQubitXState, apply_dephasing, concurrence, \
+    esd_threshold_gamma
 
 
 @dataclass
@@ -75,8 +83,9 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                       state: TwoQubitXState, lengths) -> DecoherenceCurve:
     """Evaluate overlap, coherence factor, and concurrence over lengths.
 
-    Lengths must be positive; each point is independent (pure functions
-    all the way down), so failures are per-point.
+    Lengths must be positive.  All overlaps come from one
+    ``overlaps_from_positions`` pass, each bit for bit what the pointwise
+    route gives; quadrature failures are per-point.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size == 0:
@@ -84,15 +93,13 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
         raise ValueError("lengths must be positive and finite")
 
-    overlap = np.empty(lengths.size)
-    gamma = np.empty(lengths.size)
-    conc = np.empty(lengths.size)
-    ok = np.empty(lengths.size, dtype=bool)
-    for i, length in enumerate(lengths):
-        overlap[i], ok[i] = _overlap_at(seq, spectrum, length)
-        gamma[i] = coherence_factor(overlap[i], profile)
-        conc[i] = _dephased_concurrence(state, gamma[i])
-    return DecoherenceCurve(lengths, overlap, gamma, conc, ok)
+    overlaps = overlaps_from_positions(
+        [sweep_positions(seq, length) for length in lengths], spectrum,
+        lengths)
+    gamma = np.array([coherence_factor(f, profile) for f in overlaps.value])
+    conc = np.array([_dephased_concurrence(state, g) for g in gamma])
+    return DecoherenceCurve(lengths, overlaps.value, gamma, conc,
+                            overlaps.converged)
 
 
 def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -100,11 +107,11 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                grid_points: int = 200) -> float | None:
     """Smallest length in (0, length_max] where concurrence reaches zero.
 
-    Scans a uniform grid for the first dead point, then bisects the
-    bracketing interval (concurrence hits zero exactly at finite length,
-    so the predicate is a clean boolean).  Returns None when the state
-    stays entangled over the whole grid.  The initial state itself must
-    be entangled.
+    Evaluates a uniform grid as one curve and refines from its first dead
+    point (concurrence hits zero exactly at finite length, so the
+    predicate is a clean boolean).  Returns None when the state stays
+    entangled over the whole grid.  The initial state itself must be
+    entangled.
     """
     if not (np.isfinite(length_max) and length_max > 0.0):
         raise ValueError(f"length_max must be positive, got {length_max}")
@@ -112,43 +119,76 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
         raise ValueError("grid_points must be at least 2")
     if concurrence(state) <= 0.0:
         raise ValueError("initial state is separable; no death length exists")
-
-    def dead(length: float) -> bool:
-        return concurrence_at(seq, spectrum, profile, state, length) == 0.0
-
     grid = np.linspace(0.0, length_max, grid_points + 1)[1:]
-    hit = None
-    for length in grid:
-        if dead(length):
-            hit = length
-            break
-    if hit is None:
-        return None
+    curve = decoherence_curve(seq, spectrum, profile, state, grid)
+    return curve_death_length(seq, spectrum, profile, state, curve,
+                              tol=1e-7 * length_max)
 
-    lo = hit - length_max / grid_points
-    if lo <= 0.0:
-        lo = hit * 1e-9
-    return refine_esd(seq, spectrum, profile, state, lo, hit,
-                      tol=1e-7 * length_max)
+
+def curve_death_length(seq, spectrum: NoiseSpectrum,
+                       profile: SpectralProfile, state: TwoQubitXState,
+                       curve: DecoherenceCurve, *,
+                       tol: float) -> float | None:
+    """Death length refined from a curve's first dead point, or None.
+
+    The bracket runs from the grid point before it (or from a billionth
+    of the first length when the first point is already dead).
+    """
+    dead = np.flatnonzero(curve.concurrence == 0.0)
+    if dead.size == 0:
+        return None
+    i = int(dead[0])
+    lo = curve.lengths[i - 1] if i > 0 else curve.lengths[0] * 1e-9
+    return refine_esd(seq, spectrum, profile, state, lo, curve.lengths[i],
+                      tol=tol)
 
 
 def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                state: TwoQubitXState, alive_length: float,
                dead_length: float, *, tol: float) -> float:
-    """Bisect a bracket (alive_length, dead_length] down to the death point.
+    """Narrow a bracket (alive_length, dead_length] down to the death point.
 
-    Assumes a single alive-to-dead transition inside the bracket, which
-    holds whenever the coherence factor is monotone there.
+    Probes are proposed by regula falsi with the Illinois modification on
+    g(L) = Gamma(L) - Gamma*, Gamma* = ``esd_threshold_gamma(state)``, and
+    classified by the concurrence predicate (C == 0 is dead), so the
+    bracket always runs from an evaluated alive length to an evaluated
+    dead one.  A probe stays at least tol/2 inside the bracket, and a
+    step that fails to halve the bracket is followed by a bisection.
+    Stops at hi - lo <= tol and returns the midpoint.  Assumes a single
+    alive-to-dead transition inside the bracket, which holds whenever
+    the coherence factor is monotone there.
     """
     if not 0.0 < alive_length < dead_length:
         raise ValueError("need 0 < alive_length < dead_length")
+    threshold = esd_threshold_gamma(state)
+
+    def probe(length: float) -> tuple[float, bool]:
+        gamma = coherence_at(seq, spectrum, profile, length)
+        return gamma - threshold, _dephased_concurrence(state, gamma) == 0.0
+
     lo, hi = alive_length, dead_length
+    g_lo, _ = probe(lo)
+    g_hi, _ = probe(hi)
+    last_dead = None  # which end the previous probe replaced
+    bisect = False
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if concurrence_at(seq, spectrum, profile, state, mid) == 0.0:
-            hi = mid
+        width = hi - lo
+        if bisect or not g_lo > 0.0 >= g_hi:
+            x = 0.5 * (lo + hi)
         else:
-            lo = mid
+            x = lo + width * g_lo / (g_lo - g_hi)
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        g, dead = probe(x)
+        if dead:
+            hi, g_hi = x, g
+            if last_dead is True:
+                g_lo *= 0.5  # Illinois: lo kept twice, weight it down
+        else:
+            lo, g_lo = x, g
+            if last_dead is False:
+                g_hi *= 0.5
+        last_dead = dead
+        bisect = not bisect and hi - lo > 0.5 * width
     return 0.5 * (lo + hi)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .sequences import CpmgCount
 
-# Workspace bound for the omega-by-segment outer products.
-_CHUNK_ELEMS = 2_097_152
+# Workspace bound for the segment-by-omega products.
+_CHUNK_ELEMS = 16_384
 
 
 def _as_freq_array(omega):
@@ -42,6 +42,40 @@ def check_positions(positions, length: float) -> np.ndarray:
     return positions
 
 
+def segment_filter(gaps, mids, omega, rows=None):
+    """Filter from segment lengths and midpoints, one column per sequence.
+
+    F(w) = 2 |sum_k (-1)^k sin(w g_k / 2) e^{i w m_k}|^2 with g_k = gaps[k]
+    and m_k = mids[k] taken from column ``rows[i]`` for ``omega[i]`` (from
+    the only column when ``rows`` is None).  Zero gaps pad columns with
+    fewer segments: the sums run segment by segment in order, so a
+    trailing zero term changes no value, and each point's value depends
+    only on its own column, never on the other points evaluated with it.
+    """
+    out = np.empty(omega.size)
+    chunk = max(256, _CHUNK_ELEMS // gaps.shape[0])
+    for i in range(0, omega.size, chunk):
+        w = omega[i:i + chunk]
+        g, m = ((gaps, mids) if rows is None
+                else (gaps[:, rows[i:i + chunk]], mids[:, rows[i:i + chunk]]))
+        amp = np.sin(0.5 * w * g)
+        phase = w * m
+        re_terms = np.cos(phase)
+        re_terms *= amp
+        im_terms = np.sin(phase, out=phase)
+        im_terms *= amp
+        re, im = re_terms[0].copy(), im_terms[0].copy()
+        for k in range(1, g.shape[0]):
+            if k % 2:
+                re -= re_terms[k]
+                im -= im_terms[k]
+            else:
+                re += re_terms[k]
+                im += im_terms[k]
+        out[i:i + chunk] = 2.0 * (re * re + im * im)
+    return out
+
+
 def filter_generic(positions, length: float, omega):
     """Filter function for arbitrary pulse positions.
 
@@ -59,22 +93,10 @@ def filter_generic(positions, length: float, omega):
     """
     positions = check_positions(positions, length)
     w, scalar = _as_freq_array(omega)
-    w1 = np.atleast_1d(w).ravel()
-
     bounds = np.concatenate(([0.0], positions, [length]))
-    gaps = np.diff(bounds)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    signs = np.where(np.arange(gaps.size) % 2, -1.0, 1.0)
-
-    out = np.empty_like(w1)
-    chunk = max(256, _CHUNK_ELEMS // gaps.size)
-    for i in range(0, w1.size, chunk):
-        ww = w1[i:i + chunk, None]
-        amp = np.sin(0.5 * ww * gaps) * signs
-        phase = ww * mids
-        re = (amp * np.cos(phase)).sum(axis=1)
-        im = (amp * np.sin(phase)).sum(axis=1)
-        out[i:i + chunk] = 2.0 * (re * re + im * im)
+    out = segment_filter(np.diff(bounds)[:, None],
+                         (0.5 * (bounds[:-1] + bounds[1:]))[:, None],
+                         np.atleast_1d(w).ravel())
     return float(out[0]) if scalar else out.reshape(w.shape)
 
 

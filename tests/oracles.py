@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from fiberdd.dephasing import _tail
+from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
 
@@ -23,3 +25,52 @@ def full_band_overlap(positions, spectrum, length, *, atol=1e-16,
 
     res = integrate_panels(integrand, bounds, atol=atol, rtol=rtol)
     return spectrum.amplitude / np.pi * res.value
+
+
+def pair_sum_band(bounds, alpha, lo, hi):
+    """int_lo^hi w^-(2+alpha) F(w) dw by the pair sum for one length,
+    with K evaluated once per pair (no grouping of equal separations).
+
+    Returns the band value and its rounding bound, 64 eps times the
+    summed term magnitudes.
+    """
+    if lo >= hi:
+        return 0.0, 0.0
+    signs = np.where(np.arange(bounds.size - 1) % 2, -1.0, 1.0)
+    weights = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+    j, k = np.triu_indices(bounds.size, 1)
+    d = bounds[k] - bounds[j]
+    tails = _tail(np.concatenate((lo * d, hi * d)), alpha)
+    terms = (-weights[j] * weights[k] * d ** (1.0 + alpha)
+             * (tails[:d.size] - tails[d.size:]))
+    return (float(terms.sum()),
+            64.0 * np.finfo(float).eps * float(np.abs(terms).sum()))
+
+
+def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):
+    """Initial panel boundaries with the geometric section grown one
+    in-place product at a time."""
+    pts = [lo]
+    x = lo
+    while x * (edge_ratio - 1.0) < max_width and x * edge_ratio < hi:
+        x *= edge_ratio
+        pts.append(x)
+    rest = hi - x
+    if rest > 0.0:
+        n = max(1, int(np.ceil(rest / max_width)))
+        pts.extend(x + rest * np.arange(1, n + 1) / n)
+    pts[-1] = hi
+    return np.array(pts)
+
+
+def bisect_esd(seq, spectrum, profile, state, alive_length, dead_length,
+               *, tol):
+    """Death point of a bracket by plain bisection on C == 0."""
+    lo, hi = alive_length, dead_length
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if concurrence_at(seq, spectrum, profile, state, mid) == 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV contract."""
 
+import os
 import subprocess
 import sys
 
@@ -308,3 +309,40 @@ def test_module_entry_point_help():
     assert "usage: fiberdd" in proc.stdout
     for name in ("simulate", "figure", "mc-check", "validate-config"):
         assert name in proc.stdout
+
+
+def _separate_process(argv, env):
+    return subprocess.run([sys.executable, "-m", "fiberdd", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+def test_reused_parser_matches_separate_processes(tmp_path, capsys,
+                                                  monkeypatch):
+    # main builds its parser once per process; runs with other flags and
+    # a usage error in between must not leak into later runs
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "COLUMNS": "80"}
+    out = str(tmp_path / "run.csv")
+    runs = [
+        ["simulate", "--length-max", "12", "--grid-points", "6",
+         "--out", out],
+        ["simulate", "--sequence", "cpmg", "--density", "0.3", "--alpha",
+         "1.4", "--length-max", "20", "--grid-points", "7", "--out", out],
+        ["simulate", "--grid-points", "many"],
+        ["simulate", "--length-max", "12", "--grid-points", "6",
+         "--out", out],
+        ["simulate", "--help"],
+    ]
+    codes = []
+    for argv in runs:
+        proc = _separate_process(argv, env)
+        codes.append(proc.returncode)
+        expected_csv = open(out, encoding="utf-8").read() \
+            if proc.returncode == 0 and "--help" not in argv else None
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout, stderr) == (proc.returncode, proc.stdout,
+                                          proc.stderr)
+        if expected_csv is not None:
+            assert open(out, encoding="utf-8").read() == expected_csv
+    assert codes == [0, 0, 2, 0, 0]

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+import fiberdd.dephasing as dephasing
+import fiberdd.filters as filters
 from fiberdd.dephasing import (SpectralProfile, _tail, coherence_factor,
-                               overlap_from_positions, overlap_integral)
+                               overlap_from_positions, overlap_integral,
+                               overlaps_from_positions)
+from fiberdd.evolution import sweep_positions
 from fiberdd.filters import filter_generic
 from fiberdd.noise import NoiseSpectrum
 from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
-from fiberdd.sequences import CpmgCount, Free, SpinEcho
-from oracles import full_band_overlap
+from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
+from oracles import full_band_overlap, pair_sum_band
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -231,3 +235,113 @@ def test_profile_rejects_overflowing_squares():
     assert 0.0 <= coherence_factor(1.0, big) <= 1.0
     # finite squares whose products with f overflow: complete dephasing
     assert coherence_factor(2.0, SpectralProfile(1e154, 1e154)) == 0.0
+
+
+def _batch_vs_lone(seq, spec, lengths):
+    positions = [sweep_positions(seq, L) for L in lengths]
+    batch = overlaps_from_positions(positions, spec, lengths)
+    for i, (pos, L) in enumerate(zip(positions, lengths)):
+        f, err = overlap_from_positions(pos, spec, L, with_error=True)
+        assert batch.value[i] == f
+        assert batch.error[i] == err
+    assert batch.converged.all()
+    return batch
+
+
+# CpmgDensity(0.3) over this grid goes from no pulse (L < 5/3) to 9, and
+# CpmgDensity(0.06) from none to 2, so each curve mixes pulse counts and
+# free-evolution lengths in one batch.
+@pytest.mark.parametrize("seq", [Free(), SpinEcho(), CpmgCount(3),
+                                 CpmgCount(64), CpmgDensity(0.06),
+                                 CpmgDensity(0.3)])
+@pytest.mark.parametrize("alpha,band", [(0.0, (1e-3, 1e3)),
+                                        (1.0, (1e-3, 1e3)),
+                                        (1.7, (1e-3, 1e3)),
+                                        (1.0, (2.0, 1e3)),
+                                        (1.5, (0.05, 50.0))])
+def test_batch_matches_each_length_alone(seq, alpha, band):
+    # on (2, 1e3) some lengths have no low band; on (0.05, 50) some have
+    # no pair-sum band (pi / g_min >= uv)
+    spec = NoiseSpectrum(0.008, alpha, *band)
+    lengths = np.concatenate(([0.05, 1.0], np.linspace(1.5, 30.0, 9)))
+    batch = _batch_vs_lone(seq, spec, lengths)
+    # the same lengths in reverse order and in pairs give the same bits
+    again = overlaps_from_positions(
+        [sweep_positions(seq, L) for L in lengths[::-1]], spec,
+        lengths[::-1])
+    assert np.array_equal(again.value[::-1], batch.value)
+    for i in range(0, lengths.size - 1, 2):
+        pair = overlaps_from_positions(
+            [sweep_positions(seq, L) for L in lengths[i:i + 2]], spec,
+            lengths[i:i + 2])
+        assert np.array_equal(pair.value, batch.value[i:i + 2])
+
+
+def test_unconverged_length_is_isolated_in_batch(monkeypatch):
+    # L = 150 gets a single coarse low-band panel and a budget of 4, so it
+    # alone runs out of panels; every other length converges untouched
+    spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
+    lengths = np.array([0.5, 2.0, 150.0, 4.0])
+    positions = [np.empty(0)] * lengths.size
+    grouped = dephasing.integrate_panels
+    w_c = np.pi / 150.0
+
+    def starved(fn, bands, **kwargs):
+        bands = [b[[0, -1]] if b[-1] == w_c else b for b in bands]
+        return grouped(fn, bands, **{**kwargs, "max_panels": 4})
+
+    monkeypatch.setattr(dephasing, "integrate_panels", starved)
+    batch = overlaps_from_positions(positions, spec, lengths)
+    with pytest.raises(QuadratureError) as info:
+        overlap_from_positions(positions[2], spec, lengths[2])
+    monkeypatch.undo()
+
+    assert list(batch.converged) == [True, True, False, True]
+    for i in (0, 1, 3):
+        assert batch.value[i] == overlap_from_positions(positions[i], spec,
+                                                        lengths[i])
+    assert batch.value[2] == info.value.best_estimate
+    assert batch.error[2] == info.value.error_estimate
+    assert batch.panels[2] == info.value.panels >= 4
+    assert "overlap integral at length 150.0" in str(info.value)
+
+
+def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
+    spec = NoiseSpectrum(0.008, 1.3, 1e-3, 1e3)
+    lengths = np.linspace(0.5, 30.0, 12)
+    positions = [sweep_positions(CpmgDensity(0.3), L) for L in lengths]
+    wide = overlaps_from_positions(positions, spec, lengths)
+    monkeypatch.setattr(filters, "_CHUNK_ELEMS", 1)
+    monkeypatch.setattr(dephasing, "_TAIL_CHUNK", 3)
+    for batch_work in (1, 2000):  # one length per block, then a few
+        monkeypatch.setattr(dephasing, "_BATCH_WORK", batch_work)
+        narrow = overlaps_from_positions(positions, spec, lengths)
+        for got, want in zip(narrow, wide):
+            assert np.array_equal(got, want)
+
+
+def test_blocks_cover_every_length_once():
+    work = np.array([5.0, 1.0, 9.0, 2.0, 2.0, 30.0, 1.0])
+    blocks = list(dephasing._blocks(work, 10.0))
+    assert blocks == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    assert list(dephasing._blocks(work, 100.0)) == [(0, 7)]
+
+
+@pytest.mark.parametrize("pulses,length", [(0, 7.3), (1, 0.05), (4, 30.0),
+                                           (17, 1.0), (64, 0.5),
+                                           (64, 50.0)])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 + 1e-9, 2.0])
+def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
+    # K is evaluated once per distinct separation (CPMG N = 64 has 128
+    # among 2145 pairs), yet f stays bit for bit the per-pair sum
+    uv = 1e3
+    lengths = length * np.linspace(0.5, 1.0, 23)
+    positions = [CpmgCount(pulses).positions(L) if pulses else np.empty(0)
+                 for L in lengths]
+    tables = list(dephasing._by_pulse_count(positions, lengths))
+    w_c = np.linspace(2.0, 4.0, lengths.size)
+    high, rounding = dephasing._pair_sums(tables, w_c, uv, alpha)
+    for i, (pos, L) in enumerate(zip(positions, lengths)):
+        bounds = np.concatenate(([0.0], pos, [L]))
+        assert (high[i], rounding[i]) == pair_sum_band(bounds, alpha,
+                                                       w_c[i], uv)

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+import fiberdd.evolution as evolution
 from fiberdd.dephasing import SpectralProfile, coherence_factor, \
     overlap_integral
-from fiberdd.evolution import (decoherence_curve, esd_length,
-                               min_pulses_for_target, refine_esd,
+from fiberdd.evolution import (concurrence_at, decoherence_curve,
+                               esd_length, min_pulses_for_target, refine_esd,
                                sweep_positions)
 from fiberdd.noise import NoiseSpectrum
 from fiberdd.sequences import CpmgDensity, Free, SpinEcho
 from fiberdd.states import (apply_dephasing, bell_state, concurrence,
                             mixed_third_state, werner_state)
+from oracles import bisect_esd
 
 SPEC = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
 PROF = SpectralProfile(1.0, 0.1)
@@ -119,3 +121,77 @@ def test_min_pulses_target_validation():
         min_pulses_for_target(0.0, 20.0, SPEC, PROF, STATE)
     with pytest.raises(ValueError):
         min_pulses_for_target(1.5, 20.0, SPEC, PROF, STATE)
+
+
+# CpmgDensity(0.06) places its first pulse at L = 25/3, where Gamma jumps
+# up by 0.12-0.13 on this weakly colored spectrum.  At amplitude 0.098
+# the jump falls in the alive stretch (one crossing near 11.75), at 0.156
+# in the dead stretch (one crossing near 6.01): Gamma is not monotone on
+# [5, 12] either way, but C = 0 changes only once.
+def _rising(amplitude):
+    return NoiseSpectrum(amplitude, 0.25, 1e-3, 1e3)
+
+
+ESD_BRACKETS = [
+    (Free(), SPEC, 5.0, 12.0),
+    (SpinEcho(), SPEC, 20.0, 40.0),
+    (CpmgDensity(0.06), _rising(0.098), 5.0, 12.0),
+    (CpmgDensity(0.06), _rising(0.156), 5.0, 12.0),
+]
+
+
+@pytest.mark.parametrize("seq,spec,alive,dead", ESD_BRACKETS)
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_secant_refinement_matches_bisection(monkeypatch, seq, spec, alive,
+                                             dead, tol):
+    probes = []
+    coherence_at = evolution.coherence_at
+
+    def recorded(seq, spectrum, profile, length):
+        probes.append(length)
+        return coherence_at(seq, spectrum, profile, length)
+
+    monkeypatch.setattr(evolution, "coherence_at", recorded)
+    esd = refine_esd(seq, spec, PROF, STATE, alive, dead, tol=tol)
+    monkeypatch.undo()
+
+    assert abs(esd - bisect_esd(seq, spec, PROF, STATE, alive, dead,
+                                tol=tol)) <= tol
+    # the returned point sits between an evaluated alive point and an
+    # evaluated dead one, each within tol
+    state = [(L, concurrence_at(seq, spec, PROF, STATE, L) == 0.0)
+             for L in probes]
+    assert any(esd - tol <= L < esd and not is_dead for L, is_dead in state)
+    assert any(esd < L <= esd + tol and is_dead for L, is_dead in state)
+    # two endpoint evaluations plus far fewer probes than bisection's
+    # log2((dead - alive) / tol)
+    assert len(probes) - 2 < 0.75 * np.log2((dead - alive) / tol)
+
+
+def test_refinement_survives_misleading_secant_values(monkeypatch):
+    # Gamma values that point the secant the wrong way (the threshold
+    # moved) leave bisection in charge; the invariant still holds
+    monkeypatch.setattr(evolution, "esd_threshold_gamma", lambda state: 2.0)
+    esd = refine_esd(Free(), SPEC, PROF, STATE, 5.0, 12.0, tol=1e-6)
+    monkeypatch.undo()
+    assert abs(esd - bisect_esd(Free(), SPEC, PROF, STATE, 5.0, 12.0,
+                                tol=1e-6)) <= 1e-6
+
+
+def test_refinement_worst_case_is_twice_bisection(monkeypatch):
+    # a kinked Gamma (slopes 1500 times apart across the crossing at 7)
+    # stalls the secant; bisecting after every step that does not halve
+    # the bracket keeps the probe count within twice bisection's
+    def kinked(seq, spectrum, profile, length):
+        probes.append(length)
+        if length > 7.0:
+            return 0.5 * np.exp(-3.0 * (length - 7.0))
+        return 0.5 + 1e-3 * (7.0 - length)
+
+    for tol in (1e-3, 1e-7):
+        probes = []
+        monkeypatch.setattr(evolution, "coherence_at", kinked)
+        esd = refine_esd(Free(), SPEC, PROF, STATE, 1.0, 13.0, tol=tol)
+        monkeypatch.undo()
+        assert abs(esd - 7.0) <= tol
+        assert len(probes) - 2 <= 2 * np.ceil(np.log2(12.0 / tol))

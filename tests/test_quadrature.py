@@ -5,6 +5,7 @@ import pytest
 
 from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
+from oracles import band_boundaries_loop
 
 
 def test_polynomial_degree_22_exact():
@@ -79,3 +80,82 @@ def test_band_boundaries_structure():
     assert widths.max() <= 0.25 + 1e-12
     # geometric growth near the lower edge
     assert widths[0] < 1e-3
+
+
+@pytest.mark.parametrize("lo,hi,max_width,edge_ratio", [
+    (lo, hi, width, ratio)
+    for lo, hi in [(1e-3, 1e3), (1e-3, 0.2), (0.05, 50.0), (2.0, 2.1),
+                   (1e-300, 1.0), (0.9, 1.0)]
+    for width in (1e-4, 0.01, 0.26, np.pi / 7.3, 50.0)
+    for ratio in (1.01, 1.25, 2.0)
+    if (hi - lo) / width <= 1e5])
+def test_band_boundaries_match_loop_oracle(lo, hi, max_width, edge_ratio):
+    # (2.0, 2.1) and (0.9, 1.0) are spans shorter than one geometric step
+    assert np.array_equal(band_boundaries(lo, hi, max_width, edge_ratio),
+                          band_boundaries_loop(lo, hi, max_width, edge_ratio))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 10, 40])
+def test_band_boundaries_match_loop_oracle_at_exact_powers(steps):
+    # hi one ulp above lo * ratio**steps: the log estimate of the step
+    # count rounds down, so the geometric section needs its spare terms
+    for lo, ratio in [(1.0, 2.0), (1e-3, 1.25), (0.3, 1.5)]:
+        hi = np.nextafter(lo * ratio ** steps, np.inf)
+        for width in (hi, hi / 100.0):
+            assert np.array_equal(band_boundaries(lo, hi, width, ratio),
+                                  band_boundaries_loop(lo, hi, width, ratio))
+
+
+def test_band_boundaries_rejects_non_growing_ratio():
+    for ratio in (1.0, 0.8, np.inf):
+        with pytest.raises(ValueError):
+            band_boundaries(1.0, 2.0, 0.1, ratio)
+
+
+def _grouped_integrand(points):
+    # group g integrates cos((1 + 40 g) x) / (1 + x)
+    x = points["x"]
+    return np.cos((1.0 + 40.0 * points["group"]) * x) / (1.0 + x)
+
+
+def _lone(group):
+    def fn(x):
+        return np.cos((1.0 + 40.0 * group) * x) / (1.0 + x)
+    return fn
+
+
+BANDS = [np.array([0.1, 5.0, 10.0]), band_boundaries(0.5, 3.0, 0.2),
+         np.array([0.0, 1.0]), np.array([1.0, 2.0, 4.0])]
+
+
+def test_grouped_matches_lone_integration():
+    res = integrate_panels(_grouped_integrand, BANDS, atol=1e-11,
+                           rtol=1e-11, grouped=True)
+    assert res.converged.all()
+    for g, band in enumerate(BANDS):
+        lone = integrate_panels(_lone(g), band, atol=1e-11, rtol=1e-11)
+        assert res.values[g] == lone.value
+        assert res.errors[g] == lone.error
+        assert res.group_panels[g] == lone.panels
+    assert res.panels == res.group_panels.sum()
+
+
+def test_grouped_failure_stays_in_its_group():
+    # group 3 needs hundreds of panels; the budget of 40 stops it alone
+    res = integrate_panels(_grouped_integrand, BANDS, atol=1e-11,
+                           rtol=1e-11, max_panels=40, grouped=True)
+    assert list(res.converged) == [True, True, True, False]
+    for g in range(3):
+        lone = integrate_panels(_lone(g), BANDS[g], atol=1e-11, rtol=1e-11)
+        assert res.values[g] == lone.value
+    with pytest.raises(QuadratureError) as info:
+        integrate_panels(_lone(3), BANDS[3], atol=1e-11, rtol=1e-11,
+                         max_panels=40)
+    assert res.values[3] == info.value.best_estimate
+    assert res.errors[3] == info.value.error_estimate
+    assert res.group_panels[3] == info.value.panels
+
+
+def test_grouped_with_no_bands_is_empty():
+    res = integrate_panels(_grouped_integrand, [], grouped=True)
+    assert res.values.size == 0 and res.panels == 0
