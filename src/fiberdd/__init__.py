@@ -12,8 +12,8 @@ Carlo cross-check, and a CSV-emitting command line (``fiberdd``).
 from .dephasing import (Overlaps, SpectralProfile, coherence_factor,
                         overlap_from_positions, overlap_integral,
                         overlaps_from_positions)
-from .evolution import (DecoherenceCurve, PulseBudget, coherence_at,
-                        concurrence_at, curve_death_length,
+from .evolution import (BestEstimate, DecoherenceCurve, PulseBudget,
+                        coherence_at, concurrence_at, curve_death_length,
                         decoherence_curve, esd_length,
                         min_pulses_for_target, refine_esd, sweep_positions)
 from .filters import (filter_cpmg_closed, filter_fixed_density, filter_free,
@@ -26,18 +26,18 @@ from .sequences import (CpmgCount, CpmgDensity, Free, PulseSequence,
                         SequenceDegenerateError, SpinEcho)
 from .states import (StateFileError, StateViolation, TwoQubitXState,
                      apply_dephasing, bell_state, concurrence,
-                     concurrence_x_closed, esd_threshold_gamma,
-                     load_state_file, mixed_third_state, resolve_state,
-                     validate_state, werner_state)
+                     concurrence_x_closed, dephased_concurrence,
+                     esd_threshold_gamma, load_state_file, mixed_third_state,
+                     resolve_state, validate_state, werner_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Overlaps", "SpectralProfile", "coherence_factor",
     "overlap_from_positions", "overlap_integral", "overlaps_from_positions",
-    "DecoherenceCurve", "PulseBudget", "coherence_at", "concurrence_at",
-    "curve_death_length", "decoherence_curve", "esd_length",
-    "min_pulses_for_target", "refine_esd", "sweep_positions",
+    "BestEstimate", "DecoherenceCurve", "PulseBudget", "coherence_at",
+    "concurrence_at", "curve_death_length", "decoherence_curve",
+    "esd_length", "min_pulses_for_target", "refine_esd", "sweep_positions",
     "filter_cpmg_closed", "filter_fixed_density", "filter_free",
     "filter_generic", "filter_spin_echo", "sequence_filter",
     "McResult", "McSettings", "auto_resolution", "mc_coherence",
@@ -47,6 +47,6 @@ __all__ = [
     "SequenceDegenerateError", "SpinEcho",
     "StateFileError", "StateViolation", "TwoQubitXState", "apply_dephasing",
     "bell_state", "concurrence", "concurrence_x_closed",
-    "esd_threshold_gamma", "load_state_file", "mixed_third_state",
-    "resolve_state", "validate_state", "werner_state",
+    "dephased_concurrence", "esd_threshold_gamma", "load_state_file",
+    "mixed_third_state", "resolve_state", "validate_state", "werner_state",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfg
 from .dephasing import coherence_factor, overlap_from_positions
-from .evolution import curve_death_length, decoherence_curve
+from .evolution import BestEstimate, curve_death_length, decoherence_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
 from .noise import NoiseSpectrum
@@ -92,11 +92,16 @@ def _cmd_simulate(args) -> int:
     print(f"esd_length = {'none' if esd is None else _fmt(esd)}; "
           f"final_concurrence = {_fmt(curve.concurrence[-1])}; "
           f"csv = {out}")
+    code = 0
     if not curve.converged.all():
         print(f"warning: {int((~curve.converged).sum())} unconverged "
               "quadrature points (best estimates written)", file=sys.stderr)
-        return 3
-    return 0
+        code = 3
+    if isinstance(esd, BestEstimate):
+        print("warning: death length refined with unconverged quadrature "
+              "probes (best estimate printed)", file=sys.stderr)
+        code = 3
+    return code
 
 
 def _figure_series(preset: str, config: cfg.SimulationConfig, spectrum):

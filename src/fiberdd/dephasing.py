@@ -57,9 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import check_positions, segment_filter
+from .filters import segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import QuadratureError, band_boundaries, integrate_panels
+from .quadrature import QuadratureError, band_set, integrate_panels
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
@@ -207,6 +207,26 @@ def _by_pulse_count(positions, lengths):
         yield np.array(rows), bounds
 
 
+def _check_tables(tables, lengths) -> None:
+    """Raise what ``filters.check_positions`` raises for the first length
+    that fails it, checking each pulse-count table in one pass."""
+    fails = np.zeros(lengths.size, np.intp)  # 1 length, 2 order, 3 outside
+    for rows, bounds in tables:
+        pos = bounds[:, 1:-1]
+        if pos.size:
+            outside = (pos[:, 0] <= 0.0) | (pos[:, -1] >= bounds[:, -1])
+            fails[rows] = np.where((np.diff(pos, axis=1) <= 0.0).any(axis=1),
+                                   2, np.where(outside, 3, 0))
+    fails[~(np.isfinite(lengths) & (lengths > 0.0))] = 1
+    if fails.any():
+        first = np.flatnonzero(fails)[0]
+        raise ValueError(
+            (f"length must be positive and finite, got {lengths[first]}",
+             "pulse positions must be strictly increasing",
+             "pulse positions must lie strictly inside (0, length)")
+            [fails[first] - 1])
+
+
 @lru_cache(maxsize=64)
 def _pair_pattern(size: int):
     """Pair indices j < k of ``size`` boundaries and the products
@@ -289,13 +309,18 @@ def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
     it.  Lengths run in blocks of about _BATCH_WORK pair terms and
     quadrature points, which bounds memory for any number of lengths.  A
     length's result does not depend on the other lengths of the batch,
-    bit for bit.
+    bit for bit.  Lengths and positions are validated one pulse count at
+    a time, raising what ``filters.check_positions`` raises for the
+    first length that fails it.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or len(positions) != lengths.size:
         raise ValueError("need one pulse-position array per length")
-    positions = [check_positions(p, length)
-                 for p, length in zip(positions, lengths)]
+    positions = [np.asarray(p, dtype=float) for p in positions]
+    if any(p.ndim != 1 for p in positions):
+        raise ValueError("pulse positions must be a 1-D array")
+    tables = list(_by_pulse_count(positions, lengths))
+    _check_tables(tables, lengths)
     count = lengths.size
     result = Overlaps(np.zeros(count), np.zeros(count),
                       np.ones(count, dtype=bool), np.zeros(count, np.intp))
@@ -303,7 +328,6 @@ def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
         return result
 
     ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
-    tables = list(_by_pulse_count(positions, lengths))
     w_c = np.empty(count)
     pairs = np.empty(count)
     for rows, bounds in tables:
@@ -357,9 +381,8 @@ def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum, atol, rtol,
             return segment_filter(gaps, mids, w, low[points["group"]]) \
                 * w ** power
 
-        bands = [band_boundaries(ir, w_c[i], min(np.pi / lengths[i],
-                                                 w_c[i] - ir))
-                 for i in low]
+        bands = band_set(ir, w_c[low], np.minimum(np.pi / lengths[low],
+                                                  w_c[low] - ir))
         res = integrate_panels(integrand, bands, atol=atol, rtol=rtol,
                                grouped=True)
         out.value[low] = res.values
@@ -406,25 +429,28 @@ def overlap_integral(seq, spectrum: NoiseSpectrum, length: float,
                                   atol=atol, rtol=rtol, with_error=with_error)
 
 
-def coherence_factor(overlap: float, profile: SpectralProfile) -> float:
+def coherence_factor(overlap, profile: SpectralProfile):
     """Coherence attenuation Gamma in [0, 1] for a given overlap value.
 
-    Monochromatic reduction: Gamma = exp(-w0^2 f) at sigma = 0.  Strong
-    dephasing (w0^2 f / (1 + s^2 f) beyond about 745) underflows Gamma
-    to exactly 0, the completely dephased limit; the sweep helpers of the
-    evolution module report concurrence 0 there.  A finite
-    optical bandwidth *weakens* dephasing whenever w0^2 f exceeds
-    (1 + s^2 f)/2, which is the regime of every sudden-death crossing
-    studied here.
+    ``overlap`` is a number (float result) or an array (array result,
+    one array expression elementwise: a curve's Gamma in one pass, each
+    value bit for bit its scalar result).  Monochromatic reduction:
+    Gamma = exp(-w0^2 f) at sigma = 0.  Strong dephasing
+    (w0^2 f / (1 + s^2 f) beyond about 745) underflows Gamma to exactly
+    0, the completely dephased limit; the sweep helpers of the
+    evolution module report concurrence 0 there.  A finite optical
+    bandwidth *weakens* dephasing whenever w0^2 f exceeds (1 + s^2 f)/2,
+    which is the regime of every sudden-death crossing studied here.
     """
-    if not (np.isfinite(overlap) and overlap >= 0.0):
-        raise ValueError(f"overlap must be >= 0, got {overlap}")
-    # Python floats overflow to inf without a warning; inf is the
-    # completely dephased limit.
-    overlap = float(overlap)
-    bulge = 1.0 + profile.sigma ** 2 * overlap
-    if bulge == np.inf:
-        # Gamma <= 1/sqrt(bulge) = 0, and w0^2 f may be inf as well
-        # (inf/inf would give nan)
-        return 0.0
-    return float(np.exp(-profile.omega0 ** 2 * overlap / bulge) / np.sqrt(bulge))
+    f = np.asarray(overlap, dtype=float)
+    bad = ~(np.isfinite(f) & (f >= 0.0))
+    if bad.any():
+        raise ValueError(f"overlap must be >= 0, got {f[bad][0]}")
+    # Overflow to inf is the completely dephased limit, not an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bulge = 1.0 + profile.sigma ** 2 * f
+        gamma = np.exp(-profile.omega0 ** 2 * f / bulge) / np.sqrt(bulge)
+    # Gamma <= 1/sqrt(bulge) = 0 there, and w0^2 f may be inf as well
+    # (inf/inf gives nan)
+    gamma = np.where(bulge == np.inf, 0.0, gamma)
+    return float(gamma) if f.ndim == 0 else gamma

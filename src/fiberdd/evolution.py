@@ -6,10 +6,13 @@ hits exactly zero at finite L, and the minimum pulse budget reaching a
 concurrence target at a given length.
 
 A curve takes its overlaps from one batched pass
-(``overlaps_from_positions``); single-length evaluations (death-length
-probes, pulse budgets) use the one-length case and get the same bits.
-Death lengths are bracketed on a curve and refined by regula falsi on
-the coherence factor, each probe classified by the concurrence itself.
+(``overlaps_from_positions``), its coherence factors from one array
+expression and its concurrences from one stacked eigenvalue call;
+single-length evaluations (death-length probes, pulse budgets) use the
+one-length cases and get the same bits.  Death lengths are bracketed on
+a curve and refined by inverse quadratic interpolation on the
+coherence factor, seeded with the values the curve already holds, each
+probe classified by the concurrence itself.
 """
 
 from __future__ import annotations
@@ -23,8 +26,14 @@ from .dephasing import SpectralProfile, coherence_factor, \
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
 from .sequences import CpmgCount, Free, SequenceDegenerateError
-from .states import TwoQubitXState, apply_dephasing, concurrence, \
+from .states import TwoQubitXState, concurrence, dephased_concurrence, \
     esd_threshold_gamma
+
+
+class BestEstimate(float):
+    """A value resting on at least one quadrature that did not meet its
+    tolerance: the best estimate available, marked so callers can tell
+    it from a converged one."""
 
 
 @dataclass
@@ -60,16 +69,17 @@ def _overlap_at(seq, spectrum: NoiseSpectrum, length: float) -> tuple[float, boo
 
 
 def _dephased_concurrence(state: TwoQubitXState, gamma: float) -> float:
-    """Concurrence after dephasing by gamma.  A coherence factor that
-    underflowed to 0 leaves no coherence, so the pair is separable."""
-    return 0.0 if gamma == 0.0 else concurrence(apply_dephasing(state, gamma))
+    """Concurrence after dephasing by one coherence factor."""
+    return float(dephased_concurrence(state, [gamma])[0])
 
 
 def coherence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                  length: float) -> float:
-    """Coherence factor of a sequence at one length."""
-    f, _ = _overlap_at(seq, spectrum, length)
-    return coherence_factor(f, profile)
+    """Coherence factor of a sequence at one length; a BestEstimate when
+    the overlap quadrature did not converge."""
+    f, converged = _overlap_at(seq, spectrum, length)
+    gamma = coherence_factor(f, profile)
+    return gamma if converged else BestEstimate(gamma)
 
 
 def concurrence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -84,8 +94,11 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     """Evaluate overlap, coherence factor, and concurrence over lengths.
 
     Lengths must be positive.  All overlaps come from one
-    ``overlaps_from_positions`` pass, each bit for bit what the pointwise
-    route gives; quadrature failures are per-point.
+    ``overlaps_from_positions`` pass, the coherence factors from one
+    array expression and the concurrences from one stacked eigenvalue
+    call, each bit for bit what the pointwise route gives; quadrature
+    failures are per-point.  A coherence factor that underflowed to 0
+    leaves no coherence, so the pair is separable there.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size == 0:
@@ -96,8 +109,8 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     overlaps = overlaps_from_positions(
         [sweep_positions(seq, length) for length in lengths], spectrum,
         lengths)
-    gamma = np.array([coherence_factor(f, profile) for f in overlaps.value])
-    conc = np.array([_dephased_concurrence(state, g) for g in gamma])
+    gamma = coherence_factor(overlaps.value, profile)
+    conc = dephased_concurrence(state, gamma)
     return DecoherenceCurve(lengths, overlaps.value, gamma, conc,
                             overlaps.converged)
 
@@ -110,8 +123,9 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     Evaluates a uniform grid as one curve and refines from its first dead
     point (concurrence hits zero exactly at finite length, so the
     predicate is a clean boolean).  Returns None when the state stays
-    entangled over the whole grid.  The initial state itself must be
-    entangled.
+    entangled over the whole grid, and a BestEstimate when the
+    refinement used an unconverged quadrature.  The initial state itself
+    must be entangled.
     """
     if not (np.isfinite(length_max) and length_max > 0.0):
         raise ValueError(f"length_max must be positive, got {length_max}")
@@ -132,44 +146,73 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     """Death length refined from a curve's first dead point, or None.
 
     The bracket runs from the grid point before it (or from a billionth
-    of the first length when the first point is already dead).
+    of the first length when the first point is already dead).  The
+    refinement starts from the curve's coherence factors at the bracket
+    ends and at their outer neighbours, the neighbours only when they
+    share the pulse count of both ends (``CpmgDensity`` Gamma jumps
+    where the count changes).  A BestEstimate comes back when a value
+    it used did not converge.
     """
     dead = np.flatnonzero(curve.concurrence == 0.0)
     if dead.size == 0:
         return None
     i = int(dead[0])
-    lo = curve.lengths[i - 1] if i > 0 else curve.lengths[0] * 1e-9
-    return refine_esd(seq, spectrum, profile, state, lo, curve.lengths[i],
-                      tol=tol)
+    lengths = curve.lengths
+    lo = lengths[i - 1] if i > 0 else lengths[0] * 1e-9
+    count = sweep_positions(seq, lo).size
+    if sweep_positions(seq, lengths[i]).size != count:
+        count = None  # Gamma may jump inside the bracket: ends only
+    known = [(lengths[j], curve.gamma[j] if curve.converged[j]
+              else BestEstimate(curve.gamma[j]))
+             for j in range(max(i - 2, 0), min(i + 2, lengths.size))
+             if j in (i - 1, i)
+             or sweep_positions(seq, lengths[j]).size == count]
+    return refine_esd(seq, spectrum, profile, state, lo, lengths[i],
+                      tol=tol, known=known)
 
 
 def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                state: TwoQubitXState, alive_length: float,
-               dead_length: float, *, tol: float) -> float:
+               dead_length: float, *, tol: float, known=()) -> float:
     """Narrow a bracket (alive_length, dead_length] down to the death point.
 
-    Probes are proposed by regula falsi with the Illinois modification on
-    g(L) = Gamma(L) - Gamma*, Gamma* = ``esd_threshold_gamma(state)``, and
-    classified by the concurrence predicate (C == 0 is dead), so the
-    bracket always runs from an evaluated alive length to an evaluated
-    dead one.  A probe stays at least tol/2 inside the bracket, and a
-    step that fails to halve the bracket is followed by a bisection.
-    Stops at hi - lo <= tol and returns the midpoint.  Assumes a single
-    alive-to-dead transition inside the bracket, which holds whenever
-    the coherence factor is monotone there.
+    Probes are proposed by inverse quadratic interpolation on
+    g(L) = Gamma(L) - Gamma*, Gamma* = ``esd_threshold_gamma(state)``,
+    through the bracket ends and the end a probe last replaced, with
+    regula falsi as the fallback, and classified by the concurrence
+    predicate (C == 0 is dead), so the bracket always runs from an
+    evaluated alive length to an evaluated dead one.  ``known`` holds
+    (length, Gamma) pairs already evaluated on the same smooth stretch
+    of Gamma: bracket ends found there are not evaluated again, and the
+    point nearest the first regula falsi estimate stands in for the
+    replaced end until a probe replaces one.  A probe stays at least
+    tol/2 inside the bracket, and a step that fails to halve the
+    bracket is followed by a bisection.  Stops at hi - lo <= tol and
+    returns the midpoint, as a BestEstimate when any value used did not
+    converge.  Assumes a single alive-to-dead transition inside the
+    bracket, which holds whenever the coherence factor is monotone
+    there.
     """
     if not 0.0 < alive_length < dead_length:
         raise ValueError("need 0 < alive_length < dead_length")
     threshold = esd_threshold_gamma(state)
+    known = dict(known)
+    estimated = False
+
+    def g_of(gamma: float) -> float:
+        nonlocal estimated
+        estimated |= isinstance(gamma, BestEstimate)
+        return gamma - threshold
 
     def probe(length: float) -> tuple[float, bool]:
         gamma = coherence_at(seq, spectrum, profile, length)
-        return gamma - threshold, _dephased_concurrence(state, gamma) == 0.0
+        return g_of(gamma), _dephased_concurrence(state, gamma) == 0.0
 
     lo, hi = alive_length, dead_length
-    g_lo, _ = probe(lo)
-    g_hi, _ = probe(hi)
-    last_dead = None  # which end the previous probe replaced
+    g_lo = g_of(known.pop(lo)) if lo in known else probe(lo)[0]
+    g_hi = g_of(known.pop(hi)) if hi in known else probe(hi)[0]
+    seeds = [(length, g_of(gamma)) for length, gamma in known.items()]
+    third = None  # (length, g) of the end a probe last replaced
     bisect = False
     while hi - lo > tol:
         width = hi - lo
@@ -177,19 +220,28 @@ def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
             x = 0.5 * (lo + hi)
         else:
             x = lo + width * g_lo / (g_lo - g_hi)
+            if third is None and seeds:
+                third = min(seeds, key=lambda p: abs(p[0] - x))
+            if third is not None and third[1] not in (g_lo, g_hi):
+                x = _inverse_quadratic(x, (lo, g_lo), (hi, g_hi), third)
             x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         g, dead = probe(x)
         if dead:
-            hi, g_hi = x, g
-            if last_dead is True:
-                g_lo *= 0.5  # Illinois: lo kept twice, weight it down
+            third, hi, g_hi = (hi, g_hi), x, g
         else:
-            lo, g_lo = x, g
-            if last_dead is False:
-                g_hi *= 0.5
-        last_dead = dead
+            third, lo, g_lo = (lo, g_lo), x, g
         bisect = not bisect and hi - lo > 0.5 * width
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return BestEstimate(mid) if estimated else mid
+
+
+def _inverse_quadratic(secant: float, a, b, c) -> float:
+    """Root of the quadratic in g through the (length, g) points a, b
+    and c, if it lies strictly between a and b; else ``secant``."""
+    (la, ga), (lb, gb), (lc, gc) = a, b, c
+    x = (la + (lb - la) * ga * gc / ((gb - ga) * (gb - gc))
+         + (lc - la) * ga * gb / ((gc - ga) * (gc - gb)))
+    return x if min(la, lb) < x < max(la, lb) else secant
 
 
 @dataclass

@@ -14,7 +14,8 @@ One call can integrate many bands at once (``grouped=True``): each band
 is a group that must meet the tolerance on its own value within its own
 panel budget, refined by the same rule as a lone band, and the
 integrand is evaluated once per refinement round over the new panels of
-every group.  Every per-group quantity is reduced over that group's own
+every group.  ``band_set`` builds the initial panels of many bands that
+share their lower limit in one pass, back to back in a ``Bands``.  Every per-group quantity is reduced over that group's own
 panels in a fixed order, so a group's result never depends on which
 other groups share the call.
 """
@@ -22,6 +23,7 @@ other groups share the call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,9 +106,30 @@ class QuadratureError(RuntimeError):
         self.panels = panels
 
 
+class Bands(Sequence):
+    """Panel boundaries of many bands, stored back to back.
+
+    Band i holds ``sizes[i]`` boundaries, the next ``sizes[i]`` entries
+    of ``edges`` after those of the bands before it.  Indexing and
+    iteration give the bands one at a time, as views of ``edges``.
+    """
+
+    def __init__(self, edges: np.ndarray, sizes: np.ndarray):
+        self.edges = edges
+        self.sizes = sizes
+        self.ends = np.cumsum(sizes)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.edges[self.ends[i] - self.sizes[i]:self.ends[i]]
+
+
 def band_boundaries(lo: float, hi: float, max_width: float,
                     edge_ratio: float = 1.25) -> np.ndarray:
-    """Initial panel boundaries over ``[lo, hi]``.
+    """Initial panel boundaries over ``[lo, hi]``: the one-band case of
+    ``band_set``, which it returns bit for bit.
 
     Panels grow geometrically away from ``lo`` (resolving integrands that
     peak steeply at the lower cutoff, like power-law spectra) until they
@@ -119,33 +142,61 @@ def band_boundaries(lo: float, hi: float, max_width: float,
     max_width : widest allowed panel; capped at the band span.
     edge_ratio : growth factor of the geometric section, above 1.
     """
-    if not (0.0 < lo < hi):
-        raise ValueError(f"band limits must satisfy 0 < lo < hi, got [{lo}, {hi}]")
-    if not (max_width > 0.0 and np.isfinite(max_width)):
-        raise ValueError(f"max_width must be positive and finite, got {max_width}")
+    return band_set(lo, [hi], [max_width], edge_ratio).edges
+
+
+def band_set(lo: float, hi, max_width, edge_ratio: float = 1.25) -> Bands:
+    """Initial panel boundaries of many bands [lo, hi[i]] in one pass,
+    each no wider than ``max_width[i]`` (see ``band_boundaries``).
+
+    Every band starts at the same ``lo`` with the same ratio, so all
+    share one geometric prefix and each band only picks where it leaves
+    it; a band's boundaries do not depend on the other bands.
+    """
+    hi = np.asarray(hi, dtype=float)
+    max_width = np.asarray(max_width, dtype=float)
+    bad = ~((0.0 < lo) & (lo < hi))
+    if bad.any():
+        raise ValueError("band limits must satisfy 0 < lo < hi, "
+                         f"got [{lo}, {hi[bad][0]}]")
+    bad = ~((max_width > 0.0) & np.isfinite(max_width))
+    if bad.any():
+        raise ValueError("max_width must be positive and finite, "
+                         f"got {max_width[bad][0]}")
     if not (edge_ratio > 1.0 and np.isfinite(edge_ratio)):
         raise ValueError(f"edge_ratio must exceed 1, got {edge_ratio}")
+    if not hi.size:
+        return Bands(np.empty(0), np.empty(0, np.intp))
 
     # Geometric section: x_{k+1} = x_k * edge_ratio while the panel width
     # x_k*(edge_ratio - 1) stays below max_width and x_k*edge_ratio < hi.
     # cumprod multiplies in sequence, so x_k is the same float as k
     # repeated in-place products; x_k*edge_ratio passes hi after about
     # log(hi/lo)/log(edge_ratio) steps, and two more cover the rounding.
-    steps = math.ceil((math.log(hi) - math.log(lo)) / math.log(edge_ratio))
+    steps = math.ceil((math.log(hi.max()) - math.log(lo))
+                      / math.log(edge_ratio))
     geometric = np.full(steps + 3, edge_ratio)
     geometric[0] = lo
     np.cumprod(geometric, out=geometric)
-    grows = ((geometric * (edge_ratio - 1.0) < max_width)
-             & (geometric * edge_ratio < hi))
-    last = int(grows.argmin())
-    x = float(geometric[last])
+    grows = ((geometric * (edge_ratio - 1.0) < max_width[:, None])
+             & (geometric * edge_ratio < hi[:, None]))
+    last = grows.argmin(axis=1)
+    x = geometric[last]
     # Uniform tail with equal panels no wider than max_width.
     rest = hi - x
-    n = max(1, math.ceil(rest / max_width)) if rest > 0.0 else 0
-    pts = np.concatenate((geometric[:last + 1],
-                          x + rest * np.arange(1, n + 1) / n))
-    pts[-1] = hi
-    return pts
+    n = np.where(rest > 0.0, np.maximum(1.0, np.ceil(rest / max_width)),
+                 0.0).astype(np.intp)
+    sizes = last + 1 + n
+    ends = np.cumsum(sizes)
+    band = np.repeat(np.arange(hi.size), sizes)
+    k = np.arange(ends[-1]) - (ends - sizes)[band]
+    edges = np.empty(k.size)
+    head = k <= last[band]
+    edges[head] = geometric[k[head]]
+    tail = band[~head]
+    edges[~head] = x[tail] + rest[tail] * (k[~head] - last[tail]) / n[tail]
+    edges[ends - 1] = hi
+    return Bands(edges, sizes)
 
 
 def _eval_panels(fn: Callable[[np.ndarray], np.ndarray],
@@ -171,11 +222,33 @@ def _eval_panels(fn: Callable[[np.ndarray], np.ndarray],
     return k15, np.abs(k15 - g7)
 
 
-def _check_band(boundaries) -> np.ndarray:
-    boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.ndim != 1 or boundaries.size < 2:
-        raise ValueError("boundaries must hold at least one panel")
-    if not np.all(np.diff(boundaries) > 0.0):
+def _as_bands(boundaries, grouped: bool) -> Bands:
+    """``integrate_panels``' boundaries as one validated Bands.
+
+    A band that is not 1-D counts as holding no panel.  All bands are
+    checked in one pass; the first failing band raises, with the panel
+    count checked before the ordering.
+    """
+    if not isinstance(boundaries, Bands):
+        bands = [np.asarray(b, dtype=float)
+                 for b in (boundaries if grouped else [boundaries])]
+        flat = [b for b in bands if b.ndim == 1]
+        boundaries = Bands(
+            np.concatenate(flat) if flat else np.empty(0),
+            np.array([b.size if b.ndim == 1 else 0 for b in bands],
+                     dtype=np.intp))
+    edges, sizes, ends = boundaries.edges, boundaries.sizes, boundaries.ends
+    rising = np.diff(edges) > 0.0
+    between = ends[:-1] - 1  # steps from one band to the next
+    rising[between[(between >= 0) & (between < rising.size)]] = True
+    falls = np.bincount(np.searchsorted(ends, np.flatnonzero(~rising),
+                                        side="right"),
+                        minlength=sizes.size)
+    bad = (sizes < 2) | (falls > 0)
+    if bad.any():
+        first = bad.argmax()
+        if sizes[first] < 2:
+            raise ValueError("boundaries must hold at least one panel")
         raise ValueError("boundaries must be strictly increasing")
     return boundaries
 
@@ -197,15 +270,15 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     estimate attached.
 
     With ``grouped`` set, ``boundaries`` is a sequence of bands, one per
-    group, and ``fn`` receives GROUPED_POINT records (``x`` and the index
-    of its band as ``group``).  Each group meets its own tolerance within
-    its own ``max_panels``; the result is a GroupedQuadratureResult, and
-    a group that fails keeps its best estimate and a false ``converged``
-    flag instead of raising.
+    group (a ``Bands`` holds them back to back), and ``fn`` receives
+    GROUPED_POINT records (``x`` and the index of its band as
+    ``group``).  Each group meets its own tolerance within its own
+    ``max_panels``; the result is a GroupedQuadratureResult, and a group
+    that fails keeps its best estimate and a false ``converged`` flag
+    instead of raising.  All bands are validated in one pass.
     """
-    bands = ([_check_band(b) for b in boundaries] if grouped
-             else [_check_band(boundaries)])
-    if not bands:
+    bands = _as_bands(boundaries, grouped)
+    if not len(bands):
         empty = np.empty(0)
         return GroupedQuadratureResult(empty, empty, np.empty(0, np.intp),
                                        np.empty(0, bool))
@@ -236,11 +309,12 @@ def _refine(fn, bands, grouped, atol, rtol, max_panels):
     halves), so per-group sums see the same terms in the same order.
     Returns per-group values, errors, panel counts and final states.
     """
-    n_groups = len(bands)
-    counts = np.array([b.size - 1 for b in bands], dtype=np.intp)
+    edges, sizes, ends = bands.edges, bands.sizes, bands.ends
+    n_groups = sizes.size
+    counts = sizes - 1
     ids = np.repeat(np.arange(n_groups), counts)
-    lefts = np.concatenate([b[:-1] for b in bands])
-    rights = np.concatenate([b[1:] for b in bands])
+    lefts = np.delete(edges, ends - 1)
+    rights = np.delete(edges, ends - sizes)
     vals, errs = _eval_panels(fn, lefts, rights, ids if grouped else None)
     status = np.full(n_groups, _RUNNING)
     while True:

@@ -7,6 +7,11 @@ nonzero.  The channel multiplies both coherences by the coherence factor
 Gamma and leaves populations untouched.  Entanglement is quantified by
 Wootters concurrence, available both through the general eigenvalue
 construction and through the X-form closed form used to cross-check it.
+
+The eigenvalue construction runs on stacks of density matrices: a whole
+curve of dephased states is one ``concurrence`` call on their stack
+(``dephased_concurrence``), and the concurrence of a single state is the
+one-matrix case of the same route, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -55,13 +60,20 @@ class TwoQubitXState:
 
     def matrix(self) -> np.ndarray:
         """Full 4x4 complex density matrix."""
-        d1, d2, d3, d4 = self.diag
-        rho = np.diag(np.array([d1, d2, d3, d4], dtype=complex))
-        rho[0, 3] = self.rho14
-        rho[3, 0] = np.conj(self.rho14)
-        rho[1, 2] = self.rho23
-        rho[2, 1] = np.conj(self.rho23)
-        return rho
+        return _x_matrices(self.diag, np.array([self.rho14]),
+                           np.array([self.rho23]))[0]
+
+
+def _x_matrices(diag, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) X-form density matrices with common populations and the
+    n coherence pairs rho14[i], rho23[i]."""
+    rho = np.zeros((rho14.size, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = diag
+    rho[:, 0, 3] = rho14
+    rho[:, 3, 0] = np.conj(rho14)
+    rho[:, 1, 2] = rho23
+    rho[:, 2, 1] = np.conj(rho23)
+    return rho
 
 
 def validate_state(state: TwoQubitXState,
@@ -102,18 +114,45 @@ def apply_dephasing(state: TwoQubitXState, gamma: float) -> TwoQubitXState:
     return TwoQubitXState(state.diag, state.rho14 * gamma, state.rho23 * gamma)
 
 
-def concurrence(state: TwoQubitXState) -> float:
+def concurrence(state):
     """Wootters concurrence via the spin-flip eigenvalue construction.
 
-    Computes eigenvalues of rho (sy x sy) rho* (sy x sy); they are real
-    and nonnegative up to numerical dust, which is clamped at zero.
+    ``state`` is a TwoQubitXState (float result) or an (n, 4, 4) stack
+    of density matrices (one value per matrix, from one stacked
+    ``eigvals`` call); a single state is the one-matrix case of the
+    stack.  The eigenvalues of rho (sy x sy) rho* (sy x sy) are real and
+    nonnegative up to numerical dust, which is clamped at zero.  Every
+    matrix is reduced on its own, so a value does not depend on the
+    rest of the stack.
     """
-    rho = state.matrix()
+    if isinstance(state, TwoQubitXState):
+        return float(_concurrences(state.matrix()[None])[0])
+    return _concurrences(np.asarray(state, dtype=complex))
+
+
+def _concurrences(rho: np.ndarray) -> np.ndarray:
     flipped = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     lam = np.real(np.linalg.eigvals(flipped))
     lam[lam < 0.0] = 0.0
-    root = np.sqrt(np.sort(lam)[::-1])
-    return max(0.0, float(root[0] - root[1] - root[2] - root[3]))
+    root = np.sqrt(np.sort(lam, axis=1)[:, ::-1])
+    c = root[:, 0] - root[:, 1] - root[:, 2] - root[:, 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def dephased_concurrence(state: TwoQubitXState, gamma) -> np.ndarray:
+    """Concurrence of ``state`` dephased by each coherence factor in
+    ``gamma``, from one ``concurrence`` call on the stacked matrices.
+
+    Each value is bit for bit ``concurrence(apply_dephasing(state, g))``.
+    A coherence factor of 0 (underflow of complete dephasing) leaves no
+    coherence, so the pair is separable and its concurrence is 0.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 1 or not np.all((gamma >= 0.0) & (gamma <= 1.0)):
+        raise ValueError("gamma must be a 1-D array of values in [0, 1]")
+    # same products as apply_dephasing's complex * float
+    rho = _x_matrices(state.diag, state.rho14 * gamma, state.rho23 * gamma)
+    return np.where(gamma == 0.0, 0.0, concurrence(rho))
 
 
 def concurrence_x_closed(state: TwoQubitXState) -> float:

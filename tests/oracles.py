@@ -63,6 +63,28 @@ def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):
     return np.array(pts)
 
 
+def check_band(boundaries):
+    """One band's boundaries as a float array; raises ValueError unless
+    they hold at least one panel and strictly increase."""
+    boundaries = np.asarray(boundaries, dtype=float)
+    if boundaries.ndim != 1 or boundaries.size < 2:
+        raise ValueError("boundaries must hold at least one panel")
+    if not np.all(np.diff(boundaries) > 0.0):
+        raise ValueError("boundaries must be strictly increasing")
+    return boundaries
+
+
+def first_error(check, cases):
+    """Message of the first case for which ``check(*case)`` raises
+    ValueError, or None when every case passes."""
+    for case in cases:
+        try:
+            check(*case)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def bisect_esd(seq, spectrum, profile, state, alive_length, dead_length,
                *, tol):
     """Death point of a bracket by plain bisection on C == 0."""

@@ -148,6 +148,41 @@ def test_simulate_overflowing_bulge_is_complete_dephasing(tmp_path, capsys):
     assert float(rows[-1][3]) == 0.0
 
 
+def test_simulate_unconverged_death_length_probe_exits_3(tmp_path, capsys,
+                                                        monkeypatch):
+    import fiberdd.evolution as evolution
+    from fiberdd.quadrature import QuadratureError
+
+    def run(name):
+        out = tmp_path / name
+        code, stdout, stderr = run_cli(capsys, "simulate", "--length-max",
+                                       "20", "--grid-points", "16",
+                                       "--out", str(out))
+        return code, stdout.replace(str(out), "OUT"), stderr, read_csv(out)
+
+    clean = run("clean.csv")
+    assert clean[0] == 0 and clean[2] == ""
+    assert "esd_length = 9.92" in clean[1]
+
+    overlap = evolution.overlap_from_positions
+    failed = []
+
+    def flaky(positions, spectrum, length, **kwargs):
+        # the first death-length probe keeps its value but is flagged
+        value = overlap(positions, spectrum, length, **kwargs)
+        if not failed:
+            failed.append(length)
+            raise QuadratureError("forced", value, 0.0, 1)
+        return value
+
+    monkeypatch.setattr(evolution, "overlap_from_positions", flaky)
+    code, stdout, stderr, csv = run("flaky.csv")
+    assert failed and code == 3
+    assert "death length" in stderr and "unconverged" in stderr
+    assert stdout == clean[1]
+    assert csv[1:] == clean[3][1:]
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

@@ -14,7 +14,8 @@ from fiberdd.noise import NoiseSpectrum
 from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
-from oracles import full_band_overlap, pair_sum_band
+from fiberdd.filters import check_positions
+from oracles import first_error, full_band_overlap, pair_sum_band
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -345,3 +346,34 @@ def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
         bounds = np.concatenate(([0.0], pos, [L]))
         assert (high[i], rounding[i]) == pair_sum_band(bounds, alpha,
                                                        w_c[i], uv)
+
+
+BAD_PULSES = {
+    "length zero": ([], 0.0),
+    "length nan": ([1.0], np.nan),
+    "unsorted": ([2.0, 1.0], 3.0),
+    "repeated": ([1.0, 1.0, 2.0], 3.0),
+    "at zero": ([0.0, 1.0], 3.0),
+    "at the end": ([1.0, 3.0], 3.0),
+    "unsorted and outside": ([3.5, 1.0], 3.0),
+}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_PULSES))
+def test_batch_position_check_raises_what_check_positions_raises(first):
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    quiet = NoiseSpectrum(0.0, 1.0, 1e-3, 1e3)
+    for at in range(4):
+        for second in [None, *sorted(BAD_PULSES)]:
+            cases = [([], 1.0), ([0.5, 1.5], 2.0), ([1.0], 4.0)]
+            cases.insert(at, BAD_PULSES[first])
+            if second is not None:
+                cases.append(BAD_PULSES[second])
+            positions = [p for p, _ in cases]
+            lengths = [length for _, length in cases]
+            expected = first_error(check_positions, cases)
+            # checked before a zero amplitude returns early
+            for spectrum in (spec, quiet):
+                with pytest.raises(ValueError) as info:
+                    overlaps_from_positions(positions, spectrum, lengths)
+                assert str(info.value) == expected

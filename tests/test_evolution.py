@@ -6,10 +6,12 @@ import pytest
 import fiberdd.evolution as evolution
 from fiberdd.dephasing import SpectralProfile, coherence_factor, \
     overlap_integral
-from fiberdd.evolution import (concurrence_at, decoherence_curve,
+from fiberdd.evolution import (BestEstimate, concurrence_at,
+                               curve_death_length, decoherence_curve,
                                esd_length, min_pulses_for_target, refine_esd,
                                sweep_positions)
 from fiberdd.noise import NoiseSpectrum
+from fiberdd.quadrature import QuadratureError
 from fiberdd.sequences import CpmgDensity, Free, SpinEcho
 from fiberdd.states import (apply_dephasing, bell_state, concurrence,
                             mixed_third_state, werner_state)
@@ -195,3 +197,122 @@ def test_refinement_worst_case_is_twice_bisection(monkeypatch):
         monkeypatch.undo()
         assert abs(esd - 7.0) <= tol
         assert len(probes) - 2 <= 2 * np.ceil(np.log2(12.0 / tol))
+
+
+def _record_probes(monkeypatch):
+    probes = []
+    coherence_at = evolution.coherence_at
+
+    def recorded(seq, spectrum, profile, length):
+        probes.append(length)
+        return coherence_at(seq, spectrum, profile, length)
+
+    monkeypatch.setattr(evolution, "coherence_at", recorded)
+    return probes
+
+
+def _assert_refined(seq, spec, esd, probes, alive, dead, tol):
+    assert abs(esd - bisect_esd(seq, spec, PROF, STATE, alive, dead,
+                                tol=tol)) <= tol
+    state = [(L, concurrence_at(seq, spec, PROF, STATE, L) == 0.0)
+             for L in probes]
+    assert any(esd - tol <= L < esd and not is_dead for L, is_dead in state)
+    assert any(esd < L <= esd + tol and is_dead for L, is_dead in state)
+
+
+def _seeded_and_unseeded(monkeypatch, seq, spec, curve, alive, dead, tol):
+    """Death length from the curve, its probes, and the probe count of
+    the same bracket refined without the curve's values."""
+    probes = _record_probes(monkeypatch)
+    esd = curve_death_length(seq, spec, PROF, STATE, curve, tol=tol)
+    seeded = list(probes)
+    probes.clear()
+    refine_esd(seq, spec, PROF, STATE, alive, dead, tol=tol)
+    monkeypatch.undo()
+    return esd, seeded, len(probes)
+
+
+@pytest.mark.parametrize("seq,spec,alive,dead", ESD_BRACKETS)
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_curve_seeded_refinement_matches_bisection(monkeypatch, seq, spec,
+                                                   alive, dead, tol):
+    # the bracket's ends and their outer neighbours as a curve's grid
+    half = 0.5 * (dead - alive)
+    curve = decoherence_curve(seq, spec, PROF, STATE,
+                              [alive - half, alive, dead, dead + half])
+    assert list(curve.concurrence[:3] == 0.0) == [False, False, True]
+    esd, seeded, unseeded = _seeded_and_unseeded(monkeypatch, seq, spec,
+                                                 curve, alive, dead, tol)
+    _assert_refined(seq, spec, esd, seeded, alive, dead, tol)
+    # the curve's values stand in for both end evaluations, and inverse
+    # quadratic steps from them need few probes (regula falsi from the
+    # same ends takes up to 11 on these brackets)
+    assert alive not in seeded and dead not in seeded
+    assert len(seeded) < unseeded
+    assert len(seeded) <= 6
+
+
+# CpmgDensity(0.06) gets its first pulse at L = 25/3, where Gamma jumps.
+# At amplitude 0.156 the grid point after the dead end has it; at 0.098
+# the one before the alive end does not; in the last case the bracket
+# itself straddles it.  No value across the jump may seed the
+# interpolation, so only the bracket ends do in the last case.
+@pytest.mark.parametrize("amplitude,lengths,seeds", [
+    (0.156, [4.0, 5.5, 6.5, 8.5], [4.0, 5.5, 6.5]),
+    (0.098, [8.0, 11.0, 12.0, 13.0], [11.0, 12.0, 13.0]),
+    (0.156, [4.0, 5.5, 8.5, 10.0], [5.5, 8.5]),
+])
+def test_seeds_share_the_brackets_pulse_count(monkeypatch, amplitude,
+                                              lengths, seeds):
+    seq, spec, tol = CpmgDensity(0.06), _rising(amplitude), 1e-6
+    curve = decoherence_curve(seq, spec, PROF, STATE, lengths)
+    assert list(curve.concurrence[:3] == 0.0) == [False, False, True]
+    passed = []
+    refine = evolution.refine_esd
+
+    def spy(*args, known, **kwargs):
+        passed.extend(length for length, _ in known)
+        return refine(*args, known=known, **kwargs)
+
+    monkeypatch.setattr(evolution, "refine_esd", spy)
+    esd, seeded, unseeded = _seeded_and_unseeded(
+        monkeypatch, seq, spec, curve, lengths[1], lengths[2], tol)
+    assert sorted(passed) == seeds
+    _assert_refined(seq, spec, esd, seeded, lengths[1], lengths[2], tol)
+    assert len(seeded) < unseeded
+
+
+def _fail_first_probe(monkeypatch):
+    """Make the first one-length overlap raise QuadratureError, with its
+    converged value attached as the best estimate."""
+    overlap = evolution.overlap_from_positions
+    failed = []
+
+    def flaky(positions, spectrum, length, **kwargs):
+        value = overlap(positions, spectrum, length, **kwargs)
+        if not failed:
+            failed.append(length)
+            raise QuadratureError("forced", value, 0.0, 1)
+        return value
+
+    monkeypatch.setattr(evolution, "overlap_from_positions", flaky)
+    return failed
+
+
+def test_unconverged_probe_marks_the_death_length(monkeypatch):
+    clean = esd_length(Free(), SPEC, PROF, STATE, 50.0)
+    assert type(clean) is not BestEstimate
+    failed = _fail_first_probe(monkeypatch)
+    marked = esd_length(Free(), SPEC, PROF, STATE, 50.0)
+    assert len(failed) == 1
+    assert isinstance(marked, BestEstimate) and marked == clean
+
+
+def test_unconverged_curve_point_marks_the_death_length():
+    curve = decoherence_curve(Free(), SPEC, PROF, STATE,
+                              np.linspace(2.5, 20.0, 8))
+    clean = curve_death_length(Free(), SPEC, PROF, STATE, curve, tol=1e-6)
+    curve.converged[3] = False  # the bracket's dead end, L = 10
+    assert curve.concurrence[3] == 0.0 and curve.concurrence[2] > 0.0
+    marked = curve_death_length(Free(), SPEC, PROF, STATE, curve, tol=1e-6)
+    assert isinstance(marked, BestEstimate) and marked == clean

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fiberdd.quadrature import (QuadratureError, band_boundaries,
-                                integrate_panels)
-from oracles import band_boundaries_loop
+from fiberdd.quadrature import (Bands, QuadratureError, band_boundaries,
+                                band_set, integrate_panels)
+from oracles import band_boundaries_loop, check_band, first_error
 
 
 def test_polynomial_degree_22_exact():
@@ -159,3 +159,71 @@ def test_grouped_failure_stays_in_its_group():
 def test_grouped_with_no_bands_is_empty():
     res = integrate_panels(_grouped_integrand, [], grouped=True)
     assert res.values.size == 0 and res.panels == 0
+
+
+def test_band_set_matches_band_boundaries():
+    # one shared geometric prefix, each band cut where it would stop
+    # alone; spans shorter than one geometric step (hi < lo * 1.25) and
+    # than one panel included
+    lo = 1e-3
+    his = [1.1e-3, 1.25e-3, 2e-3, 0.05, 0.7, np.pi, 31.4, 1e3,
+           np.nextafter(lo * 1.25 ** 10, np.inf)]
+    widths = [1e-5, 1e-3, 0.02, 0.4, np.pi / 7.3, 50.0]
+    cases = [(hi, w) for hi in his for w in widths if (hi - lo) / w <= 1e5]
+    bands = band_set(lo, [hi for hi, _ in cases], [w for _, w in cases])
+    assert len(bands) == len(cases)
+    for band, (hi, w) in zip(bands, cases):
+        assert np.array_equal(band, band_boundaries(lo, hi, w))
+        assert np.array_equal(band, band_boundaries_loop(lo, hi, w))
+    # a band's boundaries do not depend on the others
+    alone = band_set(lo, his[4:5], widths[2:3])
+    assert np.array_equal(alone[0], band_boundaries(lo, his[4], widths[2]))
+    assert len(band_set(lo, [], [])) == 0
+
+
+def test_band_set_validation():
+    with pytest.raises(ValueError, match=r"0 < lo < hi, got \[1.0, 0.5\]"):
+        band_set(1.0, [2.0, 0.5], [0.1, 0.1])
+    with pytest.raises(ValueError, match="max_width .* got inf"):
+        band_set(1.0, [2.0, 3.0], [0.1, np.inf])
+    with pytest.raises(ValueError, match="edge_ratio"):
+        band_set(1.0, [2.0], [0.1], 1.0)
+
+
+GOOD = [0.0, 1.0, 2.0]
+BAD_BANDS = {
+    "one point": [3.0],
+    "no points": [],
+    "two-dimensional": [[0.0, 1.0]],
+    "repeated": [0.0, 1.0, 1.0],
+    "falling": [2.0, 1.0],
+    "nan": [0.0, np.nan, 1.0],
+}
+
+
+@pytest.mark.parametrize("first", sorted(BAD_BANDS))
+def test_band_check_raises_what_the_per_band_check_raises(first):
+    # every band checked in one pass; the first failing band decides
+    for at in range(4):
+        for second in [None, *sorted(BAD_BANDS)]:
+            bands = [GOOD, GOOD, GOOD]
+            bands.insert(at, BAD_BANDS[first])
+            if second is not None:
+                bands.append(BAD_BANDS[second])
+            expected = first_error(check_band, [(b,) for b in bands])
+            with pytest.raises(ValueError) as info:
+                integrate_panels(_grouped_integrand, bands, grouped=True)
+            assert str(info.value) == expected
+    with pytest.raises(ValueError) as info:
+        integrate_panels(np.sin, BAD_BANDS[first])
+    assert str(info.value) == first_error(check_band, [(BAD_BANDS[first],)])
+
+
+def test_band_check_accepts_back_to_back_bands():
+    bands = band_set(0.1, [1.0, 5.0], [0.3, 0.3])
+    res = integrate_panels(_grouped_integrand, bands, grouped=True)
+    listed = integrate_panels(_grouped_integrand, list(bands), grouped=True)
+    assert np.array_equal(res.values, listed.values)
+    falling = Bands(np.array([0.0, 1.0, 2.0, 1.5]), np.array([2, 2]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrate_panels(_grouped_integrand, falling, grouped=True)

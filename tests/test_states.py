@@ -5,9 +5,9 @@ import pytest
 
 from fiberdd.states import (StateFileError, TwoQubitXState, apply_dephasing,
                             bell_state, concurrence, concurrence_x_closed,
-                            esd_threshold_gamma, load_state_file,
-                            mixed_third_state, resolve_state, validate_state,
-                            werner_state)
+                            dephased_concurrence, esd_threshold_gamma,
+                            load_state_file, mixed_third_state, resolve_state,
+                            validate_state, werner_state)
 
 
 def random_x_state(rng):
@@ -104,6 +104,36 @@ def test_dephasing_gamma_domain():
 
 def test_full_dephasing_limit_kills_entanglement():
     assert concurrence(apply_dephasing(mixed_third_state(), 1e-12)) == 0.0
+
+
+def test_stacked_concurrence_matches_pointwise():
+    # one stacked eigvals call gives each dephased state's own bits,
+    # including complete dephasing (gamma = 0) and no dephasing (1)
+    rng = np.random.default_rng(606)
+    states = [mixed_third_state(), bell_state(), werner_state(0.2),
+              werner_state(1.0 / 3.0), werner_state(0.8)]
+    states += [random_x_state(rng) for _ in range(200)]
+    for state in states:
+        gamma = np.concatenate(([0.0, 1.0, 1e-300, 0.5],
+                                rng.uniform(size=12)))
+        stacked = dephased_concurrence(state, gamma)
+        for i, g in enumerate(gamma):
+            expected = (0.0 if g == 0.0
+                        else concurrence(apply_dephasing(state, g)))
+            assert stacked[i] == expected
+            assert dephased_concurrence(state, gamma[i:i + 1])[0] == expected
+        assert concurrence(state) == stacked[1]
+    # a stack of different states: each matrix reduced on its own
+    stacked = concurrence(np.stack([state.matrix() for state in states]))
+    assert stacked.tolist() == [concurrence(state) for state in states]
+
+
+def test_stacked_concurrence_gamma_domain():
+    state = mixed_third_state()
+    assert dephased_concurrence(state, []).size == 0
+    for bad in ([1.0001], [-0.1], [np.nan], [[0.5]]):
+        with pytest.raises(ValueError):
+            dephased_concurrence(state, bad)
 
 
 def test_death_threshold_of_bundled_state_is_half():
