@@ -14,10 +14,11 @@ One call can integrate many bands at once (``grouped=True``): each band
 is a group that must meet the tolerance on its own value within its own
 panel budget, refined by the same rule as a lone band, and the
 integrand is evaluated once per refinement round over the new panels of
-every group.  ``band_set`` builds the initial panels of many bands that
-share their lower limit in one pass, back to back in a ``Bands``.  Every per-group quantity is reduced over that group's own
+every group.  Every per-group quantity is reduced over that group's own
 panels in a fixed order, so a group's result never depends on which
-other groups share the call.
+other groups share the call.  ``band_set`` builds the initial panels of
+many bands that share their lower limit in one pass, back to back in a
+``Bands``.
 """
 
 from __future__ import annotations
