@@ -7,7 +7,7 @@ high-frequency tail, and extra pulses buy almost nothing.  The same scan
 answers the practical question of the minimum hardware budget for a
 target concurrence.
 
-Run:  python3 demos/03_pulse_budget.py  (about half a minute)
+Run:  python3 demos/03_pulse_budget.py  (under a second)
 """
 
 import numpy as np

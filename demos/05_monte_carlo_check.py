@@ -8,7 +8,7 @@ averages cos(phase).  Agreement within a few standard errors says the
 filter-function algebra, the quadrature, and the frequency-averaging
 formula are all telling the same story.
 
-Run:  python3 demos/05_monte_carlo_check.py  (about 10 seconds)
+Run:  python3 demos/05_monte_carlo_check.py  (a few seconds)
 """
 
 from fiberdd import (CpmgCount, Free, McSettings, NoiseSpectrum,

@@ -16,7 +16,7 @@ import numpy as np
 from .dephasing import SpectralProfile
 from .noise import NoiseSpectrum
 from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho
-from .states import TwoQubitXState, resolve_state
+from .states import TwoQubitXState, read_key_values, resolve_state
 
 # Default noise amplitude, calibrated so that free evolution of the
 # bundled mixed state (concurrence 1/3, death threshold Gamma = 1/2)
@@ -66,33 +66,7 @@ _PARSERS = {
 
 def load_config_file(path) -> dict:
     """Parse a ``key = value`` config file into typed values."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-
-    values = {}
-    problems = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            problems.append(f"{path}:{lineno}: expected key = value")
-            continue
-        key, _, text = (part.strip() for part in line.partition("="))
-        if key not in _PARSERS:
-            problems.append(f"{path}:{lineno}: unknown key {key!r}")
-            continue
-        try:
-            values[key] = _PARSERS[key](text)
-        except ValueError:
-            problems.append(
-                f"{path}:{lineno}: cannot parse {text!r} for {key}")
-    if problems:
-        raise ConfigError("\n".join(problems))
-    return values
+    return read_key_values(path, _PARSERS, ConfigError, "config")
 
 
 def resolve(*sources: dict | None) -> SimulationConfig:

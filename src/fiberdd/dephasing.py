@@ -19,7 +19,7 @@ split at w_c = min(uv, max(ir, pi / g_min)), g_min the shortest segment:
 - below w_c the pair terms cancel each other (F is far smaller than the
   terms it sums, and K diverges at small x for alpha > 1), so [ir, w_c]
   runs the adaptive Gauss-Kronrod quadrature on the segment-factored
-  ``filter_generic``, with panels no wider than pi/L;
+  ``segment_filter``, with panels no wider than pi/L;
 - above w_c every pair argument w d_jk is at least pi, where the
   non-oscillating parts of all pair terms add with one sign, so
   [w_c, uv] is the closed form
@@ -57,9 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import segment_filter
+from .filters import check_gaps, segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import QuadratureError, band_set, integrate_panels
+from .quadrature import EDGE_RATIO, QuadratureError, band_set, \
+    integrate_panels
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
@@ -193,8 +194,9 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _by_pulse_count(positions, lengths):
-    """(rows, boundaries) for each distinct pulse count: the boundaries
-    (0, l_1, ..., l_N, L) of those lengths, one row per length."""
+    """(rows, boundaries, gaps) for each distinct pulse count: the
+    boundaries (0, l_1, ..., l_N, L) of those lengths and their segment
+    lengths, one row per length."""
     groups = {}
     for i, p in enumerate(positions):
         groups.setdefault(p.size, []).append(i)
@@ -204,27 +206,7 @@ def _by_pulse_count(positions, lengths):
         bounds[:, -1] = lengths[rows]
         for i, r in enumerate(rows):
             bounds[i, 1:-1] = positions[r]
-        yield np.array(rows), bounds
-
-
-def _check_tables(tables, lengths) -> None:
-    """Raise what ``filters.check_positions`` raises for the first length
-    that fails it, checking each pulse-count table in one pass."""
-    fails = np.zeros(lengths.size, np.intp)  # 1 length, 2 order, 3 outside
-    for rows, bounds in tables:
-        pos = bounds[:, 1:-1]
-        if pos.size:
-            outside = (pos[:, 0] <= 0.0) | (pos[:, -1] >= bounds[:, -1])
-            fails[rows] = np.where((np.diff(pos, axis=1) <= 0.0).any(axis=1),
-                                   2, np.where(outside, 3, 0))
-    fails[~(np.isfinite(lengths) & (lengths > 0.0))] = 1
-    if fails.any():
-        first = np.flatnonzero(fails)[0]
-        raise ValueError(
-            (f"length must be positive and finite, got {lengths[first]}",
-             "pulse positions must be strictly increasing",
-             "pulse positions must lie strictly inside (0, length)")
-            [fails[first] - 1])
+        yield np.array(rows), bounds, np.diff(bounds, axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -248,7 +230,7 @@ def _pair_sums(tables, w_c: np.ndarray, uv: float, alpha: float):
     high = np.zeros(w_c.size)
     rounding = np.zeros(w_c.size)
     pairs = []
-    for rows, bounds in tables:
+    for rows, bounds, _ in tables:
         live = w_c[rows] < uv
         if not live.any():
             continue
@@ -291,9 +273,8 @@ class Overlaps(NamedTuple):
     panels: np.ndarray
 
 
-def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
-                            atol: float = 1e-8,
-                            rtol: float = 1e-8) -> Overlaps:
+def overlaps_from_positions(positions, spectrum: NoiseSpectrum,
+                            lengths) -> Overlaps:
     """Overlap integrals for many (pulse positions, length) pairs at once.
 
     ``positions[i]`` are the pulses of length ``lengths[i]``.  The band
@@ -303,15 +284,15 @@ def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
     length: each starts from panels no wider than pi/length (half the
     shortest oscillation period of its filter) with a geometric prefix
     resolving the spectral edge, then refines adaptively until its own
-    ``atol``/``rtol`` are met.  The noise amplitude is factored out and
-    both parts are computed for unit amplitude, so the refinement path
-    never depends on the amplitude and f stays exactly proportional to
-    it.  Lengths run in blocks of about _BATCH_WORK pair terms and
-    quadrature points, which bounds memory for any number of lengths.  A
-    length's result does not depend on the other lengths of the batch,
-    bit for bit.  Lengths and positions are validated one pulse count at
-    a time, raising what ``filters.check_positions`` raises for the
-    first length that fails it.
+    value meets ``integrate_panels``' default tolerances.  The noise
+    amplitude is factored out and both parts are computed for unit
+    amplitude, so the refinement path never depends on the amplitude and
+    f stays exactly proportional to it.  Lengths run in blocks of about
+    _BATCH_WORK pair terms and quadrature points, which bounds memory for
+    any number of lengths.  A length's result does not depend on the
+    other lengths of the batch, bit for bit.  Lengths and positions are
+    validated one pulse count at a time by ``filters.check_gaps``, which
+    raises for the first length that fails.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or len(positions) != lengths.size:
@@ -320,7 +301,7 @@ def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
     if any(p.ndim != 1 for p in positions):
         raise ValueError("pulse positions must be a 1-D array")
     tables = list(_by_pulse_count(positions, lengths))
-    _check_tables(tables, lengths)
+    check_gaps([(rows, gaps) for rows, _, gaps in tables], lengths)
     count = lengths.size
     result = Overlaps(np.zeros(count), np.zeros(count),
                       np.ones(count, dtype=bool), np.zeros(count, np.intp))
@@ -330,20 +311,20 @@ def overlaps_from_positions(positions, spectrum: NoiseSpectrum, lengths, *,
     ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
     w_c = np.empty(count)
     pairs = np.empty(count)
-    for rows, bounds in tables:
-        shortest = np.diff(bounds, axis=1).min(axis=1)
-        w_c[rows] = np.minimum(uv, np.maximum(ir, np.pi / shortest))
+    for rows, bounds, gaps in tables:
+        w_c[rows] = np.minimum(uv, np.maximum(ir, np.pi / gaps.min(axis=1)))
         pairs[rows] = bounds.shape[1] * (bounds.shape[1] - 1) // 2
-    # Kronrod points of about L*w_c/pi uniform and log(w_c/ir)/log(1.25)
+    # Kronrod points of about L*w_c/pi uniform and log(w_c/ir)/log(EDGE_RATIO)
     # geometric initial panels, plus the pair terms
     points = 15.0 * (lengths * (w_c - ir) / np.pi
-                     + np.log(w_c / ir) / np.log(1.25) + 1.0)
+                     + np.log(w_c / ir) / np.log(EDGE_RATIO) + 1.0)
     work = np.where(w_c < uv, pairs, 0.0) + np.where(w_c > ir, points, 0.0)
     for lo, hi in _blocks(work, _BATCH_WORK):
-        block = [(rows[keep] - lo, bounds[keep]) for rows, bounds in tables
+        block = [(rows[keep] - lo, bounds[keep], gaps[keep])
+                 for rows, bounds, gaps in tables
                  if (keep := (rows >= lo) & (rows < hi)).any()]
         _overlap_block(block, lengths[lo:hi], w_c[lo:hi], spectrum,
-                       atol, rtol, Overlaps(*(a[lo:hi] for a in result)))
+                       Overlaps(*(a[lo:hi] for a in result)))
     return result
 
 
@@ -359,15 +340,14 @@ def _blocks(work: np.ndarray, budget: float):
     yield lo, work.size
 
 
-def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum, atol, rtol,
+def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum,
                    out: Overlaps) -> None:
     """Overlaps of one block of lengths, written into ``out``."""
     ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
-    segments = max(bounds.shape[1] for _, bounds in tables) - 1
+    segments = max(g.shape[1] for _, _, g in tables)
     gaps = np.zeros((segments, lengths.size))
     mids = np.zeros((segments, lengths.size))
-    for rows, bounds in tables:
-        g = np.diff(bounds, axis=1)
+    for rows, bounds, g in tables:
         gaps[:g.shape[1], rows] = g.T
         mids[:g.shape[1], rows] = (0.5 * (bounds[:, :-1] + bounds[:, 1:])).T
     high, rounding = _pair_sums(tables, w_c, uv, spectrum.exponent)
@@ -383,8 +363,7 @@ def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum, atol, rtol,
 
         bands = band_set(ir, w_c[low], np.minimum(np.pi / lengths[low],
                                                   w_c[low] - ir))
-        res = integrate_panels(integrand, bands, atol=atol, rtol=rtol,
-                               grouped=True)
+        res = integrate_panels(integrand, bands, grouped=True)
         out.value[low] = res.values
         out.error[low] = res.errors
         out.converged[low] = res.converged
@@ -396,8 +375,7 @@ def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum, atol, rtol,
 
 
 def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
-                           *, atol: float = 1e-8, rtol: float = 1e-8,
-                           with_error: bool = False):
+                           *, with_error: bool = False):
     """Overlap integral for explicit pulse positions: the one-length case
     of ``overlaps_from_positions``, which it returns bit for bit.
 
@@ -405,8 +383,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     Raises QuadratureError (best estimate of the whole band attached)
     when the low-band quadrature does not converge.
     """
-    res = overlaps_from_positions([positions], spectrum, [length],
-                                  atol=atol, rtol=rtol)
+    res = overlaps_from_positions([positions], spectrum, [length])
     value, error = float(res.value[0]), float(res.error[0])
     if not res.converged[0]:
         raise QuadratureError(
@@ -417,8 +394,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
 
 
 def overlap_integral(seq, spectrum: NoiseSpectrum, length: float,
-                     *, atol: float = 1e-8, rtol: float = 1e-8,
-                     with_error: bool = False):
+                     *, with_error: bool = False):
     """Overlap integral f(L) for a pulse sequence (see module docstring).
 
     Nonnegative and exactly zero for zero noise amplitude.  For
@@ -426,7 +402,7 @@ def overlap_integral(seq, spectrum: NoiseSpectrum, length: float,
     sweep helpers in the evolution module handle the shorter regime.
     """
     return overlap_from_positions(seq.positions(length), spectrum, length,
-                                  atol=atol, rtol=rtol, with_error=with_error)
+                                  with_error=with_error)
 
 
 def coherence_factor(overlap, profile: SpectralProfile):

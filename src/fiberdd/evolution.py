@@ -60,33 +60,25 @@ def sweep_positions(seq, length: float) -> np.ndarray:
         return np.empty(0)
 
 
-def _overlap_at(seq, spectrum: NoiseSpectrum, length: float) -> tuple[float, bool]:
-    try:
-        return overlap_from_positions(sweep_positions(seq, length),
-                                      spectrum, length), True
-    except QuadratureError as exc:
-        return exc.best_estimate, False
-
-
-def _dephased_concurrence(state: TwoQubitXState, gamma: float) -> float:
-    """Concurrence after dephasing by one coherence factor."""
-    return float(dephased_concurrence(state, [gamma])[0])
-
-
 def coherence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                  length: float) -> float:
     """Coherence factor of a sequence at one length; a BestEstimate when
     the overlap quadrature did not converge."""
-    f, converged = _overlap_at(seq, spectrum, length)
-    gamma = coherence_factor(f, profile)
-    return gamma if converged else BestEstimate(gamma)
+    try:
+        f = overlap_from_positions(sweep_positions(seq, length), spectrum,
+                                   length)
+    except QuadratureError as exc:
+        return BestEstimate(coherence_factor(exc.best_estimate, profile))
+    return coherence_factor(f, profile)
 
 
 def concurrence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                    state: TwoQubitXState, length: float) -> float:
-    """Concurrence of the dephased state at one length."""
-    return _dephased_concurrence(state, coherence_at(seq, spectrum, profile,
-                                                     length))
+    """Concurrence of the dephased state at one length; a BestEstimate
+    when its coherence factor is one."""
+    gamma = coherence_at(seq, spectrum, profile, length)
+    c = float(dephased_concurrence(state, [gamma])[0])
+    return BestEstimate(c) if isinstance(gamma, BestEstimate) else c
 
 
 def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -206,7 +198,7 @@ def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
 
     def probe(length: float) -> tuple[float, bool]:
         gamma = coherence_at(seq, spectrum, profile, length)
-        return g_of(gamma), _dephased_concurrence(state, gamma) == 0.0
+        return g_of(gamma), dephased_concurrence(state, [gamma])[0] == 0.0
 
     lo, hi = alive_length, dead_length
     g_lo = g_of(known.pop(lo)) if lo in known else probe(lo)[0]
@@ -251,12 +243,14 @@ class PulseBudget:
     ``required`` is the smallest pulse count meeting the target, or None
     if none does within the budget; the arrays record every count
     examined (0 = free evolution) with its concurrence, so the scan
-    doubles as a growth curve.
+    doubles as a growth curve, and whether that concurrence's quadrature
+    converged (false for a best estimate).
     """
 
     required: int | None
     pulse_counts: np.ndarray
     concurrence: np.ndarray
+    converged: np.ndarray
 
 
 def min_pulses_for_target(target: float, length: float,
@@ -280,14 +274,14 @@ def min_pulses_for_target(target: float, length: float,
     if max_pulses < 0:
         raise ValueError("max_pulses must be nonnegative")
 
-    counts, values = [], []
+    values = []
     required = None
     for n in range(max_pulses + 1):
         seq = Free() if n == 0 else CpmgCount(n)
-        c = concurrence_at(seq, spectrum, profile, state, length)
-        counts.append(n)
-        values.append(c)
-        if c >= target:
+        values.append(concurrence_at(seq, spectrum, profile, state, length))
+        if values[-1] >= target:
             required = n
             break
-    return PulseBudget(required, np.array(counts), np.array(values))
+    return PulseBudget(required, np.arange(len(values)), np.array(values),
+                       np.array([not isinstance(c, BestEstimate)
+                                 for c in values]))

@@ -28,17 +28,40 @@ def _as_freq_array(omega):
     return w, w.ndim == 0
 
 
+def check_gaps(tables, lengths) -> None:
+    """Raise ValueError for the first train that breaks a position rule.
+
+    ``tables`` holds (rows, gaps) pairs: ``gaps[i]`` are the segment
+    lengths (l_1, l_2 - l_1, ..., L - l_N) of train ``rows[i]``, whose
+    length L is ``lengths[rows[i]]``.  A train fails when its length is
+    not positive and finite, else when an inner gap is not positive
+    (positions not strictly increasing), else when an outer gap is not
+    positive (a position outside (0, L)).  Gaps are tested as
+    ``~(gap > 0)``, so a NaN position fails too.
+    """
+    fails = np.zeros(lengths.size, np.intp)  # 1 length, 2 order, 3 outside
+    for rows, gaps in tables:
+        empty = ~(gaps > 0.0)
+        fails[rows] = np.where(empty[:, 1:-1].any(axis=1), 2,
+                               np.where(empty[:, 0] | empty[:, -1], 3, 0))
+    fails[~(np.isfinite(lengths) & (lengths > 0.0))] = 1
+    if fails.any():
+        first = np.flatnonzero(fails)[0]
+        raise ValueError(
+            (f"length must be positive and finite, got {lengths[first]}",
+             "pulse positions must be strictly increasing",
+             "pulse positions must lie strictly inside (0, length)")
+            [fails[first] - 1])
+
+
 def check_positions(positions, length: float) -> np.ndarray:
     """Pulse positions as a float array; raises ValueError unless they are
-    strictly increasing inside (0, length) with a positive finite length."""
+    strictly increasing inside (0, length) with a positive finite length
+    (the one-train case of ``check_gaps``)."""
     positions = np.asarray(positions, dtype=float)
-    if not (np.isfinite(length) and length > 0.0):
-        raise ValueError(f"length must be positive and finite, got {length}")
-    if positions.size:
-        if np.any(np.diff(positions) <= 0.0):
-            raise ValueError("pulse positions must be strictly increasing")
-        if positions[0] <= 0.0 or positions[-1] >= length:
-            raise ValueError("pulse positions must lie strictly inside (0, length)")
+    gaps = np.diff(np.concatenate(([0.0], positions, [length])))
+    check_gaps([(np.zeros(1, np.intp), gaps[None])],
+               np.array([length], dtype=float))
     return positions
 
 
@@ -119,6 +142,19 @@ def filter_spin_echo(length: float, omega):
     return float(out) if scalar else out
 
 
+def _cpmg_form(quarter, half, envelope, w, length, train):
+    """8 sin^4(quarter) envelope^2 / cos^2(half), the closed form shared
+    by the CPMG filters; points with |cos(half)| < 1e-4 take the generic
+    value of the pulse train ``train()`` at frequencies ``w`` instead."""
+    cos_sub = np.cos(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 8.0 * np.sin(quarter) ** 4 * envelope ** 2 / cos_sub ** 2
+    near = np.abs(cos_sub) < 1e-4
+    if near.any():
+        out[near] = filter_generic(train(), length, w[near])
+    return out
+
+
 def filter_cpmg_closed(n_pulses: int, length: float, omega):
     """Closed-form CPMG filter for N equally spaced pulses.
 
@@ -133,15 +169,9 @@ def filter_cpmg_closed(n_pulses: int, length: float, omega):
     w1 = np.atleast_1d(w).ravel()
 
     x = w1 * length
-    cos_sub = np.cos(x / (2.0 * n_pulses))
     envelope = np.cos(0.5 * x) if n_pulses % 2 else np.sin(0.5 * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 8.0 * np.sin(x / (4.0 * n_pulses)) ** 4 * envelope ** 2 / cos_sub ** 2
-
-    near = np.abs(cos_sub) < 1e-4
-    if near.any():
-        pos = CpmgCount(n_pulses).positions(length)
-        out[near] = filter_generic(pos, length, w1[near])
+    out = _cpmg_form(x / (4.0 * n_pulses), x / (2.0 * n_pulses), envelope,
+                     w1, length, lambda: CpmgCount(n_pulses).positions(length))
     return float(out[0]) if scalar else out.reshape(w.shape)
 
 
@@ -159,14 +189,8 @@ def filter_fixed_density(density: float, length: float, omega):
     w, scalar = _as_freq_array(omega)
     w1 = np.atleast_1d(w).ravel()
 
-    cos_sub = np.cos(w1 / (2.0 * density))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (8.0 * np.sin(w1 / (4.0 * density)) ** 4
-               * np.sin(0.5 * w1 * length) ** 2 / cos_sub ** 2)
-
-    near = np.abs(cos_sub) < 1e-4
-    if near.any():
-        n = max(1, int(round(density * length)))
-        pos = CpmgCount(n).positions(length)
-        out[near] = filter_generic(pos, length, w1[near])
+    out = _cpmg_form(w1 / (4.0 * density), w1 / (2.0 * density),
+                     np.sin(0.5 * w1 * length), w1, length,
+                     lambda: CpmgCount(max(1, int(round(density * length))))
+                     .positions(length))
     return float(out[0]) if scalar else out.reshape(w.shape)

@@ -57,6 +57,9 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
+# Growth ratio of the geometric panels at a band's lower limit.
+EDGE_RATIO = 1.25
+
 # Integrand argument in grouped mode: each point with the group it serves.
 GROUPED_POINT = np.dtype([("x", float), ("group", np.intp)])
 
@@ -128,7 +131,7 @@ class Bands(Sequence):
 
 
 def band_boundaries(lo: float, hi: float, max_width: float,
-                    edge_ratio: float = 1.25) -> np.ndarray:
+                    edge_ratio: float = EDGE_RATIO) -> np.ndarray:
     """Initial panel boundaries over ``[lo, hi]``: the one-band case of
     ``band_set``, which it returns bit for bit.
 
@@ -146,7 +149,8 @@ def band_boundaries(lo: float, hi: float, max_width: float,
     return band_set(lo, [hi], [max_width], edge_ratio).edges
 
 
-def band_set(lo: float, hi, max_width, edge_ratio: float = 1.25) -> Bands:
+def band_set(lo: float, hi, max_width,
+             edge_ratio: float = EDGE_RATIO) -> Bands:
     """Initial panel boundaries of many bands [lo, hi[i]] in one pass,
     each no wider than ``max_width[i]`` (see ``band_boundaries``).
 

@@ -239,37 +239,58 @@ def resolve_state(selector: str) -> TwoQubitXState:
         "werner:P, or file:PATH")
 
 
-def load_state_file(path) -> TwoQubitXState:
-    """Read an X state from a small key = value text file.
+def read_key_values(path, parsers: dict, error: type[ValueError],
+                    kind: str) -> dict:
+    """Parse a ``key = value`` text file into typed values.
 
-    Recognized keys: d1 d2 d3 d4 (populations), rho14, rho23 (complex
-    accepted, e.g. ``0.25+0.1j``).  Blank lines and '#' comments are
-    ignored.  The parsed state must pass validate_state.
+    ``parsers`` maps each accepted key to the function that parses its
+    text (raising ValueError on bad text).  Blank lines and '#' comments
+    are ignored; a later line for the same key wins.  Every bad line is
+    reported, one per line, in a single ``error``; an unreadable file
+    raises ``error`` naming the ``kind`` of file.
     """
-    values = {"d1": 0.0, "d2": 0.0, "d3": 0.0, "d4": 0.0,
-              "rho14": 0.0 + 0.0j, "rho23": 0.0 + 0.0j}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+        raise error(f"cannot read {kind} file {path}: {exc}") from exc
 
+    values = {}
+    problems = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise StateFileError(f"{path}:{lineno}: expected key = value")
+            problems.append(f"{path}:{lineno}: expected key = value")
+            continue
         key, _, text = (part.strip() for part in line.partition("="))
-        if key not in values:
-            raise StateFileError(
-                f"{path}:{lineno}: unknown key {key!r} "
-                f"(expected one of {sorted(values)})")
+        if key not in parsers:
+            problems.append(f"{path}:{lineno}: unknown key {key!r} "
+                            f"(expected one of {sorted(parsers)})")
+            continue
         try:
-            values[key] = complex(text.replace(" ", ""))
+            values[key] = parsers[key](text)
         except ValueError:
-            raise StateFileError(
-                f"{path}:{lineno}: cannot parse {text!r} as a number") from None
+            problems.append(
+                f"{path}:{lineno}: cannot parse {text!r} for {key}")
+    if problems:
+        raise error("\n".join(problems))
+    return values
+
+
+def load_state_file(path) -> TwoQubitXState:
+    """Read an X state from a small key = value text file.
+
+    Recognized keys: d1 d2 d3 d4 (populations), rho14, rho23 (complex
+    accepted, e.g. ``0.25+0.1j``); a missing key is 0.  Blank lines and
+    '#' comments are ignored, and every bad line is reported at once.
+    The parsed state must pass validate_state.
+    """
+    values = dict.fromkeys(("d1", "d2", "d3", "d4", "rho14", "rho23"), 0j)
+    parsers = dict.fromkeys(values,
+                            lambda text: complex(text.replace(" ", "")))
+    values.update(read_key_values(path, parsers, StateFileError, "state"))
 
     diag = []
     for key in ("d1", "d2", "d3", "d4"):

@@ -1,5 +1,7 @@
 """Configuration layer: file parsing, precedence, consolidated errors."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,26 @@ def test_load_config_file_reports_all_problems(tmp_path):
     assert "cannot parse 'fast' for alpha" in text
 
 
+def test_unknown_config_key_lists_the_accepted_keys(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("speling = 1\n")
+    with pytest.raises(ConfigError) as info:
+        load_config_file(path)
+    assert str(info.value) == (
+        f"{path}:1: unknown key 'speling' (expected one of "
+        "['alpha', 'density', 'grid_points', 'ir_cutoff', 'length_max', "
+        "'noise_amp', 'omega0', 'out', 'pulses', 'seed', 'sequence', "
+        "'sigma', 'state', 'trials', 'uv_cutoff'])")
+
+
 def test_load_config_file_missing():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config_file("/nonexistent/run.cfg")
+
+
+def test_shipped_default_config_equals_built_in_defaults():
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+    assert resolve(load_config_file(path)) == SimulationConfig()
 
 
 def test_resolve_precedence():

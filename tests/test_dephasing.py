@@ -141,13 +141,19 @@ def test_with_error_reports_converged_estimate():
     assert abs(f - riemann_overlap(Free(), spec, 2.0)) <= max(err * 10, 1e-6 * f)
 
 
-def test_low_band_nonconvergence_carries_whole_band_estimate():
+def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
     # an unreachable tolerance exhausts the low-band panel budget; the
     # attached estimate still includes the closed-form band above w_c
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     f = overlap_integral(Free(), spec, 5.0)
+    grouped = dephasing.integrate_panels
+
+    def unreachable(fn, bands, **kwargs):
+        return grouped(fn, bands, **{**kwargs, "atol": 0.0, "rtol": 0.0})
+
+    monkeypatch.setattr(dephasing, "integrate_panels", unreachable)
     with pytest.raises(QuadratureError) as info:
-        overlap_integral(Free(), spec, 5.0, atol=0.0, rtol=0.0)
+        overlap_integral(Free(), spec, 5.0)
     assert info.value.best_estimate == pytest.approx(f, rel=1e-12)
     assert "overlap integral at length 5.0" in str(info.value)
 
@@ -357,6 +363,24 @@ BAD_PULSES = {
     "at the end": ([1.0, 3.0], 3.0),
     "unsorted and outside": ([3.5, 1.0], 3.0),
 }
+
+
+def test_nan_positions_are_rejected():
+    # a NaN position compares false with everything, so it must fail the
+    # gap test rather than pass it
+    spec = NoiseSpectrum(0.008, 1.0)
+    inside = "pulse positions must lie strictly inside"
+    with pytest.raises(ValueError, match=inside):
+        overlap_from_positions([np.nan], spec, 1.0)
+    with pytest.raises(ValueError, match=inside):
+        filter_generic([np.nan], 1.0, np.linspace(0.1, 5.0, 7))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_positions([0.5, np.nan, 1.5], 2.0)
+    lengths = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match=inside):
+        overlaps_from_positions([[0.5], [np.nan], []], spec, lengths)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        overlaps_from_positions([[0.5], [np.nan, 1.0], []], spec, lengths)
 
 
 @pytest.mark.parametrize("first", sorted(BAD_PULSES))

@@ -12,7 +12,7 @@ from fiberdd.evolution import (BestEstimate, concurrence_at,
                                sweep_positions)
 from fiberdd.noise import NoiseSpectrum
 from fiberdd.quadrature import QuadratureError
-from fiberdd.sequences import CpmgDensity, Free, SpinEcho
+from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
 from fiberdd.states import (apply_dephasing, bell_state, concurrence,
                             mixed_third_state, werner_state)
 from oracles import bisect_esd
@@ -107,6 +107,29 @@ def test_min_pulses_frozen_value():
     assert np.array_equal(budget.pulse_counts, np.arange(5))
     assert budget.concurrence[-1] >= 0.25
     assert np.all(budget.concurrence[:-1] < 0.25)
+
+
+def test_min_pulses_marks_unconverged_counts(monkeypatch):
+    overlap = evolution.overlap_from_positions
+
+    def flaky(positions, spectrum, length, **kwargs):
+        value = overlap(positions, spectrum, length, **kwargs)
+        if len(positions) == 2:
+            raise QuadratureError("forced", value, 0.0, 1)
+        return value
+
+    clean = min_pulses_for_target(0.25, 20.0, SPEC, PROF, STATE)
+    assert clean.converged.tolist() == [True] * 5
+    monkeypatch.setattr(evolution, "overlap_from_positions", flaky)
+    budget = min_pulses_for_target(0.25, 20.0, SPEC, PROF, STATE)
+    assert budget.required == 4
+    assert budget.converged.tolist() == [True, True, False, True, True]
+    assert np.array_equal(budget.concurrence, clean.concurrence)
+    marked = concurrence_at(CpmgCount(2), SPEC, PROF, STATE, 20.0)
+    assert isinstance(marked, BestEstimate) and marked == clean.concurrence[2]
+    monkeypatch.undo()
+    assert type(concurrence_at(CpmgCount(2), SPEC, PROF, STATE,
+                               20.0)) is float
 
 
 def test_min_pulses_unreachable_within_budget():

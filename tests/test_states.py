@@ -192,3 +192,16 @@ def test_state_file_errors(tmp_path):
             load_state_file(path)
     with pytest.raises(StateFileError, match="cannot read"):
         load_state_file(tmp_path / "missing.cfg")
+
+
+def test_state_file_reports_every_bad_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("d1 = 0.5\njust words\nd5 = 0.1\nrho14 = abc\n")
+    with pytest.raises(StateFileError) as info:
+        load_state_file(path)
+    assert str(info.value).splitlines() == [
+        f"{path}:2: expected key = value",
+        f"{path}:3: unknown key 'd5' (expected one of "
+        "['d1', 'd2', 'd3', 'd4', 'rho14', 'rho23'])",
+        f"{path}:4: cannot parse 'abc' for rho14",
+    ]
