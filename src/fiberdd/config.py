@@ -124,7 +124,8 @@ def build_runtime(config: SimulationConfig):
     try:
         state = resolve_state(config.state)
     except ValueError as exc:
-        problems.append(f"state: {exc}")
+        # a state file reports each bad line on a line of its own
+        problems.extend(f"state: {line}" for line in str(exc).splitlines())
 
     if not (np.isfinite(config.length_max) and config.length_max > 0.0):
         problems.append(f"length_max: must be positive, got {config.length_max}")

@@ -138,6 +138,15 @@ def test_build_runtime_collects_every_problem():
         assert fragment in text
 
 
+def test_every_state_file_problem_names_the_field(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("just words\nd5 = 0.1\n")
+    with pytest.raises(ConfigError) as info:
+        build_runtime(SimulationConfig(state=f"file:{path}"))
+    lines = str(info.value).splitlines()
+    assert len(lines) == 2 and all(line.startswith("state: ") for line in lines)
+
+
 def test_length_grid_excludes_zero():
     config = SimulationConfig(length_max=10.0, grid_points=5)
     grid = length_grid(config)
