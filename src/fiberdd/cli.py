@@ -22,7 +22,8 @@ import numpy as np
 
 from . import config as cfg
 from .dephasing import coherence_factor, overlap_from_positions
-from .evolution import BestEstimate, curve_death_length, decoherence_curve
+from .evolution import BestEstimate, SeparableStateError, \
+    curve_death_length, decoherence_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
 from .noise import NoiseSpectrum
@@ -84,11 +85,13 @@ def _cmd_simulate(args) -> int:
 
     curve = decoherence_curve(seq, spectrum, profile, state,
                               cfg.length_grid(config))
+    try:
+        esd = curve_death_length(seq, spectrum, profile, state, curve,
+                                 tol=1e-7 * config.length_max)
+    except SeparableStateError as exc:
+        raise cfg.ConfigError(f"state: {exc}") from exc
     out = config.out or "simulate.csv"
     _write_csv(out, lines, "L,f_L,gamma,concurrence", _curve_rows(curve))
-
-    esd = curve_death_length(seq, spectrum, profile, state, curve,
-                             tol=1e-7 * config.length_max)
     print(f"esd_length = {'none' if esd is None else _fmt(esd)}; "
           f"final_concurrence = {_fmt(curve.concurrence[-1])}; "
           f"csv = {out}")

@@ -36,6 +36,10 @@ class BestEstimate(float):
     it from a converged one."""
 
 
+class SeparableStateError(ValueError):
+    """The initial state is not entangled, so it has no death length."""
+
+
 @dataclass
 class DecoherenceCurve:
     """Per-length overlap, coherence factor, and concurrence of a sweep.
@@ -123,8 +127,6 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
         raise ValueError(f"length_max must be positive, got {length_max}")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    if concurrence(state) <= 0.0:
-        raise ValueError("initial state is separable; no death length exists")
     grid = np.linspace(0.0, length_max, grid_points + 1)[1:]
     curve = decoherence_curve(seq, spectrum, profile, state, grid)
     return curve_death_length(seq, spectrum, profile, state, curve,
@@ -143,8 +145,12 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     ends and at their outer neighbours, the neighbours only when they
     share the pulse count of both ends (``CpmgDensity`` Gamma jumps
     where the count changes).  A BestEstimate comes back when a value
-    it used did not converge.
+    it used did not converge.  A state that is separable to begin with
+    raises SeparableStateError.
     """
+    if concurrence(state) <= 0.0:
+        raise SeparableStateError(
+            "initial state is separable; no death length exists")
     dead = np.flatnonzero(curve.concurrence == 0.0)
     if dead.size == 0:
         return None

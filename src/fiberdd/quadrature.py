@@ -12,12 +12,13 @@ tolerance.
 
 One call can integrate many bands at once (``grouped=True``): each band
 is a group that must meet the tolerance on its own value within its own
-panel budget, refined by the same rule as a lone band, and the
-integrand is evaluated once per refinement round over the new panels of
-every group.  Every per-group quantity is reduced over that group's own
-panels in a fixed order, so a group's result never depends on which
-other groups share the call.  ``band_set`` builds the initial panels of
-many bands that share their lower limit in one pass, back to back in a
+panel budget.  One integrand call evaluates the initial panels of every
+group; a group that misses its tolerance there is refined on its own,
+by the loop a lone band runs, as QUADPACK refines one integral at a
+time.  Every per-group quantity is reduced over that group's own panels
+in a fixed order, so a group's result never depends on which other
+groups share the call.  ``band_set`` builds the initial panels of many
+bands that share their lower limit in one pass, back to back in a
 ``Bands``.
 """
 
@@ -62,10 +63,6 @@ EDGE_RATIO = 1.25
 
 # Integrand argument in grouped mode: each point with the group it serves.
 GROUPED_POINT = np.dtype([("x", float), ("group", np.intp)])
-
-# Refinement state of a group.
-_RUNNING, _CONVERGED, _OUT_OF_PANELS, _AT_MACHINE_WIDTH = range(4)
-
 
 @dataclass
 class QuadratureResult:
@@ -210,18 +207,18 @@ def _eval_panels(fn: Callable[[np.ndarray], np.ndarray],
 
     The node sums run along each panel's own row, so a panel's value
     does not depend on the other panels of the batch.  With ``group``
-    set, ``fn`` receives GROUPED_POINT records.
+    set (one band index, or one per panel as a column), ``fn`` receives
+    GROUPED_POINT records.
     """
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
     x = mid[:, None] + half[:, None] * _KRONROD_NODES
-    if group is None:
-        points = x.ravel()
-    else:
-        points = np.empty(x.size, dtype=GROUPED_POINT)
-        points["x"] = x.ravel()
-        points["group"] = np.repeat(group, x.shape[1])
-    fx = fn(points).reshape(x.shape)
+    points = x
+    if group is not None:
+        points = np.empty(x.shape, dtype=GROUPED_POINT)
+        points["x"] = x
+        points["group"] = group
+    fx = fn(points.ravel()).reshape(x.shape)
     k15 = (fx * _KRONROD_WEIGHTS).sum(axis=1) * half
     g7 = (fx[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS).sum(axis=1) * half
     return k15, np.abs(k15 - g7)
@@ -280,24 +277,39 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     ``group``).  Each group meets its own tolerance within its own
     ``max_panels``; the result is a GroupedQuadratureResult, and a group
     that fails keeps its best estimate and a false ``converged`` flag
-    instead of raising.  All bands are validated in one pass.
+    instead of raising.  All bands are validated and their initial
+    panels evaluated in one pass; a band that misses its tolerance there
+    is refined alone, one ``fn`` call per round over its new panels.
     """
     bands = _as_bands(boundaries, grouped)
     if not len(bands):
         empty = np.empty(0)
         return GroupedQuadratureResult(empty, empty, np.empty(0, np.intp),
                                        np.empty(0, bool))
-    values, errors, counts, status = _refine(fn, bands, grouped, atol, rtol,
-                                             max_panels)
+    edges, sizes, ends = bands.edges, bands.sizes, bands.ends
+    counts = sizes - 1
+    starts = np.cumsum(counts) - counts
+    lefts = np.delete(edges, ends - 1)
+    rights = np.delete(edges, ends - sizes)
+    group = np.repeat(np.arange(sizes.size), counts)[:, None]
+    vals, errs = _eval_panels(fn, lefts, rights, group if grouped else None)
+    # reduceat adds each band's panels left to right, as _refine does
+    values = np.add.reduceat(vals, starts)
+    errors = np.add.reduceat(errs, starts)
+    converged = errors <= atol + rtol * np.abs(values)
+    for g in np.flatnonzero(~converged):
+        own = slice(starts[g], starts[g] + counts[g])
+        values[g], errors[g], counts[g], converged[g] = _refine(
+            fn, g if grouped else None, lefts[own], rights[own], vals[own],
+            errs[own], atol, rtol, max_panels)
     if grouped:
-        return GroupedQuadratureResult(values, errors, counts,
-                                       status == _CONVERGED)
+        return GroupedQuadratureResult(values, errors, counts, converged)
 
     total, err, panels = float(values[0]), float(errors[0]), int(counts[0])
-    if status[0] == _CONVERGED:
+    if converged[0]:
         return QuadratureResult(total, err, panels)
     tol = atol + rtol * abs(total)
-    if status[0] == _OUT_OF_PANELS:
+    if panels >= max_panels:
         message = (f"needed more than {max_panels} panels "
                    f"(reached error {err:.3e} vs tolerance {tol:.3e})")
     else:
@@ -306,65 +318,41 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     raise QuadratureError(message, total, err, panels)
 
 
-def _refine(fn, bands, grouped, atol, rtol, max_panels):
-    """Refinement loop shared by lone and grouped integration.
+def _refine(fn, group, lefts, rights, vals, errs, atol, rtol, max_panels):
+    """Refinement loop of one band, from its evaluated panels.
 
-    Panels are kept sorted by group, and within a group in the order a
-    lone run would hold them (kept panels, then left halves, then right
-    halves), so per-group sums see the same terms in the same order.
-    Returns per-group values, errors, panel counts and final states.
+    New panels follow the kept ones, left halves before right halves,
+    and the band's sums add its panels left to right, so a band refined
+    here gives the same bits whichever call it came from.  Returns the
+    band's value, error, panel count and whether it met the tolerance;
+    short of it, the band ran out of panels if it holds ``max_panels``
+    and has no panel left to split otherwise.
     """
-    edges, sizes, ends = bands.edges, bands.sizes, bands.ends
-    n_groups = sizes.size
-    counts = sizes - 1
-    ids = np.repeat(np.arange(n_groups), counts)
-    lefts = np.delete(edges, ends - 1)
-    rights = np.delete(edges, ends - sizes)
-    vals, errs = _eval_panels(fn, lefts, rights, ids if grouped else None)
-    status = np.full(n_groups, _RUNNING)
     while True:
-        starts = np.cumsum(counts) - counts
-        totals = np.add.reduceat(vals, starts)
-        errors = np.add.reduceat(errs, starts)
-        tol = atol + rtol * np.abs(totals)
-        status[(status == _RUNNING) & (errors <= tol)] = _CONVERGED
-        status[(status == _RUNNING) & (counts >= max_panels)] = _OUT_OF_PANELS
-        running = status == _RUNNING
-        if not running.any():
-            return totals, errors, counts, status
+        total = np.add.reduceat(vals, [0])[0]
+        error = np.add.reduceat(errs, [0])[0]
+        tol = atol + rtol * abs(total)
+        if error <= tol or vals.size >= max_panels:
+            return total, error, vals.size, error <= tol
 
         widths = rights - lefts
         splittable = widths > 16.0 * np.finfo(float).eps * np.maximum(
             np.abs(lefts), np.abs(rights))
-        mask = (running[ids] & (errs > (0.5 * tol / counts)[ids])
-                & splittable)
-        stuck = running & (np.bincount(ids[mask], minlength=n_groups) == 0)
-        if stuck.any():
+        mask = (errs > 0.5 * tol / vals.size) & splittable
+        if not mask.any():
             # no panel above its share: split the worst splittable ones
-            worst = np.maximum.reduceat(np.where(splittable, errs, -np.inf),
-                                        starts)
-            status[stuck & (worst == -np.inf)] = _AT_MACHINE_WIDTH
-            stuck &= worst > -np.inf
-            mask |= stuck[ids] & splittable & (errs >= worst[ids])
-            if not mask.any():
-                return totals, errors, counts, status
+            worst = np.where(splittable, errs, -np.inf).max()
+            mask = splittable & (errs >= worst)
+            if not mask.any():  # every panel at machine width, or NaN
+                return total, error, vals.size, False
 
         mids = 0.5 * (lefts[mask] + rights[mask])
         new_lefts = np.concatenate([lefts[mask], mids])
         new_rights = np.concatenate([mids, rights[mask]])
-        new_ids = np.concatenate([ids[mask], ids[mask]])
-        new_vals, new_errs = _eval_panels(fn, new_lefts, new_rights,
-                                          new_ids if grouped else None)
+        new_vals, new_errs = _eval_panels(fn, new_lefts, new_rights, group)
 
         keep = ~mask
         lefts = np.concatenate([lefts[keep], new_lefts])
         rights = np.concatenate([rights[keep], new_rights])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
-        ids = np.concatenate([ids[keep], new_ids])
-        if n_groups > 1:
-            order = np.argsort(ids, kind="stable")
-            lefts, rights, vals, errs, ids = (
-                lefts[order], rights[order], vals[order], errs[order],
-                ids[order])
-        counts = np.bincount(ids, minlength=n_groups)

@@ -183,6 +183,21 @@ def test_simulate_unconverged_death_length_probe_exits_3(tmp_path, capsys,
     assert csv[1:] == clean[3][1:]
 
 
+@pytest.mark.parametrize("weight", ["0.2", "0.3333333333333333"])
+def test_simulate_separable_state_is_a_config_error(tmp_path, capsys,
+                                                    weight):
+    # concurrence 0 from the start: there is no death length to report
+    out = tmp_path / "separable.csv"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--state",
+                                   f"werner:{weight}", "--out", str(out))
+    assert code == 2
+    assert stderr == ("config error:\n"
+                      "state: initial state is separable; "
+                      "no death length exists\n")
+    assert "esd_length" not in stdout
+    assert not out.exists()
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

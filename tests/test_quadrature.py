@@ -156,6 +156,66 @@ def test_grouped_failure_stays_in_its_group():
     assert res.group_panels[3] == info.value.panels
 
 
+def _recording(fn, calls, limit=200):
+    # keeps each call's points; a refinement that never ends fails here
+    def recorded(points):
+        calls.append(points.copy())
+        assert len(calls) <= limit, "refinement did not stop"
+        return fn(points)
+    return recorded
+
+
+# bands 1 and 3 meet 1e-11 on their initial panels, bands 0 and 2 do not
+MIXED = [BANDS[0], np.linspace(0.0, 1.0, 41), BANDS[3],
+         np.linspace(1.0, 2.0, 81)]
+
+
+def test_grouped_call_refines_each_band_on_its_own():
+    lone_rounds = []
+    for g, band in enumerate(MIXED):
+        calls = []
+        integrate_panels(_recording(_lone(g), calls), band, atol=1e-11,
+                         rtol=1e-11)
+        lone_rounds.append(len(calls) - 1)
+    assert [rounds > 0 for rounds in lone_rounds] == [True, False, True,
+                                                      False]
+
+    calls = []
+    res = integrate_panels(_recording(_grouped_integrand, calls), MIXED,
+                           atol=1e-11, rtol=1e-11, grouped=True)
+    assert res.converged.all()
+    assert set(calls[0]["group"]) == set(range(len(MIXED)))
+    bands_per_call = [set(points["group"]) for points in calls[1:]]
+    assert all(len(bands) == 1 for bands in bands_per_call)
+    for g in range(len(MIXED)):
+        assert bands_per_call.count({g}) == lone_rounds[g]
+
+
+def _nan_in_band_2(points):
+    values = _grouped_integrand(points)
+    values[points["group"] == 2] = np.nan
+    return values
+
+
+def test_nan_integrand_ends_refinement():
+    calls = []
+    with pytest.raises(QuadratureError, match="all panels at machine width"):
+        integrate_panels(_recording(lambda x: np.full(x.shape, np.nan),
+                                    calls), BANDS[2])
+    assert len(calls) == 1
+
+    calls = []
+    res = integrate_panels(_recording(_nan_in_band_2, calls), BANDS,
+                           atol=1e-11, rtol=1e-11, grouped=True)
+    assert list(res.converged) == [True, True, False, True]
+    assert np.isnan(res.values[2])
+    for g in (0, 1, 3):
+        lone = integrate_panels(_lone(g), BANDS[g], atol=1e-11, rtol=1e-11)
+        assert res.values[g] == lone.value
+        assert res.errors[g] == lone.error
+        assert res.group_panels[g] == lone.panels
+
+
 def test_grouped_with_no_bands_is_empty():
     res = integrate_panels(_grouped_integrand, [], grouped=True)
     assert res.values.size == 0 and res.panels == 0
