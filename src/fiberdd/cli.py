@@ -22,8 +22,8 @@ import numpy as np
 
 from . import config as cfg
 from .dephasing import coherence_factor, overlap_from_positions
-from .evolution import BestEstimate, SeparableStateError, \
-    curve_death_length, decoherence_curve
+from .evolution import DEATH_LENGTH_RTOL, BestEstimate, \
+    SeparableStateError, curve_death_length, decoherence_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
 from .noise import NoiseSpectrum
@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
                               cfg.length_grid(config))
     try:
         esd = curve_death_length(seq, spectrum, profile, state, curve,
-                                 tol=1e-7 * config.length_max)
+                                 tol=DEATH_LENGTH_RTOL * config.length_max)
     except SeparableStateError as exc:
         raise cfg.ConfigError(f"state: {exc}") from exc
     out = config.out or "simulate.csv"

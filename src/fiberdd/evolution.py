@@ -7,8 +7,8 @@ concurrence target at a given length.
 
 A curve takes its overlaps from one batched pass
 (``overlaps_from_positions``), its coherence factors from one array
-expression and its concurrences from one stacked eigenvalue call;
-single-length evaluations (death-length probes, pulse budgets) use the
+expression and its concurrences from one array pass over the X-form
+spin-flip roots; single-length evaluations (death-length probes, pulse budgets) use the
 one-length cases and get the same bits.  Death lengths are bracketed on
 a curve and refined by inverse quadratic interpolation on the
 coherence factor, seeded with the values the curve already holds, each
@@ -28,6 +28,10 @@ from .quadrature import QuadratureError
 from .sequences import CpmgCount, Free, SequenceDegenerateError
 from .states import TwoQubitXState, concurrence, dephased_concurrence, \
     esd_threshold_gamma
+
+# Death lengths are refined to this fraction of length_max; bench/checks.py
+# probes +-1e-7 * length_max around the printed length, so the two agree.
+DEATH_LENGTH_RTOL = 1e-7
 
 
 class BestEstimate(float):
@@ -91,8 +95,8 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
 
     Lengths must be positive.  All overlaps come from one
     ``overlaps_from_positions`` pass, the coherence factors from one
-    array expression and the concurrences from one stacked eigenvalue
-    call, each bit for bit what the pointwise route gives; quadrature
+    array expression and the concurrences from one array pass over the
+    X-form spin-flip roots, each bit for bit what the pointwise route gives; quadrature
     failures are per-point.  A coherence factor that underflowed to 0
     leaves no coherence, so the pair is separable there.
     """
@@ -130,7 +134,7 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     grid = np.linspace(0.0, length_max, grid_points + 1)[1:]
     curve = decoherence_curve(seq, spectrum, profile, state, grid)
     return curve_death_length(seq, spectrum, profile, state, curve,
-                              tol=1e-7 * length_max)
+                              tol=DEATH_LENGTH_RTOL * length_max)
 
 
 def curve_death_length(seq, spectrum: NoiseSpectrum,

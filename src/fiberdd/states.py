@@ -5,13 +5,13 @@ pure-dephasing channel produces from them) are X-form in the HV basis:
 only the diagonal and the two anti-diagonal coherences rho14, rho23 are
 nonzero.  The channel multiplies both coherences by the coherence factor
 Gamma and leaves populations untouched.  Entanglement is quantified by
-Wootters concurrence, available both through the general eigenvalue
+Wootters concurrence, available both through the spin-flip eigenvalue
 construction and through the X-form closed form used to cross-check it.
 
-The eigenvalue construction runs on stacks of density matrices: a whole
-curve of dephased states is one ``concurrence`` call on their stack
-(``dephased_concurrence``), and the concurrence of a single state is the
-one-matrix case of the same route, so both give the same bits.
+The eigenvalue construction reads the spin-flip roots off the X form (no
+eigensolver) for arrays of coherence pairs: a whole curve of dephased
+states is one array pass (``dephased_concurrence``), and a single state
+is the one-pair case of the same routine, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -19,15 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# sigma_y (x) sigma_y in the product basis; real for this pair.
-_SPIN_FLIP = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
-
 
 class StateFileError(ValueError):
     """A density-matrix file could not be parsed or failed validation."""
@@ -60,20 +51,10 @@ class TwoQubitXState:
 
     def matrix(self) -> np.ndarray:
         """Full 4x4 complex density matrix."""
-        return _x_matrices(self.diag, np.array([self.rho14]),
-                           np.array([self.rho23]))[0]
-
-
-def _x_matrices(diag, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) X-form density matrices with common populations and the
-    n coherence pairs rho14[i], rho23[i]."""
-    rho = np.zeros((rho14.size, 4, 4), dtype=complex)
-    rho[:, range(4), range(4)] = diag
-    rho[:, 0, 3] = rho14
-    rho[:, 3, 0] = np.conj(rho14)
-    rho[:, 1, 2] = rho23
-    rho[:, 2, 1] = np.conj(rho23)
-    return rho
+        rho = np.diag(np.asarray(self.diag, dtype=complex))
+        rho[0, 3], rho[3, 0] = self.rho14, np.conj(self.rho14)
+        rho[1, 2], rho[2, 1] = self.rho23, np.conj(self.rho23)
+        return rho
 
 
 def validate_state(state: TwoQubitXState,
@@ -84,10 +65,14 @@ def validate_state(state: TwoQubitXState,
     failed check with its margin (how far beyond tolerance it lies).
     The coherence bounds |rho14|^2 <= rho11*rho44 and
     |rho23|^2 <= rho22*rho33 are exactly positivity of the 4x4 matrix
-    for X form.
+    for X form.  NaN fails no comparison, so each population or coherence
+    that is not finite is reported on its own, with an infinite margin.
     """
     d = np.asarray(state.diag, dtype=float)
-    bad = []
+    entries = [f"population {i + 1}" for i in range(4)] + ["rho14", "rho23"]
+    values = [*d, state.rho14, state.rho23]
+    bad = [StateViolation(f"{name} is not finite", np.inf)
+           for name, v in zip(entries, values) if not np.isfinite(v)]
     trace_gap = abs(float(d.sum()) - 1.0)
     if trace_gap > tol:
         bad.append(StateViolation("trace differs from 1", trace_gap))
@@ -114,34 +99,40 @@ def apply_dephasing(state: TwoQubitXState, gamma: float) -> TwoQubitXState:
     return TwoQubitXState(state.diag, state.rho14 * gamma, state.rho23 * gamma)
 
 
-def concurrence(state):
+def concurrence(state: TwoQubitXState) -> float:
     """Wootters concurrence via the spin-flip eigenvalue construction.
 
-    ``state`` is a TwoQubitXState (float result) or an (n, 4, 4) stack
-    of density matrices (one value per matrix, from one stacked
-    ``eigvals`` call); a single state is the one-matrix case of the
-    stack.  The eigenvalues of rho (sy x sy) rho* (sy x sy) are real and
-    nonnegative up to numerical dust, which is clamped at zero.  Every
-    matrix is reduced on its own, so a value does not depend on the
-    rest of the stack.
+    The eigenvalues of rho (sy x sy) rho* (sy x sy) are the squares of
+    the roots below; the concurrence is the largest root minus the
+    other three, clamped at zero.
     """
-    if isinstance(state, TwoQubitXState):
-        return float(_concurrences(state.matrix()[None])[0])
-    return _concurrences(np.asarray(state, dtype=complex))
+    return float(_x_concurrences(state.diag, np.array([state.rho14]),
+                                 np.array([state.rho23]))[0])
 
 
-def _concurrences(rho: np.ndarray) -> np.ndarray:
-    flipped = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.real(np.linalg.eigvals(flipped))
-    lam[lam < 0.0] = 0.0
-    root = np.sqrt(np.sort(lam, axis=1)[:, ::-1])
-    c = root[:, 0] - root[:, 1] - root[:, 2] - root[:, 3]
+def _x_concurrences(diag, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:
+    """Concurrence of the X states with common populations and the
+    coherence pairs rho14[i], rho23[i].
+
+    For X form the square roots of the spin-flip eigenvalues are
+    |sqrt(rho11 rho44) +- |rho14|| and |sqrt(rho22 rho33) +- |rho23||
+    (Wootters, PRL 80, 2245 (1998); Yu and Eberly, Science 323, 598
+    (2009)).  They are sorted, and the three smaller ones are subtracted
+    from the largest, so no eigensolver is needed.
+    """
+    d1, d2, d3, d4 = diag
+    outer, inner = np.sqrt(max(d1 * d4, 0.0)), np.sqrt(max(d2 * d3, 0.0))
+    c14, c23 = np.abs(rho14), np.abs(rho23)
+    root = np.sort(np.abs(np.stack(
+        [outer + c14, outer - c14, inner + c23, inner - c23], axis=1)),
+        axis=1)
+    c = root[:, 3] - root[:, 2] - root[:, 1] - root[:, 0]
     return np.where(c > 0.0, c, 0.0)
 
 
 def dephased_concurrence(state: TwoQubitXState, gamma) -> np.ndarray:
     """Concurrence of ``state`` dephased by each coherence factor in
-    ``gamma``, from one ``concurrence`` call on the stacked matrices.
+    ``gamma``, from one array pass over the X-form roots.
 
     Each value is bit for bit ``concurrence(apply_dephasing(state, g))``.
     A coherence factor of 0 (underflow of complete dephasing) leaves no
@@ -151,8 +142,8 @@ def dephased_concurrence(state: TwoQubitXState, gamma) -> np.ndarray:
     if gamma.ndim != 1 or not np.all((gamma >= 0.0) & (gamma <= 1.0)):
         raise ValueError("gamma must be a 1-D array of values in [0, 1]")
     # same products as apply_dephasing's complex * float
-    rho = _x_matrices(state.diag, state.rho14 * gamma, state.rho23 * gamma)
-    return np.where(gamma == 0.0, 0.0, concurrence(rho))
+    return _x_concurrences(state.diag, state.rho14 * gamma,
+                           state.rho23 * gamma)
 
 
 def concurrence_x_closed(state: TwoQubitXState) -> float:

@@ -7,6 +7,25 @@ from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
 
+# sigma_y (x) sigma_y in the product basis; real for this pair.
+SPIN_FLIP = np.array([
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+])
+
+
+def eigen_concurrence(state):
+    """Wootters concurrence of a two-qubit state from a numerical
+    eigensolver: the square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), real and nonnegative up to numerical
+    dust (clamped at zero), largest minus the other three."""
+    rho = state.matrix()
+    lam = np.real(np.linalg.eigvals(rho @ SPIN_FLIP @ rho.conj() @ SPIN_FLIP))
+    root = np.sqrt(np.sort(np.maximum(lam, 0.0))[::-1])
+    return max(0.0, float(root[0] - root[1] - root[2] - root[3]))
+
 
 def full_band_overlap(positions, spectrum, length, *, atol=1e-16,
                       rtol=1e-13):

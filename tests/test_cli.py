@@ -351,6 +351,24 @@ def test_state_file_rejected_with_location(tmp_path, capsys):
     assert "trace differs from 1" in stderr
 
 
+@pytest.mark.parametrize("command", [["validate-config"], ["simulate"],
+                                     ["figure", "fig2b"]])
+@pytest.mark.parametrize("line", ["d1 = nan", "rho23 = nan"])
+def test_non_finite_state_entry_is_a_config_error(tmp_path, capsys, command,
+                                                  line):
+    state = tmp_path / "nan.txt"
+    state.write_text(f"d1 = 0.3\nd2 = 0.2\nd3 = 0.25\nd4 = 0.25\n{line}\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, *command, "--state", f"file:{state}", "--length-max", "2",
+        "--grid-points", "2", "--out", str(out))
+    assert code == 2
+    assert "configuration ok" not in stdout
+    assert f"state: {state}: invalid density matrix: " in stderr
+    assert "is not finite" in stderr
+    assert not out.exists()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "fiberdd", "--help"],

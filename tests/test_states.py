@@ -1,7 +1,10 @@
 """X states, the dephasing channel, and concurrence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from oracles import eigen_concurrence
 
 from fiberdd.states import (StateFileError, TwoQubitXState, apply_dephasing,
                             bell_state, concurrence, concurrence_x_closed,
@@ -47,6 +50,50 @@ def test_eigen_and_closed_form_agree_on_random_states():
         state = random_x_state(rng)
         assert abs(concurrence(state)
                    - concurrence_x_closed(state)) < 1e-10
+
+
+def test_concurrence_matches_eigensolver_oracle():
+    # criterion 5's bound, against a numerical eigensolver on the 4x4
+    # density matrix; curves dephase 50 of the states at 16 points each
+    rng = np.random.default_rng(1998)
+    states = [random_x_state(rng) for _ in range(1000)]
+    worst = max(abs(concurrence(state) - eigen_concurrence(state))
+                for state in states)
+    for state in states[:50]:
+        gamma = rng.uniform(size=16)
+        curve = dephased_concurrence(state, gamma)
+        worst = max(worst, *(abs(c - eigen_concurrence(apply_dephasing(
+            state, g))) for c, g in zip(curve, gamma)))
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("state", [mixed_third_state(), werner_state(0.5),
+                                   werner_state(0.8)],
+                         ids=["mixed_third", "werner_0.5", "werner_0.8"])
+def test_dephased_concurrence_against_exact_arithmetic(state):
+    # d1 = d4 and d2 = d3, so sqrt(d1 d4) and sqrt(d2 d3) are the float
+    # populations themselves and C(Gamma) = 2 max(0, Gamma|rho14| - d2,
+    # Gamma|rho23| - d1) holds exactly in rational arithmetic
+    d1, d2, d3, d4 = state.diag
+    assert d1 == d4 and d2 == d3
+    assert state.rho14.imag == state.rho23.imag == 0.0
+    c14, c23 = Fraction(abs(state.rho14)), Fraction(abs(state.rho23))
+    threshold = esd_threshold_gamma(state)
+    near = [threshold]
+    for direction in (0.0, 1.0):
+        g = threshold
+        for _ in range(50):
+            g = np.nextafter(g, direction)
+            near.append(g)
+    gamma = np.concatenate((np.random.default_rng(2245).uniform(size=5000),
+                            near))
+    computed = dephased_concurrence(state, gamma)
+    worst = 0.0
+    for g, c in zip(gamma.tolist(), computed.tolist()):
+        exact = 2 * max(Fraction(0), Fraction(g) * c14 - Fraction(d2),
+                        Fraction(g) * c23 - Fraction(d1))
+        worst = max(worst, abs(float(Fraction(c) - exact)))
+    assert worst <= 4e-16
 
 
 def test_concurrence_bounds():
@@ -107,7 +154,7 @@ def test_full_dephasing_limit_kills_entanglement():
 
 
 def test_stacked_concurrence_matches_pointwise():
-    # one stacked eigvals call gives each dephased state's own bits,
+    # one array pass gives each dephased state's own bits,
     # including complete dephasing (gamma = 0) and no dephasing (1)
     rng = np.random.default_rng(606)
     states = [mixed_third_state(), bell_state(), werner_state(0.2),
@@ -123,9 +170,6 @@ def test_stacked_concurrence_matches_pointwise():
             assert stacked[i] == expected
             assert dephased_concurrence(state, gamma[i:i + 1])[0] == expected
         assert concurrence(state) == stacked[1]
-    # a stack of different states: each matrix reduced on its own
-    stacked = concurrence(np.stack([state.matrix() for state in states]))
-    assert stacked.tolist() == [concurrence(state) for state in states]
 
 
 def test_stacked_concurrence_gamma_domain():
@@ -192,6 +236,18 @@ def test_state_file_errors(tmp_path):
             load_state_file(path)
     with pytest.raises(StateFileError, match="cannot read"):
         load_state_file(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("line", ["d1 = nan", "rho23 = nan"])
+def test_state_file_rejects_non_finite_entries(tmp_path, line):
+    # NaN compares false with every bound, so only an explicit
+    # finiteness check catches it
+    path = tmp_path / "nan.cfg"
+    path.write_text(f"d1 = 0.3\nd2 = 0.2\nd3 = 0.25\nd4 = 0.25\n{line}\n")
+    name = "population 1" if line.startswith("d1") else "rho23"
+    with pytest.raises(StateFileError,
+                       match=f"invalid density matrix: {name} is not finite"):
+        load_state_file(path)
 
 
 def test_state_file_reports_every_bad_line(tmp_path):

@@ -13,8 +13,9 @@ flags.  Each line names one output group and the SHA-256 of its bytes:
 
 Everything runs in a fresh temporary directory with relative ``--out``
 paths, so two checkouts of the package print the same digests exactly
-when their outputs agree byte for byte.  Copy the script into another
-checkout to compare it with this one.
+when their outputs agree byte for byte.  ``collect`` gathers the outputs
+of any checkout; ``tools/output_compare.py`` uses it to compare two
+checkouts number by number.
 """
 
 from __future__ import annotations
@@ -43,62 +44,82 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _read(path: str) -> bytes:
+def _read(path: str) -> str:
     try:
-        return Path(path).read_bytes()
+        return Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
-        return b"<no file>"
+        return "<no file>"
 
 
-def _update(digest, *parts) -> None:
-    # Length-prefixed so that no two different part lists hash alike.
-    for part in parts:
-        data = part if isinstance(part, bytes) else str(part).encode()
-        digest.update(len(data).to_bytes(8, "little") + data)
-
-
-def sweep_digest() -> str:
+def sweep_records() -> list:
     import tasks
 
-    digest = hashlib.sha256()
+    records = []
     for seed in SWEEP_SEEDS:
-        for task in tasks.task_list("sweep", seed, SWEEP_ROUNDS):
+        for i, task in enumerate(tasks.task_list("sweep", seed,
+                                                 SWEEP_ROUNDS)):
             with contextlib.suppress(FileNotFoundError):
                 os.remove("sweep.csv")
             code, out, err = _run_cli(tasks.sweep_argv(task, "sweep.csv"))
-            _update(digest, code, out, err, _read("sweep.csv"))
-    return digest.hexdigest()
+            records.append((f"seed {seed} task {i}",
+                            {"exit": code, "stdout": out, "stderr": err,
+                             "csv": _read("sweep.csv")}))
+    return records
 
 
-def figure_digest(preset: str) -> str:
-    digest = hashlib.sha256()
+def figure_records(preset: str) -> list:
     _, out, _ = _run_cli(["figure", preset, "--out", "figures"])
-    _update(digest, _read(os.path.join("figures", f"{preset}.csv")), out)
-    return digest.hexdigest()
+    return [(preset, {"csv": _read(os.path.join("figures", f"{preset}.csv")),
+                      "stdout": out})]
 
 
-def mc_check_digest() -> str:
-    return hashlib.sha256(_run_cli(["mc-check"])[1].encode()).hexdigest()
-
-
-def demo_digest(script: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def demo_records(root: Path, script: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run([sys.executable, str(script)], env=env,
                             capture_output=True, check=False)
-    return hashlib.sha256(result.stdout).hexdigest()
+    return [(script.name, {"stdout": result.stdout.decode("utf-8")})]
+
+
+def collect(root: Path = ROOT):
+    """Yield (group, records) for every output group of the checkout at
+    ``root``, whose ``src`` and ``bench`` must lead ``sys.path``.
+
+    Each record is a (label, parts) pair, ``parts`` mapping a part name
+    (exit, stdout, stderr, csv) to its text or exit code in the order
+    they are hashed.  Runs in a fresh temporary directory.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield "sweep", sweep_records()
+            for preset in FIGURES:
+                yield f"figure {preset}", figure_records(preset)
+            yield "mc-check", [("mc-check",
+                                {"stdout": _run_cli(["mc-check"])[1]})]
+            for script in sorted((root / "demos").glob("*.py")):
+                yield f"demo {script.name}", demo_records(root, script)
+        finally:
+            os.chdir(root)
+
+
+def digest(records: list) -> str:
+    """SHA-256 of a group's one output, or of all its parts in order,
+    each length-prefixed so that no two different part lists hash
+    alike."""
+    parts = [str(part).encode() for _, record in records
+             for part in record.values()]
+    if len(parts) == 1:
+        return hashlib.sha256(parts[0]).hexdigest()
+    h = hashlib.sha256()
+    for data in parts:
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
 
 
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        print(f"sweep {sweep_digest()}", flush=True)
-        for preset in FIGURES:
-            print(f"figure {preset} {figure_digest(preset)}", flush=True)
-        print(f"mc-check {mc_check_digest()}", flush=True)
-        for script in sorted((ROOT / "demos").glob("*.py")):
-            print(f"demo {script.name} {demo_digest(script)}", flush=True)
-        os.chdir(ROOT)
+    for group, records in collect():
+        print(f"{group} {digest(records)}", flush=True)
     return 0
 
 
