@@ -8,11 +8,11 @@ concurrence target at a given length.
 A curve takes its overlaps from one batched pass
 (``overlaps_from_positions``), its coherence factors from one array
 expression and its concurrences from one array pass over the X-form
-spin-flip roots; single-length evaluations (death-length probes, pulse budgets) use the
-one-length cases and get the same bits.  Death lengths are bracketed on
-a curve and refined by inverse quadratic interpolation on the
-coherence factor, seeded with the values the curve already holds, each
-probe classified by the concurrence itself.
+spin-flip roots; single-length evaluations (death-length probes, pulse
+budgets) use the one-length cases and get the same bits.  Death lengths
+are bracketed on a curve and refined by inverse quadratic interpolation
+on the coherence factor, seeded with the values the curve already
+holds, each probe classified by the concurrence itself.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     Lengths must be positive.  All overlaps come from one
     ``overlaps_from_positions`` pass, the coherence factors from one
     array expression and the concurrences from one array pass over the
-    X-form spin-flip roots, each bit for bit what the pointwise route gives; quadrature
-    failures are per-point.  A coherence factor that underflowed to 0
-    leaves no coherence, so the pair is separable there.
+    X-form spin-flip roots, each bit for bit what the pointwise route
+    gives; quadrature failures are per-point.  A coherence factor that
+    underflowed to 0 leaves no coherence, so the pair is separable
+    there.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size == 0:

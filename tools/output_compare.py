@@ -152,7 +152,7 @@ def _compare_csv(report, where, ours, theirs):
 def compare(ours: list, theirs: list) -> tuple[list[str], bool]:
     """Report lines for two ``collect`` results, and whether all agree."""
     lines, same = [], True
-    theirs = dict((group, records) for group, records in theirs)
+    theirs = dict(theirs)
     for group, records in ours:
         report = Report()
         other = theirs.pop(group, None)
