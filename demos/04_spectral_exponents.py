@@ -10,7 +10,7 @@ Run:  python3 demos/04_spectral_exponents.py
 """
 
 from fiberdd import (CpmgDensity, Free, NoiseSpectrum, SpectralProfile,
-                     coherence_at, sweep_positions)
+                     coherence_at)
 
 PROFILE = SpectralProfile(1.0, 0.1)
 LENGTH = 20.0
@@ -37,7 +37,7 @@ def show_exponent_sweep():
     print()
     n = CpmgDensity(DENSITY)
     print(f"  (CPMG density {DENSITY:g} at L = {LENGTH:g} means "
-          f"{sweep_positions(n, LENGTH).size} pulses.)")
+          f"{n.pulse_count(LENGTH)} pulses.)")
 
 
 if __name__ == "__main__":

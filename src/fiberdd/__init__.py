@@ -11,7 +11,7 @@ Carlo cross-check, and a CSV-emitting command line (``fiberdd``).
 
 from .dephasing import (Overlaps, SpectralProfile, coherence_factor,
                         overlap_from_positions, overlap_integral,
-                        overlaps_from_positions)
+                        train_overlaps)
 from .evolution import (BestEstimate, DecoherenceCurve, PulseBudget,
                         coherence_at, concurrence_at, curve_death_length,
                         decoherence_curve, esd_length,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Overlaps", "SpectralProfile", "coherence_factor",
-    "overlap_from_positions", "overlap_integral", "overlaps_from_positions",
+    "overlap_from_positions", "overlap_integral", "train_overlaps",
     "BestEstimate", "DecoherenceCurve", "PulseBudget", "coherence_at",
     "concurrence_at", "curve_death_length", "decoherence_curve",
     "esd_length", "min_pulses_for_target", "refine_esd", "sweep_positions",

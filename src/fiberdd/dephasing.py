@@ -32,12 +32,14 @@ separations).  The error estimate is the low-band Gauss-Kronrod
 estimate plus a rounding bound of 64 machine epsilons times the summed
 magnitudes of the pair terms.
 
-``overlaps_from_positions`` evaluates many lengths at once: one K pass
-over every length's pair arguments and one grouped quadrature whose
-groups are the lengths' low bands, so a curve costs a few numpy passes
-instead of a few per point.  Every sum over one length's terms runs
-over that length's own terms in a fixed order, so its result is bit for
-bit the one-length result (``overlap_from_positions``).
+``train_overlaps`` evaluates many lengths at once from their pulse
+counts: one boundary table per distinct count, one K pass over every
+length's pair arguments and one grouped quadrature whose groups are the
+lengths' low bands, so a curve costs a few numpy passes instead of a
+few per point.  ``overlap_from_positions`` runs the same passes on one
+explicit train.  Every sum over one length's terms runs over that
+length's own terms in a fixed order, so a length's result does not
+depend on the rest of its batch, bit for bit.
 
 Averaging the random phase over the Gaussian noise *and* over the
 photon's optical bandwidth gives the coherence factor
@@ -57,10 +59,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import check_gaps, segment_filter
+from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
 from .quadrature import EDGE_RATIO, QuadratureError, band_set, \
     integrate_panels
+from .sequences import train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
@@ -193,20 +196,12 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _by_pulse_count(positions, lengths):
-    """(rows, boundaries, gaps) for each distinct pulse count: the
-    boundaries (0, l_1, ..., l_N, L) of those lengths and their segment
-    lengths, one row per length."""
-    groups = {}
-    for i, p in enumerate(positions):
-        groups.setdefault(p.size, []).append(i)
-    for n, rows in groups.items():
-        bounds = np.empty((len(rows), n + 2))
-        bounds[:, 0] = 0.0
-        bounds[:, -1] = lengths[rows]
-        for i, r in enumerate(rows):
-            bounds[i, 1:-1] = positions[r]
-        yield np.array(rows), bounds, np.diff(bounds, axis=1)
+def _table(rows, trains, lengths):
+    """(rows, boundaries, gaps) of trains with one row per length: the
+    boundaries (0, l_1, ..., l_N, L) and their segment lengths."""
+    bounds = np.concatenate((np.zeros((rows.size, 1)), trains,
+                             lengths[:, None]), axis=1)
+    return rows, bounds, np.diff(bounds, axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -273,35 +268,47 @@ class Overlaps(NamedTuple):
     panels: np.ndarray
 
 
-def overlaps_from_positions(positions, spectrum: NoiseSpectrum,
-                            lengths) -> Overlaps:
-    """Overlap integrals for many (pulse positions, length) pairs at once.
+def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
+    """Overlap integrals of equally spaced trains at many lengths at once.
 
-    ``positions[i]`` are the pulses of length ``lengths[i]``.  The band
-    splits at w_c = min(uv, max(ir, pi/g_min)) per length (see the module
-    docstring).  Above w_c, one pair-sum pass covers every length, exact
-    up to rounding.  Below it, one grouped quadrature covers every
-    length: each starts from panels no wider than pi/length (half the
+    ``pulses[i]`` is the pulse count at ``lengths[i]`` (0 for free
+    evolution); each distinct count gets one table of ``train`` rows.
+    The band splits at w_c = min(uv, max(ir, pi/g_min)) per length (see
+    the module docstring).  Above w_c one pair-sum pass covers every
+    length, exact up to rounding.  Below it one grouped quadrature does:
+    each length starts from panels no wider than pi/length (half the
     shortest oscillation period of its filter) with a geometric prefix
-    resolving the spectral edge, then refines adaptively until its own
-    value meets ``integrate_panels``' default tolerances.  The noise
-    amplitude is factored out and both parts are computed for unit
-    amplitude, so the refinement path never depends on the amplitude and
-    f stays exactly proportional to it.  Lengths run in blocks of about
-    _BATCH_WORK pair terms and quadrature points, which bounds memory for
-    any number of lengths.  A length's result does not depend on the
-    other lengths of the batch, bit for bit.  Lengths and positions are
-    validated one pulse count at a time by ``filters.check_gaps``, which
-    raises for the first length that fails.
+    resolving the spectral edge, and refines until its own value meets
+    ``integrate_panels``' default tolerances.  Both parts are computed
+    for unit amplitude, so the refinement path never depends on the
+    amplitude and f stays exactly proportional to it.  Lengths run in
+    blocks of about _BATCH_WORK pair terms and quadrature points, which
+    bounds memory.  A length's result does not depend on the other
+    lengths of the batch, bit for bit.  The first length that is not
+    positive and finite, or whose train it rounds together (subnormal
+    lengths), raises the ValueError of ``filters.check_positions``.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim != 1 or len(positions) != lengths.size:
-        raise ValueError("need one pulse-position array per length")
-    positions = [np.asarray(p, dtype=float) for p in positions]
-    if any(p.ndim != 1 for p in positions):
-        raise ValueError("pulse positions must be a 1-D array")
-    tables = list(_by_pulse_count(positions, lengths))
-    check_gaps([(rows, gaps) for rows, _, gaps in tables], lengths)
+    pulses = np.asarray(pulses)
+    if lengths.ndim != 1 or pulses.shape != lengths.shape:
+        raise ValueError("need one pulse count per length")
+    if pulses.size and not (pulses.dtype.kind in "iu" and pulses.min() >= 0):
+        raise ValueError("pulse counts must be nonnegative integers")
+    bad = ~(np.isfinite(lengths) & (lengths > 0.0))
+    tables = []
+    with np.errstate(invalid="ignore"):  # inf - inf gaps of infinite lengths
+        for n in np.unique(pulses):
+            rows = np.flatnonzero(pulses == n)
+            tables.append(_table(rows, train(n, lengths[rows]), lengths[rows]))
+            bad[rows] |= ~(tables[-1][2] > 0.0).all(axis=1)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        check_positions(train(pulses[i], lengths[i]), lengths[i])
+    return _overlaps(tables, spectrum, lengths)
+
+
+def _overlaps(tables, spectrum: NoiseSpectrum, lengths) -> Overlaps:
+    """Overlaps of the (rows, boundaries, gaps) tables of checked trains."""
     count = lengths.size
     result = Overlaps(np.zeros(count), np.zeros(count),
                       np.ones(count, dtype=bool), np.zeros(count, np.intp))
@@ -376,14 +383,19 @@ def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum,
 
 def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
                            *, with_error: bool = False):
-    """Overlap integral for explicit pulse positions: the one-length case
-    of ``overlaps_from_positions``, which it returns bit for bit.
+    """Overlap integral for explicit pulse positions, checked by
+    ``filters.check_positions``: the core of ``train_overlaps`` run on a
+    one-row table, so an equally spaced train gets the bits its
+    ``train_overlaps`` row gets.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
     Raises QuadratureError (best estimate of the whole band attached)
     when the low-band quadrature does not converge.
     """
-    res = overlaps_from_positions([positions], spectrum, [length])
+    positions = check_positions(positions, length)
+    lengths = np.array([length], dtype=float)
+    res = _overlaps([_table(np.zeros(1, np.intp), positions[None], lengths)],
+                    spectrum, lengths)
     value, error = float(res.value[0]), float(res.error[0])
     if not res.converged[0]:
         raise QuadratureError(

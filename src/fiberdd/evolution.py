@@ -5,14 +5,15 @@ curves C(L) for a sequence, the sudden-death length where entanglement
 hits exactly zero at finite L, and the minimum pulse budget reaching a
 concurrence target at a given length.
 
-A curve takes its overlaps from one batched pass
-(``overlaps_from_positions``), its coherence factors from one array
+A curve takes its overlaps from one batched pass over its lengths'
+pulse counts (``train_overlaps``), its coherence factors from one array
 expression and its concurrences from one array pass over the X-form
 spin-flip roots; single-length evaluations (death-length probes, pulse
-budgets) use the one-length cases and get the same bits.  Death lengths
-are bracketed on a curve and refined by inverse quadratic interpolation
-on the coherence factor, seeded with the values the curve already
-holds, each probe classified by the concurrence itself.
+budgets) run one explicit train (``overlap_from_positions``) and get
+the same bits.  Death lengths are bracketed on a curve and refined by
+inverse quadratic interpolation on the coherence factor, seeded with
+the values the curve already holds, each probe classified by the
+concurrence itself.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dephasing import SpectralProfile, coherence_factor, \
-    overlap_from_positions, overlaps_from_positions
+    overlap_from_positions, train_overlaps
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
-from .sequences import CpmgCount, Free, SequenceDegenerateError
+from .sequences import CpmgCount, Free, train
 from .states import TwoQubitXState, concurrence, dephased_concurrence, \
     esd_threshold_gamma
 
@@ -62,10 +63,7 @@ class DecoherenceCurve:
 def sweep_positions(seq, length: float) -> np.ndarray:
     """Pulse positions for sweep use: a fixed-density train too short to
     realize its first pulse degrades gracefully to free evolution."""
-    try:
-        return seq.positions(length)
-    except SequenceDegenerateError:
-        return np.empty(0)
+    return train(seq.pulse_count(length), length)
 
 
 def coherence_at(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -94,7 +92,7 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     """Evaluate overlap, coherence factor, and concurrence over lengths.
 
     Lengths must be positive.  All overlaps come from one
-    ``overlaps_from_positions`` pass, the coherence factors from one
+    ``train_overlaps`` pass, the coherence factors from one
     array expression and the concurrences from one array pass over the
     X-form spin-flip roots, each bit for bit what the pointwise route
     gives; quadrature failures are per-point.  A coherence factor that
@@ -107,9 +105,8 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
         raise ValueError("lengths must be positive and finite")
 
-    overlaps = overlaps_from_positions(
-        [sweep_positions(seq, length) for length in lengths], spectrum,
-        lengths)
+    overlaps = train_overlaps([seq.pulse_count(length) for length in lengths],
+                              spectrum, lengths)
     gamma = coherence_factor(overlaps.value, profile)
     conc = dephased_concurrence(state, gamma)
     return DecoherenceCurve(lengths, overlaps.value, gamma, conc,
@@ -162,14 +159,13 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     i = int(dead[0])
     lengths = curve.lengths
     lo = lengths[i - 1] if i > 0 else lengths[0] * 1e-9
-    count = sweep_positions(seq, lo).size
-    if sweep_positions(seq, lengths[i]).size != count:
+    count = seq.pulse_count(lo)
+    if seq.pulse_count(lengths[i]) != count:
         count = None  # Gamma may jump inside the bracket: ends only
     known = [(lengths[j], curve.gamma[j] if curve.converged[j]
               else BestEstimate(curve.gamma[j]))
              for j in range(max(i - 2, 0), min(i + 2, lengths.size))
-             if j in (i - 1, i)
-             or sweep_positions(seq, lengths[j]).size == count]
+             if j in (i - 1, i) or seq.pulse_count(lengths[j]) == count]
     return refine_esd(seq, spectrum, profile, state, lo, lengths[i],
                       tol=tol, known=known)
 

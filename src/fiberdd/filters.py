@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequences import CpmgCount
+from .sequences import train
 
 # Workspace bound for the segment-by-omega products.
 _CHUNK_ELEMS = 16_384
@@ -28,40 +28,21 @@ def _as_freq_array(omega):
     return w, w.ndim == 0
 
 
-def check_gaps(tables, lengths) -> None:
-    """Raise ValueError for the first train that breaks a position rule.
-
-    ``tables`` holds (rows, gaps) pairs: ``gaps[i]`` are the segment
-    lengths (l_1, l_2 - l_1, ..., L - l_N) of train ``rows[i]``, whose
-    length L is ``lengths[rows[i]]``.  A train fails when its length is
-    not positive and finite, else when an inner gap is not positive
-    (positions not strictly increasing), else when an outer gap is not
-    positive (a position outside (0, L)).  Gaps are tested as
-    ``~(gap > 0)``, so a NaN position fails too.
-    """
-    fails = np.zeros(lengths.size, np.intp)  # 1 length, 2 order, 3 outside
-    for rows, gaps in tables:
-        empty = ~(gaps > 0.0)
-        fails[rows] = np.where(empty[:, 1:-1].any(axis=1), 2,
-                               np.where(empty[:, 0] | empty[:, -1], 3, 0))
-    fails[~(np.isfinite(lengths) & (lengths > 0.0))] = 1
-    if fails.any():
-        first = np.flatnonzero(fails)[0]
-        raise ValueError(
-            (f"length must be positive and finite, got {lengths[first]}",
-             "pulse positions must be strictly increasing",
-             "pulse positions must lie strictly inside (0, length)")
-            [fails[first] - 1])
-
-
 def check_positions(positions, length: float) -> np.ndarray:
-    """Pulse positions as a float array; raises ValueError unless they are
-    strictly increasing inside (0, length) with a positive finite length
-    (the one-train case of ``check_gaps``)."""
+    """Pulse positions as a float array; raises ValueError unless the
+    length is positive and finite, else unless the positions are
+    strictly increasing, else unless they lie strictly inside (0, length).
+    Gaps are tested as ``~(gap > 0)``, so a NaN position fails too."""
     positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 1:
+        raise ValueError("pulse positions must be a 1-D array")
+    if not (np.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be positive and finite, got {length}")
     gaps = np.diff(np.concatenate(([0.0], positions, [length])))
-    check_gaps([(np.zeros(1, np.intp), gaps[None])],
-               np.array([length], dtype=float))
+    if not (gaps[1:-1] > 0.0).all():
+        raise ValueError("pulse positions must be strictly increasing")
+    if not (gaps[0] > 0.0 and gaps[-1] > 0.0):
+        raise ValueError("pulse positions must lie strictly inside (0, length)")
     return positions
 
 
@@ -142,16 +123,17 @@ def filter_spin_echo(length: float, omega):
     return float(out) if scalar else out
 
 
-def _cpmg_form(quarter, half, envelope, w, length, train):
+def _cpmg_form(quarter, half, envelope, w, length, n_pulses):
     """8 sin^4(quarter) envelope^2 / cos^2(half), the closed form shared
     by the CPMG filters; points with |cos(half)| < 1e-4 take the generic
-    value of the pulse train ``train()`` at frequencies ``w`` instead."""
+    value of the ``n_pulses`` train at frequencies ``w`` instead."""
     cos_sub = np.cos(half)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 8.0 * np.sin(quarter) ** 4 * envelope ** 2 / cos_sub ** 2
     near = np.abs(cos_sub) < 1e-4
     if near.any():
-        out[near] = filter_generic(train(), length, w[near])
+        out[near] = filter_generic(train(n_pulses, length), length,
+                                   w[near])
     return out
 
 
@@ -171,7 +153,7 @@ def filter_cpmg_closed(n_pulses: int, length: float, omega):
     x = w1 * length
     envelope = np.cos(0.5 * x) if n_pulses % 2 else np.sin(0.5 * x)
     out = _cpmg_form(x / (4.0 * n_pulses), x / (2.0 * n_pulses), envelope,
-                     w1, length, lambda: CpmgCount(n_pulses).positions(length))
+                     w1, length, n_pulses)
     return float(out[0]) if scalar else out.reshape(w.shape)
 
 
@@ -191,6 +173,5 @@ def filter_fixed_density(density: float, length: float, omega):
 
     out = _cpmg_form(w1 / (4.0 * density), w1 / (2.0 * density),
                      np.sin(0.5 * w1 * length), w1, length,
-                     lambda: CpmgCount(max(1, int(round(density * length))))
-                     .positions(length))
+                     max(1, int(round(density * length))))
     return float(out[0]) if scalar else out.reshape(w.shape)

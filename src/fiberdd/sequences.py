@@ -1,11 +1,13 @@
 """Pulse placement policies along the fiber.
 
-A sequence here is a rule mapping a propagation length L to the ordered
-positions of polarization-flip (half-wave) elements inside (0, L).  Four
+A sequence here is a rule mapping a propagation length L to the number
+N of polarization-flip (half-wave) elements inside (0, L).  Four
 policies are provided: free evolution, a single mid-point echo, and
 equally spaced trains specified either by pulse count or by linear pulse
-density.  Positions follow the equal-spacing rule l_k = (k - 1/2) L / N,
-which never places an element at the fiber end itself.
+density.  Every policy places its N pulses by the one equal-spacing rule
+of ``train``, l_k = (k - 1/2) L / N, which never places an element at
+the fiber end itself, so ``pulse_count(length)`` describes a sequence
+completely and its positions follow from it.
 """
 
 from __future__ import annotations
@@ -24,15 +26,23 @@ def _check_length(length: float) -> None:
         raise ValueError(f"length must be positive and finite, got {length}")
 
 
-def _equal_spaced(n_pulses: int, length: float) -> np.ndarray:
-    return (np.arange(1, n_pulses + 1) - 0.5) * (length / n_pulses)
+def train(n_pulses: int, length) -> np.ndarray:
+    """Positions (k - 1/2) * length / n_pulses, k = 1..n_pulses, of an
+    equally spaced train; an array of lengths gives one row per length."""
+    length = np.asarray(length, dtype=float)
+    if n_pulses == 0:
+        return np.empty(length.shape + (0,))
+    return (np.arange(1, n_pulses + 1) - 0.5) * (length[..., None] / n_pulses)
 
 
 class PulseSequence:
-    """Base policy: subclasses define positions(length)."""
+    """Base policy: subclasses define pulse_count(length)."""
+
+    def pulse_count(self, length: float) -> int:
+        raise NotImplementedError
 
     def positions(self, length: float) -> np.ndarray:
-        raise NotImplementedError
+        return train(self.pulse_count(length), length)
 
     def sign_at(self, position: float, length: float) -> float:
         """Toggling-frame sign at a point: (-1)**(pulses strictly before it)."""
@@ -47,18 +57,18 @@ class PulseSequence:
 class Free(PulseSequence):
     """No pulses: bare dephasing accumulation."""
 
-    def positions(self, length: float) -> np.ndarray:
+    def pulse_count(self, length: float) -> int:
         _check_length(length)
-        return np.empty(0)
+        return 0
 
 
 @dataclass(frozen=True)
 class SpinEcho(PulseSequence):
     """Single flip at the fiber midpoint."""
 
-    def positions(self, length: float) -> np.ndarray:
+    def pulse_count(self, length: float) -> int:
         _check_length(length)
-        return np.array([0.5 * length])
+        return 1
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,9 @@ class CpmgCount(PulseSequence):
             raise ValueError(
                 f"n_pulses must be a positive integer, got {self.n_pulses!r}")
 
-    def positions(self, length: float) -> np.ndarray:
+    def pulse_count(self, length: float) -> int:
         _check_length(length)
-        return _equal_spaced(self.n_pulses, length)
+        return self.n_pulses
 
 
 @dataclass(frozen=True)
@@ -104,4 +114,4 @@ class CpmgDensity(PulseSequence):
             raise SequenceDegenerateError(
                 f"density {self.density} gives zero pulses at length {length}; "
                 "use Free() for the unpulsed regime")
-        return _equal_spaced(n, length)
+        return train(n, length)

@@ -7,13 +7,13 @@ import fiberdd.dephasing as dephasing
 import fiberdd.filters as filters
 from fiberdd.dephasing import (SpectralProfile, _tail, coherence_factor,
                                overlap_from_positions, overlap_integral,
-                               overlaps_from_positions)
+                               train_overlaps)
 from fiberdd.evolution import sweep_positions
 from fiberdd.filters import filter_generic
 from fiberdd.noise import NoiseSpectrum
 from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
-from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
+from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho, train
 from fiberdd.filters import check_positions
 from oracles import first_error, full_band_overlap, pair_sum_band
 
@@ -244,11 +244,15 @@ def test_profile_rejects_overflowing_squares():
     assert coherence_factor(2.0, SpectralProfile(1e154, 1e154)) == 0.0
 
 
+def _counts(seq, lengths):
+    return [seq.pulse_count(L) for L in lengths]
+
+
 def _batch_vs_lone(seq, spec, lengths):
-    positions = [sweep_positions(seq, L) for L in lengths]
-    batch = overlaps_from_positions(positions, spec, lengths)
-    for i, (pos, L) in enumerate(zip(positions, lengths)):
-        f, err = overlap_from_positions(pos, spec, L, with_error=True)
+    batch = train_overlaps(_counts(seq, lengths), spec, lengths)
+    for i, L in enumerate(lengths):
+        f, err = overlap_from_positions(sweep_positions(seq, L), spec, L,
+                                        with_error=True)
         assert batch.value[i] == f
         assert batch.error[i] == err
     assert batch.converged.all()
@@ -273,14 +277,11 @@ def test_batch_matches_each_length_alone(seq, alpha, band):
     lengths = np.concatenate(([0.05, 1.0], np.linspace(1.5, 30.0, 9)))
     batch = _batch_vs_lone(seq, spec, lengths)
     # the same lengths in reverse order and in pairs give the same bits
-    again = overlaps_from_positions(
-        [sweep_positions(seq, L) for L in lengths[::-1]], spec,
-        lengths[::-1])
+    again = train_overlaps(_counts(seq, lengths[::-1]), spec, lengths[::-1])
     assert np.array_equal(again.value[::-1], batch.value)
     for i in range(0, lengths.size - 1, 2):
-        pair = overlaps_from_positions(
-            [sweep_positions(seq, L) for L in lengths[i:i + 2]], spec,
-            lengths[i:i + 2])
+        pair = train_overlaps(_counts(seq, lengths[i:i + 2]), spec,
+                              lengths[i:i + 2])
         assert np.array_equal(pair.value, batch.value[i:i + 2])
 
 
@@ -289,7 +290,6 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
     # alone runs out of panels; every other length converges untouched
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     lengths = np.array([0.5, 2.0, 150.0, 4.0])
-    positions = [np.empty(0)] * lengths.size
     grouped = dephasing.integrate_panels
     w_c = np.pi / 150.0
 
@@ -298,15 +298,14 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
         return grouped(fn, bands, **{**kwargs, "max_panels": 4})
 
     monkeypatch.setattr(dephasing, "integrate_panels", starved)
-    batch = overlaps_from_positions(positions, spec, lengths)
+    batch = train_overlaps(np.zeros(lengths.size, int), spec, lengths)
     with pytest.raises(QuadratureError) as info:
-        overlap_from_positions(positions[2], spec, lengths[2])
+        overlap_from_positions([], spec, lengths[2])
     monkeypatch.undo()
 
     assert list(batch.converged) == [True, True, False, True]
     for i in (0, 1, 3):
-        assert batch.value[i] == overlap_from_positions(positions[i], spec,
-                                                        lengths[i])
+        assert batch.value[i] == overlap_from_positions([], spec, lengths[i])
     assert batch.value[2] == info.value.best_estimate
     assert batch.error[2] == info.value.error_estimate
     assert batch.panels[2] == info.value.panels >= 4
@@ -316,13 +315,13 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
 def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
     spec = NoiseSpectrum(0.008, 1.3, 1e-3, 1e3)
     lengths = np.linspace(0.5, 30.0, 12)
-    positions = [sweep_positions(CpmgDensity(0.3), L) for L in lengths]
-    wide = overlaps_from_positions(positions, spec, lengths)
+    counts = _counts(CpmgDensity(0.3), lengths)
+    wide = train_overlaps(counts, spec, lengths)
     monkeypatch.setattr(filters, "_CHUNK_ELEMS", 1)
     monkeypatch.setattr(dephasing, "_TAIL_CHUNK", 3)
     for batch_work in (1, 2000):  # one length per block, then a few
         monkeypatch.setattr(dephasing, "_BATCH_WORK", batch_work)
-        narrow = overlaps_from_positions(positions, spec, lengths)
+        narrow = train_overlaps(counts, spec, lengths)
         for got, want in zip(narrow, wide):
             assert np.array_equal(got, want)
 
@@ -343,13 +342,12 @@ def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
     # among 2145 pairs), yet f stays bit for bit the per-pair sum
     uv = 1e3
     lengths = length * np.linspace(0.5, 1.0, 23)
-    positions = [CpmgCount(pulses).positions(L) if pulses else np.empty(0)
-                 for L in lengths]
-    tables = list(dephasing._by_pulse_count(positions, lengths))
+    tables = [dephasing._table(np.arange(lengths.size),
+                               train(pulses, lengths), lengths)]
     w_c = np.linspace(2.0, 4.0, lengths.size)
     high, rounding = dephasing._pair_sums(tables, w_c, uv, alpha)
-    for i, (pos, L) in enumerate(zip(positions, lengths)):
-        bounds = np.concatenate(([0.0], pos, [L]))
+    for i, L in enumerate(lengths):
+        bounds = np.concatenate(([0.0], train(pulses, L), [L]))
         assert (high[i], rounding[i]) == pair_sum_band(bounds, alpha,
                                                        w_c[i], uv)
 
@@ -376,28 +374,39 @@ def test_nan_positions_are_rejected():
         filter_generic([np.nan], 1.0, np.linspace(0.1, 5.0, 7))
     with pytest.raises(ValueError, match="strictly increasing"):
         check_positions([0.5, np.nan, 1.5], 2.0)
-    lengths = [1.0, 2.0, 3.0]
-    with pytest.raises(ValueError, match=inside):
-        overlaps_from_positions([[0.5], [np.nan], []], spec, lengths)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        overlaps_from_positions([[0.5], [np.nan, 1.0], []], spec, lengths)
 
 
 @pytest.mark.parametrize("first", sorted(BAD_PULSES))
 def test_batch_position_check_raises_what_check_positions_raises(first):
+    # batches are built from pulse counts; explicit positions run one
+    # train at a time and get the check_positions verdict, before a zero
+    # amplitude returns early
+    positions, length = BAD_PULSES[first]
+    expected = first_error(check_positions, [BAD_PULSES[first]])
+    for amplitude in (0.008, 0.0):
+        spectrum = NoiseSpectrum(amplitude, 1.0, 1e-3, 1e3)
+        with pytest.raises(ValueError) as info:
+            overlap_from_positions(positions, spectrum, length)
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("lengths,message", [
+    ([1.0, 0.0], "length must be positive and finite, got 0.0"),
+    ([np.inf, 1.0], "length must be positive and finite, got inf"),
+    ([5e-323, 1e-322], "pulse positions must be strictly increasing"),
+    ([1.0, 5e-324], "pulse positions must lie strictly inside")])
+def test_count_built_trains_that_collapse_raise(lengths, message):
+    # subnormal lengths round a train's positions together or onto an
+    # end; the batch raises what check_positions says about that train
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
-    quiet = NoiseSpectrum(0.0, 1.0, 1e-3, 1e3)
-    for at in range(4):
-        for second in [None, *sorted(BAD_PULSES)]:
-            cases = [([], 1.0), ([0.5, 1.5], 2.0), ([1.0], 4.0)]
-            cases.insert(at, BAD_PULSES[first])
-            if second is not None:
-                cases.append(BAD_PULSES[second])
-            positions = [p for p, _ in cases]
-            lengths = [length for _, length in cases]
-            expected = first_error(check_positions, cases)
-            # checked before a zero amplitude returns early
-            for spectrum in (spec, quiet):
-                with pytest.raises(ValueError) as info:
-                    overlaps_from_positions(positions, spectrum, lengths)
-                assert str(info.value) == expected
+    pulses = [20, 1] if lengths[1] == 5e-324 else [20, 20]
+    with pytest.raises(ValueError, match=message):
+        train_overlaps(pulses, spec, lengths)
+
+
+@pytest.mark.parametrize("pulses", [[2, -1], [2.0, 1.0], [2, 1.5],
+                                    [True, False], [2], [[2, 1]]])
+def test_train_overlaps_rejects_bad_counts(pulses):
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    with pytest.raises(ValueError, match="pulse count"):
+        train_overlaps(pulses, spec, [1.0, 2.0])

@@ -1,12 +1,17 @@
 """Sweeps: decoherence curves, sudden-death length, pulse budgets."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 import fiberdd.evolution as evolution
+from fiberdd.cli import main
 from fiberdd.dephasing import SpectralProfile, coherence_factor, \
     overlap_integral
-from fiberdd.evolution import (BestEstimate, concurrence_at,
+from fiberdd.evolution import (DEATH_LENGTH_RTOL, BestEstimate,
+                               concurrence_at,
                                curve_death_length, decoherence_curve,
                                esd_length, min_pulses_for_target, refine_esd,
                                sweep_positions)
@@ -339,3 +344,46 @@ def test_unconverged_curve_point_marks_the_death_length():
     assert curve.concurrence[3] == 0.0 and curve.concurrence[2] > 0.0
     marked = curve_death_length(Free(), SPEC, PROF, STATE, curve, tol=1e-6)
     assert isinstance(marked, BestEstimate) and marked == clean
+
+
+# Solves Gamma(f*) = 1/2, the paper state's threshold, at w0 = 1, s = 0.1.
+F_STAR = 0.6944765127387944
+
+
+@pytest.mark.parametrize("pulses", [1, 4, 16])
+@pytest.mark.parametrize("alpha", [0.6, 1.4])
+def test_wide_band_death_length_matches_closed_form(tmp_path, capsys,
+                                                    pulses, alpha):
+    # On a band wide enough to stand for (0, inf), f(L) = (A/pi) L^mu
+    # c(N) with mu = 1 + alpha: every boundary pair of the train adds
+    # -u_j u_k d_jk^mu times the continued tail integral
+    # K(0) = -Gamma(-mu) cos(pi mu / 2), the d_jk in units of L.  No
+    # quadrature is involved in this reference.
+    mu = 1.0 + alpha
+    bounds = np.concatenate(([0.0], (np.arange(1, pulses + 1) - 0.5)
+                             / pulses, [1.0]))
+    weights = np.array([-1.0] + [2.0 * (-1) ** k for k in range(pulses)]
+                       + [(-1.0) ** pulses])
+    j, k = np.triu_indices(bounds.size, 1)
+    pair_sum = float(np.sum(-weights[j] * weights[k]
+                            * (bounds[k] - bounds[j]) ** mu))
+    c = -math.gamma(-mu) * math.cos(math.pi * mu / 2.0) * pair_sum
+    expected = (math.pi * F_STAR / (0.008 * c)) ** (1.0 / mu)
+
+    length_max = 2.0 * expected
+    code = main(["simulate", "--sequence", "cpmg", "--pulses", str(pulses),
+                 "--alpha", str(alpha), "--ir-cutoff", "1e-9",
+                 "--uv-cutoff", "1e9", "--length-max", repr(length_max),
+                 "--out", str(tmp_path / "curve.csv")])
+    assert code == 0
+    found = float(re.search(r"esd_length = (\S+);",
+                            capsys.readouterr().out).group(1))
+    assert abs(found - expected) <= (DEATH_LENGTH_RTOL * length_max
+                                     + 1e-8 * expected)
+
+
+def test_curve_of_a_collapsing_train_raises():
+    # at subnormal lengths the 20 positions round together
+    with pytest.raises(ValueError,
+                       match="pulse positions must be strictly increasing"):
+        decoherence_curve(CpmgCount(20), SPEC, PROF, STATE, [5e-323, 1e-322])

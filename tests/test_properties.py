@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberdd.dephasing import overlap_from_positions
+from fiberdd.dephasing import overlap_from_positions, train_overlaps
 from fiberdd.noise import NoiseSpectrum
+from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
 from oracles import full_band_overlap
 
 # Fixed example sequence per test: reruns are reproducible and no
@@ -82,3 +83,24 @@ def test_overlap_matches_full_band_oracle(config):
     assert overlap_from_positions(positions, spectrum, length) == \
         pytest.approx(full_band_overlap(positions, spectrum, length),
                       rel=1e-10, abs=0.0)
+
+
+# CpmgDensity(0.3) is scaled as a train: its count at L is kept at cL.
+@pytest.mark.parametrize("seq", [Free(), SpinEcho(), CpmgCount(3),
+                                 CpmgCount(16), CpmgDensity(0.3)])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.37, 2.0])
+def test_train_overlap_scales_with_length_and_band(seq, alpha):
+    # an equally spaced train's filter depends on w*L alone, so
+    # f(cL; ir/c, uv/c) = c^(1+alpha) f(L; ir, uv); c = 2^k keeps every
+    # length, cut-off and position exactly scaled
+    lengths = np.array([0.7, 7.3, 29.0])
+    counts = [seq.pulse_count(L) for L in lengths]
+    base = train_overlaps(counts, NoiseSpectrum(0.008, alpha, 1e-3, 1e3),
+                          lengths).value
+    for k in (-3, -1, 1, 2, 4):
+        c = 2.0 ** k
+        scaled = train_overlaps(
+            counts, NoiseSpectrum(0.008, alpha, 1e-3 / c, 1e3 / c),
+            c * lengths).value
+        np.testing.assert_allclose(scaled, c ** (1.0 + alpha) * base,
+                                   rtol=1e-13, atol=0.0)

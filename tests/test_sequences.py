@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fiberdd.sequences import (CpmgCount, CpmgDensity, Free,
-                               SequenceDegenerateError, SpinEcho)
+                               SequenceDegenerateError, SpinEcho, train)
 
 
 def test_free_and_se_positions():
@@ -79,3 +79,24 @@ def test_parameter_validation():
         CpmgDensity(-0.5)
     with pytest.raises(ValueError):
         SpinEcho().positions(-1.0)
+
+
+@pytest.mark.parametrize("seq,count", [(Free(), 0), (SpinEcho(), 1),
+                                       (CpmgCount(5), 5),
+                                       (CpmgDensity(0.6), 4)])
+def test_positions_follow_from_the_pulse_count(seq, count):
+    assert seq.pulse_count(7.3) == count
+    assert np.array_equal(seq.positions(7.3), train(count, 7.3))
+    with pytest.raises(ValueError, match="length"):
+        seq.pulse_count(0.0)
+
+
+def test_train_gives_one_row_per_length():
+    lengths = np.array([0.3, 7.3, 29.0])
+    rows = train(5, lengths)
+    assert rows.shape == (3, 5)
+    for row, length in zip(rows, lengths):
+        assert np.array_equal(row, train(5, length))
+        assert np.array_equal(row, (np.arange(1, 6) - 0.5) * (length / 5))
+    assert train(0, lengths).shape == (3, 0)
+    assert train(0, 2.0).shape == (0,)
