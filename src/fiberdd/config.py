@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import SpectralProfile
+from .dephasing import X_MIN, SpectralProfile
 from .noise import NoiseSpectrum
 from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho
 from .states import TwoQubitXState, read_key_values, resolve_state
@@ -23,6 +23,7 @@ from .states import TwoQubitXState, read_key_values, resolve_state
 # hits sudden death near L = 10 with the default 1/f band below:
 # comfortably before the L = 50 window of the pulse-budget scan.
 DEFAULT_NOISE_AMP = 0.008
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class ConfigError(ValueError):
@@ -129,6 +130,21 @@ def build_runtime(config: SimulationConfig):
 
     if not (np.isfinite(config.length_max) and config.length_max > 0.0):
         problems.append(f"length_max: must be positive, got {config.length_max}")
+    elif config.grid_points >= 2:
+        # the shortest grid length: below the smallest normal float its
+        # pulse positions round together, and below X_MIN / ir_cutoff the
+        # overlap's low-band integrand overflows
+        shortest = config.length_max / config.grid_points
+        if not shortest >= _SMALLEST_NORMAL:
+            problems.append(
+                f"length_max: length_max / grid_points = {shortest} is "
+                f"below the smallest normal float {_SMALLEST_NORMAL}")
+        elif spectrum is not None and not (
+                spectrum.ir_cutoff * shortest >= X_MIN):
+            problems.append(
+                f"length_max: ir_cutoff * length_max / grid_points = "
+                f"{spectrum.ir_cutoff * shortest} is below {X_MIN}, where "
+                f"the overlap integrand overflows")
     if config.grid_points < 2:
         problems.append(f"grid_points: must be >= 2, got {config.grid_points}")
     if config.trials < 2:

@@ -19,27 +19,67 @@ split at w_c = min(uv, max(ir, pi / g_min)), g_min the shortest segment:
 - below w_c the pair terms cancel each other (F is far smaller than the
   terms it sums, and K diverges at small x for alpha > 1), so [ir, w_c]
   runs the adaptive Gauss-Kronrod quadrature on the segment-factored
-  ``segment_filter``, with panels no wider than pi/L;
+  ``segment_filter``;
 - above w_c every pair argument w d_jk is at least pi, where the
   non-oscillating parts of all pair terms add with one sign, so
   [w_c, uv] is the closed form
   -sum_{j<k} u_j u_k d_jk^(1+alpha) [K(w_c d_jk) - K(uv d_jk)].
 
-The cost is about L*w_c/pi low-band panels plus (N+2)(N+1)/2 pair terms,
-independent of uv; the pair terms need K only at their distinct
-arguments (an equally spaced train of N pulses has about 2N distinct
-separations).  The error estimate is the low-band Gauss-Kronrod
-estimate plus a rounding bound of 64 machine epsilons times the summed
+Every train here is equally spaced, with boundaries L*bh for fixed
+bh = b/L, so its filter depends on x = w L alone: F(w) = Fh(w L), the
+filter of the unit-length train (Cywinski et al., PRB 77, 174509
+(2008)).  In x,
+
+    f(L) = (A/pi) L^(1+alpha) [int_{ir L}^{x_c} x^-(2+alpha) Fh(x) dx
+                               + P(x_c) - P(uv L)],
+    P(x) = -sum_{j<k} u_j u_k dh_jk^(1+alpha) K(x dh_jk),
+
+with dh = d/L, x_c = w_c L = min(uv L, max(ir L, X)) and X = pi/gh_min
+(pi for free evolution, 2 pi N for CPMG).  Neither the x integrand nor
+P(X) depends on L, so each (pulse count, exponent) keeps one low band
+in a bounded cache: a grid anchored at X, with uniform panels no wider
+than pi (half the shortest period of Fh) down to min(X, 4 pi) and
+geometric ones by EDGE_RATIO below, extended downward when a call asks;
+each panel's Gauss-Kronrod value and error with their running sums
+from the top; and P(X).  One length then costs a searchsorted for
+ir L, one partial panel [ir L, next grid point] and P(uv L).  Where
+uv L <= X there are no pair terms and the length integrates [ir L, uv L]
+on the grid points inside it, to integrate_panels' own 1e-8 abs +
+1e-8 rel in w; where ir L >= X there is no low band and the pair terms
+are P(ir L) - P(uv L).  An explicit train that is not ``train(N, L)``
+builds an uncached low band from its own boundaries by the same code.
+
+The depth rule certifies every length's low band.  Grid panel j,
+counted from the top from 0, is kept when its error is at most
+1e-8 (S_j + v_j) / ((j+1)(j+2)), with v_j its first-pass value and S_j
+the first-pass values of the panels above it, summed; a panel that
+misses this is refined through ``integrate_panels`` to the same bound.
+A length with k whole panels above ir L gives its partial panel the
+rest, 1e-8 (S + v) / (k + 1) with S the sum of those k panels.  The
+shares add up to 1 and the integrand is nonnegative, so S_j + v_j is a
+lower bound on the low band of every length that uses panel j, and
+each length meets 1e-8 relative in x, hence after the L^(1+alpha)
+scale the 1e-8 abs + 1e-8 rel that the low band met in w before.  A
+rule relative to each panel's own value would not do: rounding noise
+in ``segment_filter`` at x near 1e-8 keeps deep panels above any
+tolerance of that kind.  A panel that misses the rule even after
+refinement is never kept; every call that needs it evaluates it again
+and flags its lengths unconverged.
+
+Cost: each (N, alpha) pays about 2N + log(X / (ir L_min)) /
+log(EDGE_RATIO) panels once, shared by the lengths of a curve and by
+its death-length probes, and each length adds one partial panel and its
+(N+2)(N+1)/2 pair terms, with K evaluated only at the ~2N distinct
+separations.  The error estimate is the low-band Gauss-Kronrod estimate
+plus a rounding bound of 64 machine epsilons times the summed
 magnitudes of the pair terms.
 
 ``train_overlaps`` evaluates many lengths at once from their pulse
-counts: one boundary table per distinct count, one K pass over every
-length's pair arguments and one grouped quadrature whose groups are the
-lengths' low bands, so a curve costs a few numpy passes instead of a
-few per point.  ``overlap_from_positions`` runs the same passes on one
-explicit train.  Every sum over one length's terms runs over that
-length's own terms in a fixed order, so a length's result does not
-depend on the rest of its batch, bit for bit.
+counts and ``overlap_from_positions`` one explicit train, by the same
+code.  Every sum over one length's terms runs in a fixed order, and the
+panel sums run from the top in one order however deep the cache has
+grown, so a length's result depends neither on the rest of its batch
+nor on what the cache held before, bit for bit.
 
 Averaging the random phase over the Gaussian noise *and* over the
 photon's optical bandwidth gives the coherence factor
@@ -53,6 +93,7 @@ traveling-photon coherences of the two-qubit state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple
@@ -61,7 +102,7 @@ import numpy as np
 
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import EDGE_RATIO, QuadratureError, band_set, \
+from .quadrature import EDGE_RATIO, Bands, QuadratureError, gauss_kronrod, \
     integrate_panels
 from .sequences import train
 
@@ -73,8 +114,13 @@ _TAIL_SERIES_TERMS = 24
 _LAGUERRE_NODES = 60
 # Arguments per K evaluation pass, bounding its (arguments x nodes) arrays.
 _TAIL_CHUNK = 2048
-# Pair terms plus initial Kronrod points per batch block of lengths.
-_BATCH_WORK = 65_536
+# Pair terms per pass of the pair sums, bounding their (x, pair) arrays.
+_PAIR_WORK = 65_536
+# Relative tolerance of every length's low band (see the depth rule).
+_LOW_TOL = 1e-8
+# Smallest low-band limit x = ir L: x^-4, the steepest spectral power,
+# is finite from here up.
+X_MIN = float(np.finfo(float).max) ** -0.25
 # Rounding bound on the pair sum, relative to its summed term magnitudes.
 _PAIR_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
@@ -196,14 +242,6 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _table(rows, trains, lengths):
-    """(rows, boundaries, gaps) of trains with one row per length: the
-    boundaries (0, l_1, ..., l_N, L) and their segment lengths."""
-    bounds = np.concatenate((np.zeros((rows.size, 1)), trains,
-                             lengths[:, None]), axis=1)
-    return rows, bounds, np.diff(bounds, axis=1)
-
-
 @lru_cache(maxsize=64)
 def _pair_pattern(size: int):
     """Pair indices j < k of ``size`` boundaries and the products
@@ -214,44 +252,152 @@ def _pair_pattern(size: int):
     return _frozen(j, k, -weights[j] * weights[k])
 
 
-def _pair_sums(tables, w_c: np.ndarray, uv: float, alpha: float):
-    """int_{w_c}^uv w^-(2+alpha) F(w) dw by the pair sum, per length.
+def _pair_terms(bounds: np.ndarray, alpha: float):
+    """The pairs j < k of boundaries ``bounds``: their distinct
+    separations d, each pair's index into them and c_jk d_jk^(1+alpha)."""
+    j, k, coef = _pair_pattern(bounds.size)
+    d = bounds[k] - bounds[j]
+    distinct, inverse = np.unique(d, return_inverse=True)
+    return distinct, inverse, coef * d ** (1.0 + alpha)
 
-    One _tail call serves every length, evaluated once per distinct
-    argument (an equally spaced train repeats its separations).  Each
-    length's terms are summed along its own row in pair order.  Returns
-    the band values and their rounding bounds (0 where w_c = uv).
+
+def _pair_halves(jobs, alpha: float):
+    """P(x) = sum_{j<k} c_jk d_jk^(1+alpha) K(x d_jk) for each x, and the
+    summed magnitudes of its terms, for (``_pair_terms``, x) jobs.
+
+    One _tail call serves every job, evaluated once per distinct
+    separation and x (an equally spaced train repeats its separations).
+    Each x's terms are summed along its own row in pair order, about
+    _PAIR_WORK terms per pass, so a value depends on its own x only.
     """
-    high = np.zeros(w_c.size)
-    rounding = np.zeros(w_c.size)
-    pairs = []
-    for rows, bounds, _ in tables:
-        live = w_c[rows] < uv
-        if not live.any():
-            continue
-        rows, bounds = rows[live], bounds[live]
-        j, k, coef = _pair_pattern(bounds.shape[1])
-        # C order: the row sums below then run along contiguous rows,
-        # each the same pairwise sum a lone length gets
-        d = np.ascontiguousarray(bounds[:, k] - bounds[:, j])
-        pairs.append((rows, d, coef))
-    if not pairs:
-        return high, rounding
+    if not jobs:
+        return []
+    args = [(x[:, None] * distinct).ravel() for (distinct, _, _), x in jobs]
+    tails = np.split(_tail(np.concatenate(args), alpha),
+                     np.cumsum([a.size for a in args])[:-1])
+    out = []
+    for ((distinct, inverse, weights), x), tail in zip(jobs, tails):
+        tail = tail.reshape(x.size, distinct.size)
+        sums = np.empty(x.size)
+        magnitudes = np.empty(x.size)
+        step = max(1, _PAIR_WORK // weights.size)
+        for i in range(0, x.size, step):
+            # C order, so that each row sum below is the pairwise sum a
+            # lone x gets (fancy indexing may hand back another layout)
+            terms = np.ascontiguousarray(weights * tail[i:i + step, inverse])
+            sums[i:i + step] = terms.sum(axis=1)
+            magnitudes[i:i + step] = np.abs(terms).sum(axis=1)
+        out.append((sums, magnitudes))
+    return out
 
-    args = np.concatenate([np.concatenate(((w_c[rows, None] * d).ravel(),
-                                           (uv * d).ravel()))
-                           for rows, d, _ in pairs])
-    distinct, inverse = np.unique(args, return_inverse=True)
-    tails = _tail(distinct, alpha)[inverse]
-    start = 0
-    for rows, d, coef in pairs:
-        lo = tails[start:start + d.size].reshape(d.shape)
-        hi = tails[start + d.size:start + 2 * d.size].reshape(d.shape)
-        start += 2 * d.size
-        terms = coef * d ** (1.0 + alpha) * (lo - hi)
-        high[rows] = terms.sum(axis=1)
-        rounding[rows] = _PAIR_ROUNDING * np.abs(terms).sum(axis=1)
-    return high, rounding
+
+class _LowBand:
+    """The low band of one train at one exponent, in x = w L.
+
+    ``bounds`` are the train's boundaries in units of its length.  The
+    grid runs down from top = pi / (shortest gap): uniform panels no
+    wider than pi down to min(top, 4 pi), then geometric by EDGE_RATIO,
+    as deep as a call asks.  Panels that meet the depth rule (module
+    docstring) are kept from the top down, with the first-pass sum that
+    sets the tolerance of the panels below them; a kept panel never
+    changes.  ``pairs`` are the train's ``_pair_terms`` and ``top_pairs``
+    is P(top) with its term magnitudes, once a call has needed it.
+    """
+
+    def __init__(self, bounds: np.ndarray, alpha: float):
+        gaps = np.diff(bounds)
+        self.alpha = alpha
+        self.gaps = gaps[:, None]
+        self.mids = (0.5 * (bounds[:-1] + bounds[1:]))[:, None]
+        self.top = np.pi / gaps.min()
+        self.knee = min(self.top, 4.0 * np.pi)
+        self.uniform = math.ceil((self.top - self.knee) / np.pi)
+        self.pairs = _pair_terms(bounds, alpha)
+        self.top_pairs = None  # set by the first call that needs it
+        # The kept panels, replaced as one tuple so that a reader never
+        # mixes two extensions: their edges from the top down; the sums
+        # of the values, errors and panel counts of the top k of them,
+        # k = 0, 1, ...; their first-pass values summed; and the grid
+        # point after the last of them.
+        self.kept = (np.array([self.top]),
+                     (np.zeros(1), np.zeros(1), np.zeros(1, np.intp)), 0.0,
+                     self._grid(1, 2)[0])
+
+    def _grid(self, start: int, stop: int) -> np.ndarray:
+        """Grid points start, ..., stop - 1 (start >= 1), counted down from
+        the top."""
+        deep = np.arange(start - self.uniform, stop - self.uniform)
+        return np.where(
+            deep > 0, self.knee / EDGE_RATIO ** np.maximum(deep, 0),
+            self.knee + (self.top - self.knee) * (-deep / max(self.uniform,
+                                                              1)))
+
+    def points_to(self, start: int, x: float) -> np.ndarray:
+        """Grid points from index ``start`` (at least 1) down to the first
+        one at or below x, which ends the array."""
+        stop = max(start, self.uniform) + 2 + max(0, math.ceil(
+            math.log(self.knee / x) / math.log(EDGE_RATIO)))
+        points = self._grid(start, stop)
+        while not points[-1] <= x:  # the log above rounded short
+            points = self._grid(start, stop := stop + 4)
+        return points[:np.argmax(points <= x) + 1]
+
+    def integrand(self, points) -> np.ndarray:
+        x = points["x"]
+        return segment_filter(self.gaps, self.mids, x) * x ** -(
+            self.alpha + 2.0)
+
+    def panels(self, x: float):
+        """The grid panels wholly above x, 0 < x < top: their edges from
+        the top down, then the sums of the values, errors and quadrature
+        panel counts of the first k panels and whether all of them met
+        the depth rule, for k = 0, 1, ...  A panel that did not, and every
+        panel below it, is evaluated again by the next call that needs
+        it."""
+        kept_edges, kept_sums, first, below = self.kept
+        kept = kept_edges.size - 1
+        if below <= x:
+            return kept_edges, *kept_sums, np.ones(kept + 1, bool)
+        points = self.points_to(kept + 1, x)
+        edges = np.concatenate((kept_edges, points[:-1]))
+        lefts, rights = edges[kept + 1:], edges[kept:-1]
+        values, errors = gauss_kronrod(self.integrand, lefts, rights, 0)
+        depth = np.arange(kept, kept + values.size)
+        share = _LOW_TOL / ((depth + 1.0) * (depth + 2.0))
+        running = np.cumsum(np.concatenate(([first], values)))
+        certified = errors <= share * running[1:]
+        counts = np.ones(values.size, np.intp)
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            res = integrate_panels(
+                self.integrand,
+                Bands(np.column_stack((lefts[redo], rights[redo])).ravel(),
+                      np.full(redo.size, 2)),
+                grouped=True, atol=share[redo] * running[redo],
+                rtol=share[redo])
+            values[redo] = res.values
+            errors[redo] = res.errors
+            counts[redo] = res.group_panels
+            certified[redo] = res.converged
+        # running sums from the top, continued one panel at a time, so
+        # that extending them never changes an earlier sum
+        sums = [np.concatenate((total, np.cumsum(np.concatenate(
+            (total[-1:], new)))[1:]))
+                for total, new in zip(kept_sums, (values, errors, counts))]
+        good = certified.size if certified.all() else int(certified.argmin())
+        self.kept = (edges[:kept + good + 1],
+                     tuple(total[:kept + good + 1] for total in sums),
+                     running[good], points[good])
+        return edges, *sums, np.logical_and.accumulate(
+            np.concatenate((np.ones(kept + 1, bool), certified)))
+
+
+@lru_cache(maxsize=64)
+def _low_band(n_pulses: int, alpha: float) -> _LowBand:
+    """The shared _LowBand of the ``train`` of n_pulses at one exponent;
+    the cache hands the same growing object to every caller."""
+    bounds = np.concatenate(([0.0], train(n_pulses, 1.0), [1.0]))
+    return _LowBand(bounds, alpha)
 
 
 class Overlaps(NamedTuple):
@@ -272,21 +418,16 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     """Overlap integrals of equally spaced trains at many lengths at once.
 
     ``pulses[i]`` is the pulse count at ``lengths[i]`` (0 for free
-    evolution); each distinct count gets one table of ``train`` rows.
-    The band splits at w_c = min(uv, max(ir, pi/g_min)) per length (see
-    the module docstring).  Above w_c one pair-sum pass covers every
-    length, exact up to rounding.  Below it one grouped quadrature does:
-    each length starts from panels no wider than pi/length (half the
-    shortest oscillation period of its filter) with a geometric prefix
-    resolving the spectral edge, and refines until its own value meets
-    ``integrate_panels``' default tolerances.  Both parts are computed
-    for unit amplitude, so the refinement path never depends on the
-    amplitude and f stays exactly proportional to it.  Lengths run in
-    blocks of about _BATCH_WORK pair terms and quadrature points, which
-    bounds memory.  A length's result does not depend on the other
-    lengths of the batch, bit for bit.  The first length that is not
-    positive and finite, or whose train it rounds together (subnormal
-    lengths), raises the ValueError of ``filters.check_positions``.
+    evolution).  Every length of one count uses that count's cached
+    low band at the spectrum's exponent, and its pair sums (see the
+    module docstring).  Both are computed for unit amplitude, so the
+    refinement path never depends on the amplitude and f stays exactly
+    proportional to it.  A length's result does not depend on the other
+    lengths of the batch, nor on what the cache held before, bit for
+    bit.  The first length that is not positive and finite, or whose
+    train it rounds together (subnormal lengths), raises the ValueError
+    of ``filters.check_positions``; so does, with its own message, a
+    nonzero amplitude where ir_cutoff * length is below X_MIN.
     """
     lengths = np.asarray(lengths, dtype=float)
     pulses = np.asarray(pulses)
@@ -295,98 +436,165 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     if pulses.size and not (pulses.dtype.kind in "iu" and pulses.min() >= 0):
         raise ValueError("pulse counts must be nonnegative integers")
     bad = ~(np.isfinite(lengths) & (lengths > 0.0))
-    tables = []
+    groups = []
     with np.errstate(invalid="ignore"):  # inf - inf gaps of infinite lengths
-        for n in np.unique(pulses):
+        for n in np.unique(pulses).tolist():
             rows = np.flatnonzero(pulses == n)
-            tables.append(_table(rows, train(n, lengths[rows]), lengths[rows]))
-            bad[rows] |= ~(tables[-1][2] > 0.0).all(axis=1)
+            bounds = np.concatenate((np.zeros((rows.size, 1)),
+                                     train(n, lengths[rows]),
+                                     lengths[rows, None]), axis=1)
+            bad[rows] |= ~(np.diff(bounds, axis=1) > 0.0).all(axis=1)
+            groups.append((rows, n))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         check_positions(train(pulses[i], lengths[i]), lengths[i])
-    return _overlaps(tables, spectrum, lengths)
+    return _overlaps(groups, spectrum, lengths)
 
 
-def _overlaps(tables, spectrum: NoiseSpectrum, lengths) -> Overlaps:
-    """Overlaps of the (rows, boundaries, gaps) tables of checked trains."""
+def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
+    """Overlaps of checked trains.  ``groups`` pairs row indices with the
+    pulse count of their ``train`` or with explicit boundaries in units
+    of the length."""
     count = lengths.size
-    result = Overlaps(np.zeros(count), np.zeros(count),
-                      np.ones(count, dtype=bool), np.zeros(count, np.intp))
     if spectrum.amplitude == 0.0 or count == 0:
-        return result
-
-    ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
-    w_c = np.empty(count)
-    pairs = np.empty(count)
-    for rows, bounds, gaps in tables:
-        w_c[rows] = np.minimum(uv, np.maximum(ir, np.pi / gaps.min(axis=1)))
-        pairs[rows] = bounds.shape[1] * (bounds.shape[1] - 1) // 2
-    # Kronrod points of about L*w_c/pi uniform and log(w_c/ir)/log(EDGE_RATIO)
-    # geometric initial panels, plus the pair terms
-    points = 15.0 * (lengths * (w_c - ir) / np.pi
-                     + np.log(w_c / ir) / np.log(EDGE_RATIO) + 1.0)
-    work = np.where(w_c < uv, pairs, 0.0) + np.where(w_c > ir, points, 0.0)
-    for lo, hi in _blocks(work, _BATCH_WORK):
-        block = [(rows[keep] - lo, bounds[keep], gaps[keep])
-                 for rows, bounds, gaps in tables
-                 if (keep := (rows >= lo) & (rows < hi)).any()]
-        _overlap_block(block, lengths[lo:hi], w_c[lo:hi], spectrum,
-                       Overlaps(*(a[lo:hi] for a in result)))
-    return result
-
-
-def _blocks(work: np.ndarray, budget: float):
-    """Consecutive (lo, hi) index ranges whose summed work stays within
-    ``budget``; a single item above it forms a range of its own."""
-    lo, total = 0, 0.0
-    for i, w in enumerate(work.tolist()):
-        if total + w > budget and i > lo:
-            yield lo, i
-            lo, total = i, 0.0
-        total += w
-    yield lo, work.size
-
-
-def _overlap_block(tables, lengths, w_c, spectrum: NoiseSpectrum,
-                   out: Overlaps) -> None:
-    """Overlaps of one block of lengths, written into ``out``."""
-    ir, uv = spectrum.ir_cutoff, spectrum.uv_cutoff
-    segments = max(g.shape[1] for _, _, g in tables)
-    gaps = np.zeros((segments, lengths.size))
-    mids = np.zeros((segments, lengths.size))
-    for rows, bounds, g in tables:
-        gaps[:g.shape[1], rows] = g.T
-        mids[:g.shape[1], rows] = (0.5 * (bounds[:, :-1] + bounds[:, 1:])).T
-    high, rounding = _pair_sums(tables, w_c, uv, spectrum.exponent)
-
-    low = np.flatnonzero(w_c > ir)
-    if low.size:
-        power = -(spectrum.exponent + 2.0)
-
-        def integrand(points):
-            w = points["x"]
-            return segment_filter(gaps, mids, w, low[points["group"]]) \
-                * w ** power
-
-        bands = band_set(ir, w_c[low], np.minimum(np.pi / lengths[low],
-                                                  w_c[low] - ir))
-        res = integrate_panels(integrand, bands, grouped=True)
-        out.value[low] = res.values
-        out.error[low] = res.errors
-        out.converged[low] = res.converged
-        out.panels[low] = res.group_panels
-
+        return Overlaps(np.zeros(count), np.zeros(count),
+                        np.ones(count, dtype=bool), np.zeros(count, np.intp))
+    low, low_err, converged, panels, high, rounding = _unit_parts(
+        groups, spectrum, lengths)
     scale = spectrum.amplitude / np.pi
-    out.value[:] = scale * (out.value + high)
-    out.error[:] = scale * (out.error + rounding)
+    stretch = lengths ** (1.0 + spectrum.exponent)
+    return Overlaps(scale * (stretch * (low + high)),
+                    scale * (stretch * (low_err + rounding)), converged,
+                    panels)
+
+
+def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
+    """Per length, in x units at unit amplitude: the low band and its
+    error, whether it converged and its panel count, then the pair sums
+    and their rounding bound."""
+    alpha = spectrum.exponent
+    lo = spectrum.ir_cutoff * lengths
+    hi = spectrum.uv_cutoff * lengths
+    if lo.min() < X_MIN:
+        raise ValueError(
+            f"ir_cutoff * length = {lo.min()} is below {X_MIN}, where the "
+            f"low-band integrand x^-(2+alpha) overflows")
+    bands = [_low_band(key, alpha) if isinstance(key, int)
+             else _LowBand(key, alpha) for _, key in groups]
+    rows = [rows for rows, _ in groups]
+    return (*_low_parts(rows, bands, lo, hi, lengths ** -(1.0 + alpha),
+                        alpha), *_pair_parts(rows, bands, lo, hi, alpha))
+
+
+def _pair_parts(groups, bands, lo, hi, alpha: float):
+    """P(x_c) - P(b) and its rounding bound per length, with a = lo,
+    b = hi and x_c = max(a, top) where top < b (0 elsewhere).
+
+    One _pair_halves job per band: P(b), then P(a) where a >= top, then
+    P(top) if no call has needed it before.
+    """
+    high = np.zeros(lo.size)
+    rounding = np.zeros(lo.size)
+    jobs, rows = [], []
+    for r, band in zip(groups, bands):
+        r = r[band.top < hi[r]]
+        if r.size:
+            over = lo[r] >= band.top
+            x = [hi[r], lo[r][over]]
+            if band.top_pairs is None:
+                x.append([band.top])
+            jobs.append((band.pairs, np.concatenate(x)))
+            rows.append((r, over, band))
+    for (r, over, band), (sums, mags) in zip(rows,
+                                             _pair_halves(jobs, alpha)):
+        if band.top_pairs is None:
+            band.top_pairs = (sums[-1], mags[-1])
+        top = np.full(r.size, band.top_pairs[0])
+        top_mags = np.full(r.size, band.top_pairs[1])
+        top[over] = sums[r.size:r.size + over.sum()]
+        top_mags[over] = mags[r.size:r.size + over.sum()]
+        high[r] = top - sums[:r.size]
+        rounding[r] = _PAIR_ROUNDING * (top_mags + mags[:r.size])
+    return high, rounding
+
+
+def _low_parts(groups, bands, lo, hi, scale, alpha: float):
+    """The low band [a, min(b, top)] per length, a = lo < top, b = hi:
+    its value, error, convergence and panel count (0 and converged
+    elsewhere).
+
+    Where top < b, the band's cached panels above a plus one partial
+    panel [a, next grid point], which gets the share of the depth rule
+    left below them.  Where b <= top, the band's grid points inside
+    [a, b], to the absolute-plus-relative tolerance 1e-8 (``scale``,
+    L^-(1+alpha), takes the absolute part from w to x units).  All of
+    these go to one grouped ``integrate_panels`` call.
+    """
+    low = np.zeros(lo.size)
+    error = np.zeros(lo.size)
+    converged = np.ones(lo.size, dtype=bool)
+    panels = np.zeros(lo.size, np.intp)
+    rows, columns, edges, sizes, atol, rtol = [], [], [], [], [], []
+    for column, (r, band) in enumerate(zip(groups, bands)):
+        split = r[(lo[r] < band.top) & (band.top < hi[r])]
+        if split.size:
+            x = lo[split]
+            grid, *sums, certified = band.panels(x.min())
+            k = np.searchsorted(-grid[1:], -x)
+            low[split], error[split], panels[split] = (s[k] for s in sums)
+            converged[split] = certified[k]
+            rows.append(split)
+            columns.append(np.full(split.size, column))
+            edges.append(np.column_stack((x, grid[k])).ravel())
+            sizes.append(np.full(split.size, 2))
+            atol.append(_LOW_TOL * low[split] / (k + 1.0))
+            rtol.append(_LOW_TOL / (k + 1.0))
+        for i in r[hi[r] <= band.top]:
+            inner = band.points_to(1, lo[i])[:-1]
+            rows.append([i])
+            columns.append([column])
+            edges.append(np.concatenate(([lo[i]], inner[inner < hi[i]][::-1],
+                                         [hi[i]])))
+            sizes.append([edges[-1].size])
+            atol.append([_LOW_TOL * scale[i]])
+            rtol.append([_LOW_TOL])
+    if not rows:
+        return low, error, converged, panels
+
+    segments = max(band.gaps.shape[0] for band in bands)
+    gaps = np.zeros((segments, len(bands)))
+    mids = np.zeros((segments, len(bands)))
+    for c, band in enumerate(bands):
+        gaps[:band.gaps.shape[0], c] = band.gaps[:, 0]
+        mids[:band.mids.shape[0], c] = band.mids[:, 0]
+    columns = np.concatenate(columns).astype(np.intp)
+    power = -(alpha + 2.0)
+
+    def integrand(points):
+        x = points["x"]
+        return segment_filter(gaps, mids, x, columns[points["group"]]) \
+            * x ** power
+
+    res = integrate_panels(
+        integrand, Bands(np.concatenate(edges),
+                         np.concatenate(sizes).astype(np.intp)),
+        grouped=True, atol=np.concatenate(atol), rtol=np.concatenate(rtol))
+    rows = np.concatenate(rows).astype(np.intp)
+    low[rows] += res.values
+    error[rows] += res.errors
+    panels[rows] += res.group_panels
+    converged[rows] &= res.converged
+    return low, error, converged, panels
 
 
 def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
                            *, with_error: bool = False):
     """Overlap integral for explicit pulse positions, checked by
-    ``filters.check_positions``: the core of ``train_overlaps`` run on a
-    one-row table, so an equally spaced train gets the bits its
-    ``train_overlaps`` row gets.
+    ``filters.check_positions``: the core of ``train_overlaps`` on one
+    length.  Positions equal to ``train(N, length)`` use the cached low
+    band of that count, so they get the bits its ``train_overlaps`` row
+    gets; any other train builds its own from its boundaries in units of
+    the length.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
     Raises QuadratureError (best estimate of the whole band attached)
@@ -394,8 +602,10 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     """
     positions = check_positions(positions, length)
     lengths = np.array([length], dtype=float)
-    res = _overlaps([_table(np.zeros(1, np.intp), positions[None], lengths)],
-                    spectrum, lengths)
+    key = positions.size
+    if not np.array_equal(positions, train(key, length)):
+        key = np.concatenate(([0.0], positions, [length])) / length
+    res = _overlaps([(np.zeros(1, np.intp), key)], spectrum, lengths)
     value, error = float(res.value[0]), float(res.error[0])
     if not res.converged[0]:
         raise QuadratureError(

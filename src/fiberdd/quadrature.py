@@ -19,7 +19,8 @@ time.  Every per-group quantity is reduced over that group's own panels
 in a fixed order, so a group's result never depends on which other
 groups share the call.  ``band_set`` builds the initial panels of many
 bands that share their lower limit in one pass, back to back in a
-``Bands``.
+``Bands``.  ``gauss_kronrod`` is the panel rule without refinement, for
+callers that set each panel's tolerance from the values of others.
 """
 
 from __future__ import annotations
@@ -201,9 +202,10 @@ def band_set(lo: float, hi, max_width,
     return Bands(edges, sizes)
 
 
-def _eval_panels(fn: Callable[[np.ndarray], np.ndarray],
-                 lefts: np.ndarray, rights: np.ndarray, group=None):
-    """Gauss-Kronrod value and error estimate for a batch of panels.
+def gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray],
+                  lefts: np.ndarray, rights: np.ndarray, group=None):
+    """Gauss-Kronrod value and error estimate for a batch of panels,
+    without refinement.
 
     The node sums run along each panel's own row, so a panel's value
     does not depend on the other panels of the batch.  With ``group``
@@ -257,7 +259,7 @@ def _as_bands(boundaries, grouped: bool) -> Bands:
 
 def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
                      boundaries, *,
-                     atol: float = 1e-8, rtol: float = 1e-8,
+                     atol=1e-8, rtol=1e-8,
                      max_panels: int = 200_000, grouped: bool = False):
     """Integrate ``fn`` over the panels delimited by ``boundaries``.
 
@@ -274,7 +276,8 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     With ``grouped`` set, ``boundaries`` is a sequence of bands, one per
     group (a ``Bands`` holds them back to back), and ``fn`` receives
     GROUPED_POINT records (``x`` and the index of its band as
-    ``group``).  Each group meets its own tolerance within its own
+    ``group``).  ``atol`` and ``rtol`` may then also hold one value per
+    group.  Each group meets its own tolerance within its own
     ``max_panels``; the result is a GroupedQuadratureResult, and a group
     that fails keeps its best estimate and a false ``converged`` flag
     instead of raising.  All bands are validated and their initial
@@ -292,7 +295,9 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     lefts = np.delete(edges, ends - 1)
     rights = np.delete(edges, ends - sizes)
     group = np.repeat(np.arange(sizes.size), counts)[:, None]
-    vals, errs = _eval_panels(fn, lefts, rights, group if grouped else None)
+    vals, errs = gauss_kronrod(fn, lefts, rights, group if grouped else None)
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), sizes.shape)
+    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), sizes.shape)
     # reduceat adds each band's panels left to right, as _refine does
     values = np.add.reduceat(vals, starts)
     errors = np.add.reduceat(errs, starts)
@@ -301,14 +306,14 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
         own = slice(starts[g], starts[g] + counts[g])
         values[g], errors[g], counts[g], converged[g] = _refine(
             fn, g if grouped else None, lefts[own], rights[own], vals[own],
-            errs[own], atol, rtol, max_panels)
+            errs[own], atol[g], rtol[g], max_panels)
     if grouped:
         return GroupedQuadratureResult(values, errors, counts, converged)
 
     total, err, panels = float(values[0]), float(errors[0]), int(counts[0])
     if converged[0]:
         return QuadratureResult(total, err, panels)
-    tol = atol + rtol * abs(total)
+    tol = atol[0] + rtol[0] * abs(total)
     if panels >= max_panels:
         message = (f"needed more than {max_panels} panels "
                    f"(reached error {err:.3e} vs tolerance {tol:.3e})")
@@ -349,7 +354,7 @@ def _refine(fn, group, lefts, rights, vals, errs, atol, rtol, max_panels):
         mids = 0.5 * (lefts[mask] + rights[mask])
         new_lefts = np.concatenate([lefts[mask], mids])
         new_rights = np.concatenate([mids, rights[mask]])
-        new_vals, new_errs = _eval_panels(fn, new_lefts, new_rights, group)
+        new_vals, new_errs = gauss_kronrod(fn, new_lefts, new_rights, group)
 
         keep = ~mask
         lefts = np.concatenate([lefts[keep], new_lefts])

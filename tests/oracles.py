@@ -46,24 +46,16 @@ def full_band_overlap(positions, spectrum, length, *, atol=1e-16,
     return spectrum.amplitude / np.pi * res.value
 
 
-def pair_sum_band(bounds, alpha, lo, hi):
-    """int_lo^hi w^-(2+alpha) F(w) dw by the pair sum for one length,
-    with K evaluated once per pair (no grouping of equal separations).
-
-    Returns the band value and its rounding bound, 64 eps times the
-    summed term magnitudes.
-    """
-    if lo >= hi:
-        return 0.0, 0.0
+def pair_sum_half(bounds, alpha, x):
+    """P(x) = sum_{j<k} c_jk d_jk^(1+alpha) K(x d_jk) for one x, with K
+    evaluated once per pair (no grouping of equal separations), and the
+    summed magnitudes of its terms."""
     signs = np.where(np.arange(bounds.size - 1) % 2, -1.0, 1.0)
     weights = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
     j, k = np.triu_indices(bounds.size, 1)
     d = bounds[k] - bounds[j]
-    tails = _tail(np.concatenate((lo * d, hi * d)), alpha)
-    terms = (-weights[j] * weights[k] * d ** (1.0 + alpha)
-             * (tails[:d.size] - tails[d.size:]))
-    return (float(terms.sum()),
-            64.0 * np.finfo(float).eps * float(np.abs(terms).sum()))
+    terms = -weights[j] * weights[k] * d ** (1.0 + alpha) * _tail(x * d, alpha)
+    return float(terms.sum()), float(np.abs(terms).sum())
 
 
 def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):

@@ -198,6 +198,29 @@ def test_simulate_separable_state_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the first grid length underflows to 0
+    (("--length-max", "5e-324"),
+     "length_max: length_max / grid_points = 0.0 is below the smallest "
+     "normal float"),
+    # subnormal lengths round the 20 pulse positions together
+    (("--sequence", "cpmg", "--pulses", "20", "--length-max", "1e-322",
+      "--grid-points", "2"),
+     "length_max: length_max / grid_points = 5e-323 is below the smallest "
+     "normal float"),
+    # the low band would start where x^-(2+alpha) overflows
+    (("--ir-cutoff", "1e-300"),
+     "length_max: ir_cutoff * length_max / grid_points = 2.5e-301 is below "),
+], ids=["underflow", "collapsed-train", "tiny-ir"])
+def test_too_short_grid_is_a_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "curve.csv"
+    code, stdout, stderr = run_cli(capsys, "simulate", *argv, "--out",
+                                   str(out))
+    assert code == 2
+    assert stderr.startswith("config error:\n" + message)
+    assert stdout == "" and not out.exists()
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

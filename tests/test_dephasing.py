@@ -1,5 +1,8 @@
 """Overlap integral and coherence factor."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho, train
 from fiberdd.filters import check_positions
-from oracles import first_error, full_band_overlap, pair_sum_band
+from oracles import first_error, full_band_overlap, pair_sum_half
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -149,7 +152,10 @@ def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
     grouped = dephasing.integrate_panels
 
     def unreachable(fn, bands, **kwargs):
-        return grouped(fn, bands, **{**kwargs, "atol": 0.0, "rtol": 0.0})
+        # no error estimate meets a negative tolerance, so the length's
+        # partial panel exhausts its budget
+        return grouped(fn, bands, **{**kwargs, "atol": -1.0, "rtol": 0.0,
+                                     "max_panels": 64})
 
     monkeypatch.setattr(dephasing, "integrate_panels", unreachable)
     with pytest.raises(QuadratureError) as info:
@@ -286,16 +292,21 @@ def test_batch_matches_each_length_alone(seq, alpha, band):
 
 
 def test_unconverged_length_is_isolated_in_batch(monkeypatch):
-    # L = 150 gets a single coarse low-band panel and a budget of 4, so it
-    # alone runs out of panels; every other length converges untouched
+    # L = 150's own partial panel [ir L, next grid point] gets an
+    # unreachable tolerance and a budget of 4, so it alone runs out of
+    # panels; every other length converges untouched
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     lengths = np.array([0.5, 2.0, 150.0, 4.0])
     grouped = dephasing.integrate_panels
-    w_c = np.pi / 150.0
+    start = spec.ir_cutoff * 150.0
 
     def starved(fn, bands, **kwargs):
-        bands = [b[[0, -1]] if b[-1] == w_c else b for b in bands]
-        return grouped(fn, bands, **{**kwargs, "max_panels": 4})
+        own = np.array([b[0] == start for b in bands])
+        if not own.any():
+            return grouped(fn, bands, **kwargs)
+        atol = np.where(own, -1.0, kwargs["atol"])
+        return grouped(fn, bands, **{**kwargs, "atol": atol,
+                                     "max_panels": 4})
 
     monkeypatch.setattr(dephasing, "integrate_panels", starved)
     batch = train_overlaps(np.zeros(lengths.size, int), spec, lengths)
@@ -319,18 +330,12 @@ def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
     wide = train_overlaps(counts, spec, lengths)
     monkeypatch.setattr(filters, "_CHUNK_ELEMS", 1)
     monkeypatch.setattr(dephasing, "_TAIL_CHUNK", 3)
-    for batch_work in (1, 2000):  # one length per block, then a few
-        monkeypatch.setattr(dephasing, "_BATCH_WORK", batch_work)
+    for pair_work in (1, 20):  # one length per pair pass, then a few
+        monkeypatch.setattr(dephasing, "_PAIR_WORK", pair_work)
+        dephasing._low_band.cache_clear()  # rebuild the panels narrow too
         narrow = train_overlaps(counts, spec, lengths)
         for got, want in zip(narrow, wide):
             assert np.array_equal(got, want)
-
-
-def test_blocks_cover_every_length_once():
-    work = np.array([5.0, 1.0, 9.0, 2.0, 2.0, 30.0, 1.0])
-    blocks = list(dephasing._blocks(work, 10.0))
-    assert blocks == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
-    assert list(dephasing._blocks(work, 100.0)) == [(0, 7)]
 
 
 @pytest.mark.parametrize("pulses,length", [(0, 7.3), (1, 0.05), (4, 30.0),
@@ -339,17 +344,158 @@ def test_blocks_cover_every_length_once():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 + 1e-9, 2.0])
 def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
     # K is evaluated once per distinct separation (CPMG N = 64 has 128
-    # among 2145 pairs), yet f stays bit for bit the per-pair sum
-    uv = 1e3
-    lengths = length * np.linspace(0.5, 1.0, 23)
-    tables = [dephasing._table(np.arange(lengths.size),
-                               train(pulses, lengths), lengths)]
-    w_c = np.linspace(2.0, 4.0, lengths.size)
-    high, rounding = dephasing._pair_sums(tables, w_c, uv, alpha)
-    for i, L in enumerate(lengths):
-        bounds = np.concatenate(([0.0], train(pulses, L), [L]))
-        assert (high[i], rounding[i]) == pair_sum_band(bounds, alpha,
-                                                       w_c[i], uv)
+    # among 2145 pairs), yet each half P(x) stays bit for bit the
+    # per-pair sum, whatever the other x and trains of the pass
+    bounds = np.concatenate(([0.0], train(pulses, length), [length]))
+    x = np.concatenate((np.linspace(2.0, 4.0, 23), [1e3]))
+    terms = dephasing._pair_terms(bounds, alpha)
+    other = dephasing._pair_terms(np.array([0.0, 0.3, 1.0]), alpha)
+    _, (sums, magnitudes) = dephasing._pair_halves(
+        [(other, x[::-1]), (terms, x)], alpha)
+    for i in range(x.size):
+        assert (sums[i], magnitudes[i]) == pair_sum_half(bounds, alpha, x[i])
+    [alone] = dephasing._pair_halves([(terms, x[5:6])], alpha)
+    assert (alone[0][0], alone[1][0]) == (sums[5], magnitudes[5])
+
+
+def _fresh(seq, spec, lengths):
+    dephasing._low_band.cache_clear()
+    return train_overlaps(_counts(seq, lengths), spec, lengths)
+
+
+@pytest.mark.parametrize("seq", [Free(), CpmgCount(3), CpmgCount(64),
+                                 CpmgDensity(0.3)])
+def test_length_does_not_depend_on_cache_state(seq):
+    # each length alone on a cold cache is the reference
+    spec = NoiseSpectrum(0.008, 1.2, 1e-3, 1e3)
+    lengths = np.array([0.05, 1.0, 7.3, 30.0])
+    alone = [_fresh(seq, spec, lengths[i:i + 1]) for i in range(lengths.size)]
+
+    def same(batch, rows):
+        for row, i in enumerate(rows):
+            for got, want in zip(batch, alone[i]):
+                assert got[row] == want[0]
+
+    # after the panels were extended deeper, by a shorter length and by a
+    # wider band at the same exponent
+    _fresh(seq, spec, [1e-4])
+    deep = NoiseSpectrum(0.008, 1.2, 1e-9, 1e3)
+    train_overlaps(_counts(seq, [30.0]), deep, [30.0])
+    for i in range(lengths.size):
+        same(train_overlaps(_counts(seq, lengths[i:i + 1]), spec,
+                            lengths[i:i + 1]), [i])
+    # inside other batches, in reverse order, on a warm and a cold cache
+    rows = [3, 0, 2, 1]
+    same(train_overlaps(_counts(seq, lengths[rows]), spec, lengths[rows]),
+         rows)
+    same(_fresh(seq, spec, lengths[::-1]), [3, 2, 1, 0])
+    for i in range(lengths.size):
+        f, err = overlap_from_positions(sweep_positions(seq, lengths[i]),
+                                        spec, lengths[i], with_error=True)
+        assert (f, err) == (alone[i].value[0], alone[i].error[0])
+
+
+def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
+    # a grid panel that misses the depth rule on its first pass (all of
+    # them, under a tolerance of 1e-300) is refined through
+    # integrate_panels; starved there, it is flagged and never kept, so
+    # a clean run afterwards gets the cold-cache bits
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    lengths = np.array([0.05, 1.0, 30.0])
+    clean = _fresh(CpmgCount(3), spec, lengths)
+    grouped = dephasing.integrate_panels
+    calls = []
+
+    def starved(fn, bands, **kwargs):
+        calls.append(len(bands))
+        return grouped(fn, bands, **{**kwargs, "atol": -1.0,
+                                     "max_panels": 2})
+
+    monkeypatch.setattr(dephasing, "integrate_panels", starved)
+    monkeypatch.setattr(dephasing, "_LOW_TOL", 1e-300)
+    bad = _fresh(CpmgCount(3), spec, lengths)
+    monkeypatch.undo()
+    assert len(calls) == 2  # the grid panels' refinement, the partial panels
+    assert not bad.converged.any()
+    again = train_overlaps([3] * lengths.size, spec, lengths)
+    for got, want in zip(again, clean):
+        assert np.array_equal(got, want)
+
+
+def test_threads_sharing_a_low_band_get_cold_cache_bits():
+    # threads extend one cached low band to different depths at once;
+    # each extension replaces the kept panels as one tuple, so a lost
+    # update costs only a later re-evaluation, and every result keeps
+    # the bits of a lone cold run
+    spec = NoiseSpectrum(0.008, 0.7, 1e-6, 1e3)
+    lengths = [0.01, 0.3, 3.0, 30.0]
+    want = [_fresh(CpmgCount(5), spec, [L]) for L in lengths]
+    dephasing._low_band.cache_clear()
+    got = [[] for _ in range(8)]
+
+    def work(i):
+        for _ in range(10):
+            got[i].append(train_overlaps([5], spec, [lengths[i % 4]]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, runs in enumerate(got):
+        assert len(runs) == 10
+        for run in runs:
+            for part, reference in zip(run, want[i % 4]):
+                assert part[0] == reference[0]
+
+
+def test_panel_cache_is_bounded():
+    spec_at = [NoiseSpectrum(0.008, alpha, 1e-3, 1e3)
+               for alpha in np.linspace(0.0, 2.0, 80)]
+    dephasing._low_band.cache_clear()
+    for spec in spec_at:
+        train_overlaps([0, 1], spec, [2.0, 3.0])
+    info = dephasing._low_band.cache_info()
+    assert info.misses == 160
+    assert info.currsize == info.maxsize
+
+
+TOLERANCE_SEQUENCES = [Free(), SpinEcho(), CpmgCount(3), CpmgCount(64),
+                       CpmgDensity(0.3)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.7, 2.0])
+@pytest.mark.parametrize("seq", TOLERANCE_SEQUENCES,
+                         ids=lambda seq: repr(seq))
+def test_each_length_meets_the_low_band_tolerance(seq, alpha):
+    # the low band of every length, in the unit-amplitude w units that
+    # integrate_panels checks it in, meets 1e-8 abs + 1e-8 rel, and f
+    # matches the full-band oracle wherever that is cheap
+    lengths = np.array([0.05, 1.0, 7.3, 30.0])
+    counts = _counts(seq, lengths)
+    groups = [(np.flatnonzero(np.equal(counts, n)), n)
+              for n in sorted(set(counts))]
+    stretch = lengths ** (1.0 + alpha)
+    for band in [(1e-3, 1e3), (0.05, 50.0), (2.0, 1e3), (1e-9, 1e9)]:
+        spec = NoiseSpectrum(1.0, alpha, *band)
+        low, low_err, converged, *_ = dephasing._unit_parts(
+            groups, spec, lengths)
+        assert converged.all()
+        assert np.all(low_err * stretch <= 1e-8 + 1e-8 * low * stretch)
+
+        f = train_overlaps(counts, spec, lengths).value
+        for i, L in enumerate(lengths):
+            if band[1] * L / np.pi * (counts[i] + 1) <= 2e4:
+                assert f[i] == pytest.approx(
+                    full_band_overlap(train(counts[i], L), spec, L),
+                    rel=1e-10, abs=0.0)
 
 
 BAD_PULSES = {

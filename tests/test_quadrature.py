@@ -140,6 +140,18 @@ def test_grouped_matches_lone_integration():
     assert res.panels == res.group_panels.sum()
 
 
+def test_grouped_tolerances_may_differ_per_group():
+    atol = [1e-5, 1e-11, 0.0, 1e-9]
+    rtol = [0.0, 1e-11, 1e-10, 1e-3]
+    res = integrate_panels(_grouped_integrand, BANDS, atol=atol, rtol=rtol,
+                           grouped=True)
+    assert res.converged.all()
+    for g, band in enumerate(BANDS):
+        lone = integrate_panels(_lone(g), band, atol=atol[g], rtol=rtol[g])
+        assert (res.values[g], res.errors[g], res.group_panels[g]) == \
+            (lone.value, lone.error, lone.panels)
+
+
 def test_grouped_failure_stays_in_its_group():
     # group 3 needs hundreds of panels; the budget of 40 stops it alone
     res = integrate_panels(_grouped_integrand, BANDS, atol=1e-11,
