@@ -40,8 +40,14 @@ FIG4_DENSITY = FIG2A_DENSITIES[1]  # fig2a middle density
 _FLAG_KEYS = tuple(cfg._PARSERS)
 
 
+# One curve row of a CSV file: L, f_L, gamma, concurrence, each float
+# with 17 significant digits ('%.17g' formats a float as _fmt does).
+_CURVE_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+
+
 def _fmt(value) -> str:
-    """One CSV cell: '.'-decimal, 17 significant digits for floats."""
+    """One value of a summary line: '.'-decimal, 17 significant digits
+    for floats."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -49,13 +55,13 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: str, comments: list[str], header: str, rows) -> None:
+def _write_csv(path: str, comments: list[str], header: str, rows,
+               template: str) -> None:
+    """The comment lines, the header and one line per row, each row
+    formatted by ``template`` in one pass."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.write("".join(line + "\n" for line in [*comments, header]))
+        fh.write("".join(template % tuple(row) for row in rows))
 
 
 def _resolve(args, overrides: dict | None = None) -> cfg.SimulationConfig:
@@ -70,10 +76,10 @@ def _print_resolved(lines: list[str]) -> None:
         print(line)
 
 
-def _curve_rows(curve):
-    for i in range(curve.lengths.size):
-        yield (curve.lengths[i], curve.overlap[i], curve.gamma[i],
-               curve.concurrence[i])
+def _curve_rows(curve) -> list:
+    """The curve's (L, f_L, gamma, concurrence) rows as Python floats."""
+    return np.column_stack((curve.lengths, curve.overlap, curve.gamma,
+                            curve.concurrence)).tolist()
 
 
 def _cmd_simulate(args) -> int:
@@ -91,7 +97,8 @@ def _cmd_simulate(args) -> int:
     except SeparableStateError as exc:
         raise cfg.ConfigError(f"state: {exc}") from exc
     out = config.out or "simulate.csv"
-    _write_csv(out, lines, "L,f_L,gamma,concurrence", _curve_rows(curve))
+    _write_csv(out, lines, "L,f_L,gamma,concurrence", _curve_rows(curve),
+               _CURVE_ROW)
     print(f"esd_length = {'none' if esd is None else _fmt(esd)}; "
           f"final_concurrence = {_fmt(curve.concurrence[-1])}; "
           f"csv = {out}")
@@ -159,9 +166,9 @@ def _cmd_figure(args) -> int:
                                                  spectrum):
         curve = decoherence_curve(seq, spec, profile, state, grid)
         all_converged &= bool(curve.converged.all())
-        for row in _curve_rows(curve):
-            rows.append((label,) + row)
-    _write_csv(path, lines, "series,L,f_L,gamma,concurrence", rows)
+        rows += [[label, *row] for row in _curve_rows(curve)]
+    _write_csv(path, lines, "series,L,f_L,gamma,concurrence", rows,
+               "%s," + _CURVE_ROW)
     print(f"csv = {path}")
     if not all_converged:
         print("warning: unconverged quadrature points present",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import X_MIN, SpectralProfile
+from .dephasing import X_MIN, SpectralProfile, max_length
 from .noise import NoiseSpectrum
 from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho
 from .states import TwoQubitXState, read_key_values, resolve_state
@@ -130,6 +130,11 @@ def build_runtime(config: SimulationConfig):
 
     if not (np.isfinite(config.length_max) and config.length_max > 0.0):
         problems.append(f"length_max: must be positive, got {config.length_max}")
+    elif spectrum is not None and not (
+            config.length_max <= (limit := max_length(spectrum))):
+        problems.append(
+            f"length_max: {config.length_max} is above {limit}, where "
+            f"uv_cutoff * length_max or length_max^(1+alpha) overflows")
     elif config.grid_points >= 2:
         # the shortest grid length: below the smallest normal float its
         # pulse positions round together, and below X_MIN / ir_cutoff the

@@ -50,21 +50,22 @@ are P(ir L) - P(uv L).  An explicit train that is not ``train(N, L)``
 builds an uncached low band from its own boundaries by the same code.
 
 The depth rule certifies every length's low band.  Grid panel j,
-counted from the top from 0, is kept when its error is at most
-1e-8 (S_j + v_j) / ((j+1)(j+2)), with v_j its first-pass value and S_j
-the first-pass values of the panels above it, summed; a panel that
-misses this is refined through ``integrate_panels`` to the same bound.
-A length with k whole panels above ir L gives its partial panel the
-rest, 1e-8 (S + v) / (k + 1) with S the sum of those k panels.  The
-shares add up to 1 and the integrand is nonnegative, so S_j + v_j is a
-lower bound on the low band of every length that uses panel j, and
-each length meets 1e-8 relative in x, hence after the L^(1+alpha)
-scale the 1e-8 abs + 1e-8 rel that the low band met in w before.  A
-rule relative to each panel's own value would not do: rounding noise
-in ``segment_filter`` at x near 1e-8 keeps deep panels above any
-tolerance of that kind.  A panel that misses the rule even after
-refinement is never kept; every call that needs it evaluates it again
-and flags its lengths unconverged.
+counted from the top from 0, gets the error share 1e-8 (S_j + v_j) /
+((j+1)(j+2)), with v_j its first-pass value and S_j the first-pass
+values of the panels above it, summed.  A length with k whole panels
+above ir L gives its partial panel the rest, 1e-8 (S + v) / (k + 1)
+with S the sum of those k panels.  Grid and partial panels follow one
+rule: one ``gauss_kronrod`` pass over all panels of a call at once,
+then ``integrate_panels`` refines only the panels whose error misses
+their share, to that share.  The shares add up to 1 and the integrand
+is nonnegative, so S_j + v_j is a lower bound on the low band of every
+length that uses panel j, and each length meets 1e-8 relative in x,
+hence after the L^(1+alpha) scale the 1e-8 abs + 1e-8 rel that the low
+band met in w before.  A rule relative to each panel's own value would
+not do: rounding noise in ``segment_filter`` at x near 1e-8 keeps deep
+panels above any tolerance of that kind.  A grid panel that misses its
+share even after refinement is never kept; every call that needs it
+evaluates it again and flags its lengths unconverged.
 
 Cost: each (N, alpha) pays about 2N + log(X / (ir L_min)) /
 log(EDGE_RATIO) panels once, shared by the lengths of a curve and by
@@ -121,6 +122,9 @@ _LOW_TOL = 1e-8
 # Smallest low-band limit x = ir L: x^-4, the steepest spectral power,
 # is finite from here up.
 X_MIN = float(np.finfo(float).max) ** -0.25
+# Largest float: f carries the factor L^(1+alpha) and the pair sums take
+# uv L, so both must stay at or below it.
+_FLOAT_MAX = float(np.finfo(float).max)
 # Rounding bound on the pair sum, relative to its summed term magnitudes.
 _PAIR_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
@@ -243,6 +247,20 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def max_length(spectrum: NoiseSpectrum) -> float:
+    """The longest length whose overlap integral is computed: at and
+    below it, uv_cutoff * length and length^(1+alpha) stay finite."""
+    power = 1.0 + spectrum.exponent
+    limit = np.array([min(_FLOAT_MAX ** (1.0 / power),
+                          _FLOAT_MAX / spectrum.uv_cutoff)])
+    with np.errstate(over="ignore"):
+        while not (spectrum.uv_cutoff * limit[0] <= _FLOAT_MAX
+                   and limit ** power <= _FLOAT_MAX):
+            limit = np.nextafter(limit, 0.0)  # the roots rounded up
+    return float(limit[0])
+
+
+@lru_cache(maxsize=64)
 def _pair_pattern(size: int):
     """Pair indices j < k of ``size`` boundaries and the products
     -u_j u_k of their weights u = (-1, +-2, ..., (-1)^N)."""
@@ -273,11 +291,12 @@ def _pair_halves(jobs, alpha: float):
     if not jobs:
         return []
     args = [(x[:, None] * distinct).ravel() for (distinct, _, _), x in jobs]
-    tails = np.split(_tail(np.concatenate(args), alpha),
-                     np.cumsum([a.size for a in args])[:-1])
+    tails = _tail(np.concatenate(args), alpha)
     out = []
-    for ((distinct, inverse, weights), x), tail in zip(jobs, tails):
-        tail = tail.reshape(x.size, distinct.size)
+    end = 0
+    for (distinct, inverse, weights), x in jobs:
+        tail = tails[end:(end := end + x.size * distinct.size)].reshape(
+            x.size, distinct.size)
         sums = np.empty(x.size)
         magnitudes = np.empty(x.size)
         step = max(1, _PAIR_WORK // weights.size)
@@ -427,7 +446,8 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     bit.  The first length that is not positive and finite, or whose
     train it rounds together (subnormal lengths), raises the ValueError
     of ``filters.check_positions``; so does, with its own message, a
-    nonzero amplitude where ir_cutoff * length is below X_MIN.
+    nonzero amplitude where ir_cutoff * length is below X_MIN or the
+    length is above ``max_length(spectrum)``.
     """
     lengths = np.asarray(lengths, dtype=float)
     pulses = np.asarray(pulses)
@@ -479,6 +499,10 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
         raise ValueError(
             f"ir_cutoff * length = {lo.min()} is below {X_MIN}, where the "
             f"low-band integrand x^-(2+alpha) overflows")
+    if lengths.max() > (limit := max_length(spectrum)):
+        raise ValueError(
+            f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
+            f"length or length^(1+alpha) overflows")
     bands = [_low_band(key, alpha) if isinstance(key, int)
              else _LowBand(key, alpha) for _, key in groups]
     rows = [rows for rows, _ in groups]
@@ -525,65 +549,84 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
 
     Where top < b, the band's cached panels above a plus one partial
     panel [a, next grid point], which gets the share of the depth rule
-    left below them.  Where b <= top, the band's grid points inside
-    [a, b], to the absolute-plus-relative tolerance 1e-8 (``scale``,
-    L^-(1+alpha), takes the absolute part from w to x units).  All of
-    these go to one grouped ``integrate_panels`` call.
+    left below them.  The partial panels of the whole batch take one
+    ``gauss_kronrod`` pass; only those whose error misses that share go
+    on to ``integrate_panels``, which evaluates them again and refines
+    them to it.  Where b <= top, the band's grid points inside [a, b] go
+    to ``integrate_panels`` to the absolute-plus-relative tolerance 1e-8
+    (``scale``, L^-(1+alpha), takes the absolute part from w to x units).
     """
     low = np.zeros(lo.size)
     error = np.zeros(lo.size)
     converged = np.ones(lo.size, dtype=bool)
     panels = np.zeros(lo.size, np.intp)
-    rows, columns, edges, sizes, atol, rtol = [], [], [], [], [], []
+    split, whole = [], []
     for column, (r, band) in enumerate(zip(groups, bands)):
-        split = r[(lo[r] < band.top) & (band.top < hi[r])]
-        if split.size:
-            x = lo[split]
+        rows = r[(lo[r] < band.top) & (band.top < hi[r])]
+        if rows.size:
+            x = lo[rows]
             grid, *sums, certified = band.panels(x.min())
             k = np.searchsorted(-grid[1:], -x)
-            low[split], error[split], panels[split] = (s[k] for s in sums)
-            converged[split] = certified[k]
-            rows.append(split)
-            columns.append(np.full(split.size, column))
-            edges.append(np.column_stack((x, grid[k])).ravel())
-            sizes.append(np.full(split.size, 2))
-            atol.append(_LOW_TOL * low[split] / (k + 1.0))
-            rtol.append(_LOW_TOL / (k + 1.0))
+            low[rows], error[rows], panels[rows] = (s[k] for s in sums)
+            converged[rows] = certified[k]
+            split.append((rows, np.full(rows.size, column), x, grid[k],
+                          k + 1.0))
         for i in r[hi[r] <= band.top]:
             inner = band.points_to(1, lo[i])[:-1]
-            rows.append([i])
-            columns.append([column])
-            edges.append(np.concatenate(([lo[i]], inner[inner < hi[i]][::-1],
-                                         [hi[i]])))
-            sizes.append([edges[-1].size])
-            atol.append([_LOW_TOL * scale[i]])
-            rtol.append([_LOW_TOL])
-    if not rows:
+            whole.append((i, column, np.concatenate(
+                ([lo[i]], inner[inner < hi[i]][::-1], [hi[i]])),
+                _LOW_TOL * scale[i], _LOW_TOL))
+    if not (split or whole):
         return low, error, converged, panels
 
-    segments = max(band.gaps.shape[0] for band in bands)
-    gaps = np.zeros((segments, len(bands)))
-    mids = np.zeros((segments, len(bands)))
-    for c, band in enumerate(bands):
-        gaps[:band.gaps.shape[0], c] = band.gaps[:, 0]
-        mids[:band.mids.shape[0], c] = band.mids[:, 0]
-    columns = np.concatenate(columns).astype(np.intp)
+    if len(bands) == 1:
+        gaps, mids = bands[0].gaps, bands[0].mids
+    else:
+        segments = max(band.gaps.shape[0] for band in bands)
+        gaps = np.zeros((segments, len(bands)))
+        mids = np.zeros((segments, len(bands)))
+        for c, band in enumerate(bands):
+            gaps[:band.gaps.shape[0], c] = band.gaps[:, 0]
+            mids[:band.mids.shape[0], c] = band.mids[:, 0]
     power = -(alpha + 2.0)
 
-    def integrand(points):
-        x = points["x"]
-        return segment_filter(gaps, mids, x, columns[points["group"]]) \
-            * x ** power
+    def integrand(columns):
+        """The integrand at GROUPED_POINT records whose group g lies in
+        band columns[g]."""
+        def fn(points):
+            x = points["x"]
+            return segment_filter(
+                gaps, mids, x,
+                None if len(bands) == 1 else columns[points["group"]]) \
+                * x ** power
+        return fn
 
-    res = integrate_panels(
-        integrand, Bands(np.concatenate(edges),
-                         np.concatenate(sizes).astype(np.intp)),
-        grouped=True, atol=np.concatenate(atol), rtol=np.concatenate(rtol))
-    rows = np.concatenate(rows).astype(np.intp)
-    low[rows] += res.values
-    error[rows] += res.errors
-    panels[rows] += res.group_panels
-    converged[rows] &= res.converged
+    def add(rows, values, errors, counts, ok):
+        low[rows] += values
+        error[rows] += errors
+        panels[rows] += counts
+        converged[rows] &= ok
+
+    if split:
+        rows, columns, lefts, rights, depth = (
+            np.concatenate(part) for part in zip(*split))
+        atol = _LOW_TOL * low[rows] / depth
+        rtol = _LOW_TOL / depth
+        values, errors = gauss_kronrod(integrand(columns), lefts, rights,
+                                       np.arange(rows.size)[:, None])
+        hit = errors <= atol + rtol * np.abs(values)
+        add(rows[hit], values[hit], errors[hit], 1, True)
+        whole += [(rows[j], columns[j], np.array([lefts[j], rights[j]]),
+                   atol[j], rtol[j]) for j in np.flatnonzero(~hit)]
+    if whole:
+        rows, columns, edges, atol, rtol = zip(*whole)
+        res = integrate_panels(
+            integrand(np.array(columns, np.intp)),
+            Bands(np.concatenate(edges),
+                  np.array([e.size for e in edges], np.intp)),
+            grouped=True, atol=np.array(atol), rtol=np.array(rtol))
+        add(np.array(rows, np.intp), res.values, res.errors,
+            res.group_panels, res.converged)
     return low, error, converged, panels
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import SpectralProfile, coherence_factor, \
+from .dephasing import X_MIN, SpectralProfile, coherence_factor, \
     overlap_from_positions, train_overlaps
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
@@ -141,12 +141,17 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
                        tol: float) -> float | None:
     """Death length refined from a curve's first dead point, or None.
 
-    The bracket runs from the grid point before it (or from a billionth
-    of the first length when the first point is already dead).  The
-    refinement starts from the curve's coherence factors at the bracket
-    ends and at their outer neighbours, the neighbours only when they
-    share the pulse count of both ends (``CpmgDensity`` Gamma jumps
-    where the count changes).  A BestEstimate comes back when a value
+    The bracket runs from the grid point before it.  When the first
+    point is already dead, it runs from a billionth of the first length
+    instead, walked down by further factors of a billion while that is
+    dead too, never below X_MIN / ir_cutoff, the shortest length the
+    overlap integral takes.  A state dead even there dies in
+    (0, X_MIN / ir_cutoff], alive at 0 by its own concurrence, and gets
+    the midpoint.  The refinement starts from the curve's coherence
+    factors at the bracket ends and at their outer neighbours, the
+    neighbours only when they share the pulse count of both ends
+    (``CpmgDensity`` Gamma jumps where the count changes), and from the
+    walk's values at its ends.  A BestEstimate comes back when a value
     it used did not converge.  A state that is separable to begin with
     raises SeparableStateError.
     """
@@ -158,16 +163,50 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
         return None
     i = int(dead[0])
     lengths = curve.lengths
-    lo = lengths[i - 1] if i > 0 else lengths[0] * 1e-9
-    count = seq.pulse_count(lo)
-    if seq.pulse_count(lengths[i]) != count:
-        count = None  # Gamma may jump inside the bracket: ends only
-    known = [(lengths[j], curve.gamma[j] if curve.converged[j]
-              else BestEstimate(curve.gamma[j]))
-             for j in range(max(i - 2, 0), min(i + 2, lengths.size))
-             if j in (i - 1, i) or seq.pulse_count(lengths[j]) == count]
-    return refine_esd(seq, spectrum, profile, state, lo, lengths[i],
-                      tol=tol, known=known)
+    if i > 0:
+        lo, hi, known = lengths[i - 1], lengths[i], []
+    else:
+        lo, hi, known = _alive_below(seq, spectrum, profile, state,
+                                     lengths[0])
+        if lo == 0.0:
+            mid = 0.5 * hi
+            return BestEstimate(mid) if isinstance(known[0][1],
+                                                   BestEstimate) else mid
+    if hi == lengths[i]:
+        count = seq.pulse_count(lo)
+        if seq.pulse_count(hi) != count:
+            count = None  # Gamma may jump inside the bracket: ends only
+        known = [(lengths[j], curve.gamma[j] if curve.converged[j]
+                  else BestEstimate(curve.gamma[j]))
+                 for j in range(max(i - 2, 0), min(i + 2, lengths.size))
+                 if j in (i - 1, i)
+                 or seq.pulse_count(lengths[j]) == count] + known
+    return refine_esd(seq, spectrum, profile, state, lo, hi, tol=tol,
+                      known=known)
+
+
+def _alive_below(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
+                 state: TwoQubitXState, dead_length: float):
+    """An alive length below ``dead_length``, walking down from it by
+    factors of a billion, and the dead length above it, with the
+    (length, Gamma) pairs evaluated there; 0 as the alive length when
+    the state is dead even at X_MIN / ir_cutoff."""
+    floor = X_MIN / spectrum.ir_cutoff
+    hi, lo, known = dead_length, max(dead_length * 1e-9, floor), []
+    while True:
+        gamma, dead = _probe(seq, spectrum, profile, state, lo)
+        if not dead:
+            return lo, hi, known + [(lo, gamma)]
+        if lo == floor:
+            return 0.0, lo, [(lo, gamma)]
+        hi, lo, known = lo, max(lo * 1e-9, floor), [(lo, gamma)]
+
+
+def _probe(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
+           state: TwoQubitXState, length: float):
+    """Gamma at one length, and whether the state is dead there (C == 0)."""
+    gamma = coherence_at(seq, spectrum, profile, length)
+    return gamma, dephased_concurrence(state, [gamma])[0] == 0.0
 
 
 def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
@@ -184,7 +223,8 @@ def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     (length, Gamma) pairs already evaluated on the same smooth stretch
     of Gamma: bracket ends found there are not evaluated again, and the
     point nearest the first regula falsi estimate stands in for the
-    replaced end until a probe replaces one.  A probe stays at least
+    replaced end until a probe replaces one.  An alive end that its
+    probe finds dead raises ValueError.  A probe stays at least
     tol/2 inside the bracket, and a step that fails to halve the
     bracket is followed by a bisection.  Stops at hi - lo <= tol and
     returns the midpoint, as a BestEstimate when any value used did not
@@ -204,11 +244,16 @@ def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
         return gamma - threshold
 
     def probe(length: float) -> tuple[float, bool]:
-        gamma = coherence_at(seq, spectrum, profile, length)
-        return g_of(gamma), dephased_concurrence(state, [gamma])[0] == 0.0
+        gamma, dead = _probe(seq, spectrum, profile, state, length)
+        return g_of(gamma), dead
 
     lo, hi = alive_length, dead_length
-    g_lo = g_of(known.pop(lo)) if lo in known else probe(lo)[0]
+    if lo in known:
+        g_lo = g_of(known.pop(lo))
+    else:
+        g_lo, dead = probe(lo)
+        if dead:
+            raise ValueError(f"alive_length {lo} is dead: concurrence 0")
     g_hi = g_of(known.pop(hi)) if hi in known else probe(hi)[0]
     seeds = [(length, g_of(gamma)) for length, gamma in known.items()]
     third = None  # (length, g) of the end a probe last replaced

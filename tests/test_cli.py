@@ -221,6 +221,31 @@ def test_too_short_grid_is_a_config_error(tmp_path, capsys, argv, message):
     assert stdout == "" and not out.exists()
 
 
+def test_too_long_grid_is_a_config_error(tmp_path, capsys):
+    # length_max^2 overflows at alpha = 1 past 1.34e154; 1e150 stays valid
+    out = tmp_path / "curve.csv"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--length-max",
+                                   "1e300", "--out", str(out))
+    assert code == 2
+    assert stderr == ("config error:\nlength_max: 1e+300 is above "
+                      "1.3407807929942596e+154, where uv_cutoff * length_max "
+                      "or length_max^(1+alpha) overflows\n")
+    assert stdout == "" and not out.exists()
+    code, _, stderr = run_cli(capsys, "simulate", "--length-max", "1e150",
+                              "--grid-points", "4", "--out", str(out))
+    assert code == 0 and stderr == ""
+
+
+def test_csv_row_template_formats_cells_as_fmt():
+    # every CSV row is one '%.17g' template: the bytes _fmt gave per cell
+    from fiberdd.cli import _CURVE_ROW, _fmt
+    for value in (0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 5e-324, 1e22,
+                  1.7976931348623157e308, np.inf, -np.inf, np.nan,
+                  np.float64(2.5)):
+        row = (value,) * 4
+        assert _CURVE_ROW % row == ",".join(map(_fmt, row)) + "\n"
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """Overlap integral and coherence factor."""
 
+import re
 import sys
 import threading
 
@@ -144,12 +145,25 @@ def test_with_error_reports_converged_estimate():
     assert abs(f - riemann_overlap(Free(), spec, 2.0)) <= max(err * 10, 1e-6 * f)
 
 
+def _miss_first_pass(monkeypatch, start):
+    """Make every partial panel that starts at ``start`` miss its first
+    Gauss-Kronrod pass, so that it goes on to integrate_panels."""
+    kronrod = dephasing.gauss_kronrod
+
+    def missed(fn, lefts, rights, group=None):
+        values, errors = kronrod(fn, lefts, rights, group)
+        return values, np.where(lefts == start, np.inf, errors)
+
+    monkeypatch.setattr(dephasing, "gauss_kronrod", missed)
+
+
 def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
     # an unreachable tolerance exhausts the low-band panel budget; the
     # attached estimate still includes the closed-form band above w_c
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     f = overlap_integral(Free(), spec, 5.0)
     grouped = dephasing.integrate_panels
+    _miss_first_pass(monkeypatch, spec.ir_cutoff * 5.0)
 
     def unreachable(fn, bands, **kwargs):
         # no error estimate meets a negative tolerance, so the length's
@@ -299,6 +313,7 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
     lengths = np.array([0.5, 2.0, 150.0, 4.0])
     grouped = dephasing.integrate_panels
     start = spec.ir_cutoff * 150.0
+    _miss_first_pass(monkeypatch, start)
 
     def starved(fn, bands, **kwargs):
         own = np.array([b[0] == start for b in bands])
@@ -556,3 +571,76 @@ def test_train_overlaps_rejects_bad_counts(pulses):
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     with pytest.raises(ValueError, match="pulse count"):
         train_overlaps(pulses, spec, [1.0, 2.0])
+
+
+def _counting_panels(monkeypatch):
+    """Record the keyword arguments of every integrate_panels call."""
+    calls = []
+    grouped = dephasing.integrate_panels
+
+    def counted(fn, bands, **kwargs):
+        calls.append(kwargs)
+        return grouped(fn, bands, **kwargs)
+
+    monkeypatch.setattr(dephasing, "integrate_panels", counted)
+    return calls
+
+
+def test_converged_partial_panel_skips_integrate_panels(monkeypatch):
+    # a warm one-length call takes its partial panel from one
+    # Gauss-Kronrod pass; routed through integrate_panels instead, the
+    # panel converges on that same pass and gives the same bits
+    spec = NoiseSpectrum(0.008, 1.2, 1e-3, 1e3)
+    positions = train(4, 7.3)
+    overlap_from_positions(positions, spec, 7.3)
+    calls = _counting_panels(monkeypatch)
+    direct = overlap_from_positions(positions, spec, 7.3, with_error=True)
+    assert calls == []
+    _miss_first_pass(monkeypatch, spec.ir_cutoff * 7.3)
+    routed = overlap_from_positions(positions, spec, 7.3, with_error=True)
+    assert len(calls) == 1
+    assert routed == direct
+
+
+def test_missed_partial_panel_keeps_its_depth_rule_share(monkeypatch):
+    # a partial panel that misses its first pass is refined by
+    # integrate_panels to the share of the depth rule below its k whole
+    # panels: 1e-8 S / (k + 1) absolute, 1e-8 / (k + 1) relative
+    spec = NoiseSpectrum(0.008, 0.8, 1e-3, 1e3)
+    lengths = np.array([0.7, 3.0, 30.0])
+    want = train_overlaps([2, 2, 2], spec, lengths)
+    calls = _counting_panels(monkeypatch)
+    _miss_first_pass(monkeypatch, spec.ir_cutoff * 3.0)
+    got = train_overlaps([2, 2, 2], spec, lengths)
+    monkeypatch.undo()
+    [kwargs] = calls
+    band = dephasing._low_band(2, 0.8)
+    grid, values, *_ = band.panels(spec.ir_cutoff * 0.7)
+    k = np.searchsorted(-grid[1:], -spec.ir_cutoff * 3.0)
+    assert kwargs["atol"].tolist() == [1e-8 * values[k] / (k + 1.0)]
+    assert kwargs["rtol"].tolist() == [1e-8 / (k + 1.0)]
+    for part, reference in zip(got, want):
+        assert np.array_equal(part, reference)
+
+
+def test_single_and_multi_band_batches_agree_bitwise():
+    # a lone band evaluates on its own segment table, a batch of pulse
+    # counts on one padded table; a shared length gets the same bits
+    spec = NoiseSpectrum(0.008, 1.4, 1e-3, 1e3)
+    lone = train_overlaps([3], spec, [5.0])
+    mixed = train_overlaps([0, 3, 9, 3], spec, [2.0, 5.0, 40.0, 9.0])
+    for part, reference in zip(mixed, lone):
+        assert part[1] == reference[0]
+
+
+def test_length_above_max_length_raises():
+    # L^(1+alpha) overflows past 1.34e154 at alpha = 1: a NaN overlap
+    # flagged converged before this bound was checked
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    limit = dephasing.max_length(spec)
+    assert limit == 1.3407807929942596e154
+    with pytest.raises(ValueError, match=re.escape(f"above {limit}, where")):
+        train_overlaps([0], spec, [8.3e297])
+    with np.errstate(over="ignore"):  # x^2 in K at x = uv L, weighted 0
+        at_limit = train_overlaps([0, 2], spec, [limit, 1e150])
+    assert np.isfinite(at_limit.value).all() and at_limit.converged.all()

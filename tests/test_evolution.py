@@ -387,3 +387,27 @@ def test_curve_of_a_collapsing_train_raises():
     with pytest.raises(ValueError,
                        match="pulse positions must be strictly increasing"):
         decoherence_curve(CpmgCount(20), SPEC, PROF, STATE, [5e-323, 1e-322])
+
+
+def test_dead_first_point_walks_down_to_an_alive_length(monkeypatch):
+    # every grid point is dead, and so is a billionth of the first one:
+    # the bracket must still start from a length its probe found alive
+    with pytest.raises(ValueError, match="alive_length .* is dead"):
+        refine_esd(Free(), SPEC, PROF, STATE, 1e20, 1e40, tol=1e33)
+    curve = decoherence_curve(Free(), SPEC, PROF, STATE, [1e40, 2e40])
+    assert not curve.concurrence.any()
+    brackets = []
+    refine = evolution.refine_esd
+
+    def spy(seq, spectrum, profile, state, alive, dead, **kwargs):
+        brackets.append((alive, dead))
+        return refine(seq, spectrum, profile, state, alive, dead, **kwargs)
+
+    monkeypatch.setattr(evolution, "refine_esd", spy)
+    esd = curve_death_length(Free(), SPEC, PROF, STATE, curve, tol=1e-6)
+    [(alive, dead)] = brackets
+    assert (alive, dead) == (1e40 * 1e-9 * 1e-9 * 1e-9 * 1e-9 * 1e-9,
+                             1e40 * 1e-9 * 1e-9 * 1e-9 * 1e-9)
+    assert concurrence_at(Free(), SPEC, PROF, STATE, alive) > 0.0
+    assert concurrence_at(Free(), SPEC, PROF, STATE, dead) == 0.0
+    assert abs(esd - esd_length(Free(), SPEC, PROF, STATE, 50.0)) <= 1e-5

@@ -9,17 +9,26 @@ for seed 5, rounds 0-7 (built by ``CHECKOUT/bench/tasks.py``), in-process
 through ``CHECKOUT``'s own ``fiberdd.cli.main``, and prints what the
 overlap integral did for them:
 
+- ``curve overlap calls``: batched overlap calls of the curves
+  (``train_overlaps`` as ``fiberdd.evolution`` binds it);
+- ``probe overlap calls``: one-length overlap calls of the death-length
+  probes (``overlap_from_positions`` as ``fiberdd.evolution`` binds it);
 - ``integrand points``: frequencies at which ``segment_filter`` was
   evaluated for the low band;
 - ``points x segments``: the same, times the segments of the filter
   table each point was evaluated on (padded columns included);
+- ``gauss_kronrod calls`` and ``gauss_kronrod panels``: first passes
+  that ``fiberdd.dephasing`` runs itself, without refinement, and the
+  panels they evaluate;
 - ``integrate_panels calls``: calls of the adaptive quadrature;
 - ``_tail arguments``: arguments of the pair-sum tail integral K.
 
-All four are counted by wrapping names of ``fiberdd.dephasing``, which
-both the per-length and the cached low band bind, so two checkouts can be
-compared line by line.  The wall time of the whole run is printed last;
-it is one run, not a benchmark.
+The last five are counted by wrapping names of ``fiberdd.dephasing``
+(``integrate_panels`` evaluates its own panels through
+``fiberdd.quadrature``, which no wrapper sees), so two checkouts can be
+compared line by line; a name a checkout does not bind counts 0.  The
+wall time of the whole run is printed last; it is one run, not a
+benchmark.
 """
 
 from __future__ import annotations
@@ -42,28 +51,34 @@ def census(root: Path) -> tuple[Counter, float, int]:
     ``root``, whose ``src`` and ``bench`` are put first on sys.path."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import tasks
-    from fiberdd import cli, dephasing
+    from fiberdd import cli, dephasing, evolution
 
     counts = Counter()
-    segment_filter, integrate_panels, tail = (
-        dephasing.segment_filter, dephasing.integrate_panels, dephasing._tail)
 
-    def counted_filter(gaps, mids, omega, *args, **kwargs):
-        counts["integrand points"] += omega.size
+    def count(module, name, counter, amount=lambda *args: 1):
+        """Wrap ``module.name`` to add ``amount(*args)`` to ``counter``."""
+        if not hasattr(module, name):
+            return
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[counter] += amount(*args)
+            return original(*args, **kwargs)
+
+        setattr(module, name, counted)
+
+    def filter_points(gaps, mids, omega, *args):
         counts["points x segments"] += omega.size * gaps.shape[0]
-        return segment_filter(gaps, mids, omega, *args, **kwargs)
+        return omega.size
 
-    def counted_panels(*args, **kwargs):
-        counts["integrate_panels calls"] += 1
-        return integrate_panels(*args, **kwargs)
-
-    def counted_tail(x, alpha):
-        counts["_tail arguments"] += x.size
-        return tail(x, alpha)
-
-    dephasing.segment_filter = counted_filter
-    dephasing.integrate_panels = counted_panels
-    dephasing._tail = counted_tail
+    count(evolution, "train_overlaps", "curve overlap calls")
+    count(evolution, "overlap_from_positions", "probe overlap calls")
+    count(dephasing, "segment_filter", "integrand points", filter_points)
+    count(dephasing, "gauss_kronrod", "gauss_kronrod calls")
+    count(dephasing, "gauss_kronrod", "gauss_kronrod panels",
+          lambda fn, lefts, *args: lefts.size)
+    count(dephasing, "integrate_panels", "integrate_panels calls")
+    count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
     task_list = tasks.task_list("sweep", SEED, ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -86,7 +101,9 @@ def main(argv: list[str]) -> int:
     counts, seconds, count = census(root)
     print(f"checkout {root}: bench sweep seed {SEED}, rounds 0-{ROUNDS - 1}, "
           f"{count} tasks")
-    for name in ("integrand points", "points x segments",
+    for name in ("curve overlap calls", "probe overlap calls",
+                 "integrand points", "points x segments",
+                 "gauss_kronrod calls", "gauss_kronrod panels",
                  "integrate_panels calls", "_tail arguments"):
         print(f"{name} = {counts[name]}")
     print(f"wall_s = {seconds:.3f}")
