@@ -247,16 +247,20 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+@lru_cache(maxsize=64)
 def max_length(spectrum: NoiseSpectrum) -> float:
     """The longest length whose overlap integral is computed: at and
-    below it, uv_cutoff * length and length^(1+alpha) stay finite."""
+    below it, uv_cutoff * length and length^(1+alpha) stay finite.  It
+    lies within 1e-12 relative of where they overflow."""
     power = 1.0 + spectrum.exponent
+    # 1e-12 is far more than the rounding of the roots (the exponent
+    # 1/power is rounded, and the largest float is e^709.8)
     limit = np.array([min(_FLOAT_MAX ** (1.0 / power),
-                          _FLOAT_MAX / spectrum.uv_cutoff)])
+                          _FLOAT_MAX / spectrum.uv_cutoff) * (1.0 - 1e-12)])
     with np.errstate(over="ignore"):
         while not (spectrum.uv_cutoff * limit[0] <= _FLOAT_MAX
                    and limit ** power <= _FLOAT_MAX):
-            limit = np.nextafter(limit, 0.0)  # the roots rounded up
+            limit = np.nextafter(limit, 0.0)
     return float(limit[0])
 
 

@@ -228,7 +228,7 @@ def test_too_long_grid_is_a_config_error(tmp_path, capsys):
                                    "1e300", "--out", str(out))
     assert code == 2
     assert stderr == ("config error:\nlength_max: 1e+300 is above "
-                      "1.3407807929942596e+154, where uv_cutoff * length_max "
+                      "1.3407807929929188e+154, where uv_cutoff * length_max "
                       "or length_max^(1+alpha) overflows\n")
     assert stdout == "" and not out.exists()
     code, _, stderr = run_cli(capsys, "simulate", "--length-max", "1e150",

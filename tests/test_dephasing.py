@@ -638,7 +638,7 @@ def test_length_above_max_length_raises():
     # flagged converged before this bound was checked
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     limit = dephasing.max_length(spec)
-    assert limit == 1.3407807929942596e154
+    assert limit == 1.3407807929929188e154
     with pytest.raises(ValueError, match=re.escape(f"above {limit}, where")):
         train_overlaps([0], spec, [8.3e297])
     with np.errstate(over="ignore"):  # x^2 in K at x = uv L, weighted 0
