@@ -247,7 +247,6 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-@lru_cache(maxsize=64)
 def max_length(spectrum: NoiseSpectrum) -> float:
     """The longest length whose overlap integral is computed: at and
     below it, uv_cutoff * length and length^(1+alpha) stay finite.  It
@@ -341,10 +340,11 @@ class _LowBand:
         # mixes two extensions: their edges from the top down; the sums
         # of the values, errors and panel counts of the top k of them,
         # k = 0, 1, ...; their first-pass values summed; and the grid
-        # point after the last of them.
+        # point after the last of them (top until a call has asked, as
+        # every x a call asks about lies below top).
         self.kept = (np.array([self.top]),
                      (np.zeros(1), np.zeros(1), np.zeros(1, np.intp)), 0.0,
-                     self._grid(1, 2)[0])
+                     self.top)
 
     def _grid(self, start: int, stop: int) -> np.ndarray:
         """Grid points start, ..., stop - 1 (start >= 1), counted down from
