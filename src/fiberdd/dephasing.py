@@ -250,17 +250,11 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
 def max_length(spectrum: NoiseSpectrum) -> float:
     """The longest length whose overlap integral is computed: at and
     below it, uv_cutoff * length and length^(1+alpha) stay finite.  It
-    lies within 1e-12 relative of where they overflow."""
-    power = 1.0 + spectrum.exponent
-    # 1e-12 is far more than the rounding of the roots (the exponent
-    # 1/power is rounded, and the largest float is e^709.8)
-    limit = np.array([min(_FLOAT_MAX ** (1.0 / power),
-                          _FLOAT_MAX / spectrum.uv_cutoff) * (1.0 - 1e-12)])
-    with np.errstate(over="ignore"):
-        while not (spectrum.uv_cutoff * limit[0] <= _FLOAT_MAX
-                   and limit ** power <= _FLOAT_MAX):
-            limit = np.nextafter(limit, 0.0)
-    return float(limit[0])
+    lies 1e-12 relative below where the first of them overflows, far
+    more than the rounding of the roots here (the exponent 1/(1+alpha)
+    is rounded, and the largest float is e^709.8)."""
+    return min(_FLOAT_MAX ** (1.0 / (1.0 + spectrum.exponent)),
+               _FLOAT_MAX / spectrum.uv_cutoff) * (1.0 - 1e-12)
 
 
 @lru_cache(maxsize=64)
@@ -571,10 +565,8 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
             x = lo[rows]
             grid, *sums, certified = band.panels(x.min())
             k = np.searchsorted(-grid[1:], -x)
-            low[rows], error[rows], panels[rows] = (s[k] for s in sums)
-            converged[rows] = certified[k]
             split.append((rows, np.full(rows.size, column), x, grid[k],
-                          k + 1.0))
+                          k + 1.0, *(s[k] for s in sums), certified[k]))
         for i in r[hi[r] <= band.top]:
             inner = band.points_to(1, lo[i])[:-1]
             whole.append((i, column, np.concatenate(
@@ -605,21 +597,21 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
                 * x ** power
         return fn
 
-    def add(rows, values, errors, counts, ok):
-        low[rows] += values
-        error[rows] += errors
-        panels[rows] += counts
-        converged[rows] &= ok
-
     if split:
-        rows, columns, lefts, rights, depth = (
-            np.concatenate(part) for part in zip(*split))
-        atol = _LOW_TOL * low[rows] / depth
+        # the cached panels above each partial panel: their value, error,
+        # panel count and certification
+        rows, columns, lefts, rights, depth, above, above_error, counts, \
+            certified = split[0] if len(split) == 1 else (
+                np.concatenate(part) for part in zip(*split))
+        atol = _LOW_TOL * above / depth
         rtol = _LOW_TOL / depth
         values, errors = gauss_kronrod(integrand(columns), lefts, rights,
                                        np.arange(rows.size)[:, None])
         hit = errors <= atol + rtol * np.abs(values)
-        add(rows[hit], values[hit], errors[hit], 1, True)
+        low[rows] = np.where(hit, above + values, above)
+        error[rows] = np.where(hit, above_error + errors, above_error)
+        panels[rows] = counts + hit
+        converged[rows] = certified
         whole += [(rows[j], columns[j], np.array([lefts[j], rights[j]]),
                    atol[j], rtol[j]) for j in np.flatnonzero(~hit)]
     if whole:
@@ -629,8 +621,11 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
             Bands(np.concatenate(edges),
                   np.array([e.size for e in edges], np.intp)),
             grouped=True, atol=np.array(atol), rtol=np.array(rtol))
-        add(np.array(rows, np.intp), res.values, res.errors,
-            res.group_panels, res.converged)
+        rows = np.array(rows, np.intp)
+        low[rows] += res.values
+        error[rows] += res.errors
+        panels[rows] += res.group_panels
+        converged[rows] &= res.converged
     return low, error, converged, panels
 
 

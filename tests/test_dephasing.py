@@ -644,3 +644,14 @@ def test_length_above_max_length_raises():
     with np.errstate(over="ignore"):  # x^2 in K at x = uv L, weighted 0
         at_limit = train_overlaps([0, 2], spec, [limit, 1e150])
     assert np.isfinite(at_limit.value).all() and at_limit.converged.all()
+    # the bound sits just below the first overflow over all exponents
+    for alpha in np.linspace(0.0, 2.0, 401):
+        for uv in (1e-3, 1e3, 1e300):
+            limit = dephasing.max_length(NoiseSpectrum(0.008, alpha,
+                                                       1e-300, uv))
+            with np.errstate(over="ignore"):
+                for length, finite in ((limit, True),
+                                       (limit * (1.0 + 3e-12), False)):
+                    scaled = np.append(np.array([length]) ** (1.0 + alpha),
+                                       uv * length)
+                    assert np.isfinite(scaled).all() == finite
