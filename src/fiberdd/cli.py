@@ -23,13 +23,13 @@ import numpy as np
 from . import config as cfg
 from .dephasing import coherence_factor, overlap_from_positions
 from .evolution import DEATH_LENGTH_RTOL, BestEstimate, \
-    SeparableStateError, curve_death_length, decoherence_curve
+    SeparableStateError, curve_death_length, decoherence_curve, \
+    pulse_count_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
-from .sequences import CpmgCount, CpmgDensity, Free, SequenceDegenerateError, \
-    SpinEcho
+from .sequences import CpmgDensity, Free, SequenceDegenerateError, SpinEcho
 
 FIG2A_DENSITIES = (0.1, 0.2, 0.4)
 FIG3_LENGTH = 50.0
@@ -115,7 +115,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _figure_series(preset: str, config: cfg.SimulationConfig, spectrum):
-    """(series label, sequence, spectrum, lengths) tuples for one preset."""
+    """(series label, sequence, spectrum, lengths) tuples for one preset
+    other than fig3, which is one batch of pulse counts."""
     grid = cfg.length_grid(config)
     if preset == "fig2a":
         series = [("free", Free(), spectrum, grid)]
@@ -125,12 +126,6 @@ def _figure_series(preset: str, config: cfg.SimulationConfig, spectrum):
     if preset == "fig2b":
         return [("free", Free(), spectrum, grid),
                 ("se", SpinEcho(), spectrum, grid)]
-    if preset == "fig3":
-        grid3 = np.array([FIG3_LENGTH])
-        series = [("N=0", Free(), spectrum, grid3)]
-        series += [(f"N={n}", CpmgCount(n), spectrum, grid3)
-                   for n in range(1, FIG3_MAX_PULSES + 1)]
-        return series
     if preset == "fig4":
         series = []
         for alpha in FIG4_ALPHAS:
@@ -160,13 +155,23 @@ def _cmd_figure(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{args.preset}.csv")
 
+    if args.preset == "fig3":
+        # one row per pulse count at one length: a single batch
+        counts = np.arange(FIG3_MAX_PULSES + 1)
+        curves = [([f"N={n}" for n in counts], pulse_count_curve(
+            counts, spectrum, profile, state,
+            np.full(counts.size, FIG3_LENGTH)))]
+    else:
+        curves = [([label] * grid.size,
+                   decoherence_curve(seq, spec, profile, state, grid))
+                  for label, seq, spec, grid in _figure_series(
+                      args.preset, config, spectrum)]
     rows = []
     all_converged = True
-    for label, seq, spec, grid in _figure_series(args.preset, config,
-                                                 spectrum):
-        curve = decoherence_curve(seq, spec, profile, state, grid)
+    for labels, curve in curves:
         all_converged &= bool(curve.converged.all())
-        rows += [[label, *row] for row in _curve_rows(curve)]
+        rows += [[label, *row] for label, row in zip(labels,
+                                                      _curve_rows(curve))]
     _write_csv(path, lines, "series,L,f_L,gamma,concurrence", rows,
                "%s," + _CURVE_ROW)
     print(f"csv = {path}")

@@ -18,8 +18,9 @@ split at w_c = min(uv, max(ir, pi / g_min)), g_min the shortest segment:
 
 - below w_c the pair terms cancel each other (F is far smaller than the
   terms it sums, and K diverges at small x for alpha > 1), so [ir, w_c]
-  runs the adaptive Gauss-Kronrod quadrature on the segment-factored
-  ``segment_filter``;
+  integrates the filter itself: its power series at low frequencies,
+  Gauss-Kronrod panels over the segment-factored ``segment_filter``
+  above them (the low band below);
 - above w_c every pair argument w d_jk is at least pi, where the
   non-oscillating parts of all pair terms add with one sign, so
   [w_c, uv] is the closed form
@@ -37,50 +38,46 @@ filter of the unit-length train (Cywinski et al., PRB 77, 174509
 with dh = d/L, x_c = w_c L = min(uv L, max(ir L, X)) and X = pi/gh_min
 (pi for free evolution, 2 pi N for CPMG).  Neither the x integrand nor
 P(X) depends on L, so each (pulse count, exponent) keeps one low band
-in a bounded cache: a grid anchored at X, with uniform panels no wider
-than pi (half the shortest period of Fh) down to min(X, 4 pi) and
-geometric ones by EDGE_RATIO below, extended downward when a call asks;
-each panel's Gauss-Kronrod value and error with their running sums
-from the top; and P(X).  One length then costs a searchsorted for
-ir L, one partial panel [ir L, next grid point] and P(uv L).  Where
-uv L <= X there are no pair terms and the length integrates [ir L, uv L]
-on the grid points inside it, to integrate_panels' own 1e-8 abs +
-1e-8 rel in w; where ir L >= X there is no low band and the pair terms
-are P(ir L) - P(uv L).  An explicit train that is not ``train(N, L)``
-builds an uncached low band from its own boundaries by the same code.
+in a bounded cache, split at x0 = min(4, X):
 
-The depth rule certifies every length's low band.  Grid panel j,
-counted from the top from 0, gets the error share 1e-8 (S_j + v_j) /
-((j+1)(j+2)), with v_j its first-pass value and S_j the first-pass
-values of the panels above it, summed.  A length with k whole panels
-above ir L gives its partial panel the rest, 1e-8 (S + v) / (k + 1)
-with S the sum of those k panels.  Grid and partial panels follow one
-rule: one ``gauss_kronrod`` pass over all panels of a call at once,
-then ``integrate_panels`` refines only the panels whose error misses
-their share, to that share.  The shares add up to 1 and the integrand
-is nonnegative, so S_j + v_j is a lower bound on the low band of every
-length that uses panel j, and each length meets 1e-8 relative in x,
-hence after the L^(1+alpha) scale the 1e-8 abs + 1e-8 rel that the low
-band met in w before.  A rule relative to each panel's own value would
-not do: rounding noise in ``segment_filter`` at x near 1e-8 keeps deep
-panels above any tolerance of that kind.  A grid panel that misses its
-share even after refinement is never kept; every call that needs it
-evaluates it again and flags its lengths unconverged.
+- below x0, Fh(x) = sum_m f_m x^(2m) with 40 terms, whose coefficients
+  depend on the train alone: from the closed form of ``train(N, L)``,
+  cached per pulse count, or exactly from the boundaries of any other
+  train.  Integrated termwise, int_a^x0 x^-(2+alpha) Fh dx =
+  sum_m f_m (x0^e - a^e)/e with e = 2m - 1 - alpha, so a length pays
+  one series evaluation at a = ir L, and no panel;
+- between x0 and X, uniform panels no wider than pi (half the shortest
+  period of Fh), whose Gauss-Kronrod nodes hold the values of Fh that
+  ``segment_filter`` gave, cached per train.  An exponent weighs them by
+  x^-(2+alpha) once; the panels must meet sum(errors) <= 1e-8
+  sum(values), and only the panels whose error is above their equal
+  share of that are refined, by ``integrate_panels``.  The integrand is
+  nonnegative, so that sum is a lower bound on the low band of every
+  length that spans [x0, X], and each such length meets 1e-8 relative
+  in x, hence after the L^(1+alpha) scale the 1e-8 abs + 1e-8 rel that
+  the low band met in w before.  Panels that miss even after
+  refinement are never kept: every call that needs them weighs them
+  again and flags its lengths unconverged.
 
-Cost: each (N, alpha) pays about 2N + log(X / (ir L_min)) /
-log(EDGE_RATIO) panels once, shared by the lengths of a curve and by
-its death-length probes, and each length adds one partial panel and its
-(N+2)(N+1)/2 pair terms, with K evaluated only at the ~2N distinct
-separations.  The error estimate is the low-band Gauss-Kronrod estimate
-plus a rounding bound of 64 machine epsilons times the summed
-magnitudes of the pair terms.
+Rare lengths keep an integral of their own: where ir L >= x0 or
+uv L <= X, the part of [x0, X] inside [ir L, uv L] goes to
+integrate_panels on the grid points inside it, to 1e-8 abs + 1e-8 rel
+in w, and where uv L < x0 the series runs from ir L to uv L.  Where
+ir L >= X there is no low band and the pair terms are P(ir L) - P(uv L).
+
+Cost: each pulse count pays its filter at about 2N panels' nodes once,
+each (N, alpha) weighs them once, and each length pays one series
+evaluation plus its (N+2)(N+1)/2 pair terms, with K evaluated only at
+the ~2N distinct separations.  The error estimate is the panels'
+Gauss-Kronrod estimate plus a rounding bound of 64 machine epsilons
+times the summed magnitudes of the series and of the pair terms.
 
 ``train_overlaps`` evaluates many lengths at once from their pulse
 counts and ``overlap_from_positions`` one explicit train, by the same
 code.  Every sum over one length's terms runs in a fixed order, and the
-panel sums run from the top in one order however deep the cache has
-grown, so a length's result depends neither on the rest of its batch
-nor on what the cache held before, bit for bit.
+cached panels do not depend on which lengths asked for them, so a
+length's result depends neither on the rest of its batch nor on what
+the cache held before, bit for bit.
 
 Averaging the random phase over the Gaussian noise *and* over the
 photon's optical bandwidth gives the coherence factor
@@ -103,8 +100,8 @@ import numpy as np
 
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import EDGE_RATIO, Bands, QuadratureError, gauss_kronrod, \
-    integrate_panels
+from .quadrature import Bands, QuadratureError, integrate_panels, \
+    kronrod_nodes, kronrod_sums
 from .sequences import train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
@@ -117,7 +114,10 @@ _LAGUERRE_NODES = 60
 _TAIL_CHUNK = 2048
 # Pair terms per pass of the pair sums, bounding their (x, pair) arrays.
 _PAIR_WORK = 65_536
-# Relative tolerance of every length's low band (see the depth rule).
+# Terms of the power series of a unit-length filter, in x^2, summed
+# below x0 = min(_TAIL_X0, top) (see the module docstring).
+_SERIES_TERMS = 40
+# Relative tolerance of every length's low band.
 _LOW_TOL = 1e-8
 # Smallest low-band limit x = ir L: x^-4, the steepest spectral power,
 # is finite from here up.
@@ -177,7 +177,10 @@ def _tail_rotated(x: np.ndarray, p: float) -> np.ndarray:
     """
     s, w = _laguerre_rule()
     xs = x[:, None]
-    mag = w * (xs * xs + s * s) ** (-0.5 * p)
+    # |x + is|^-p as x^-p (1 + (s/x)^2)^(-p/2): no square of x, which
+    # overflows near the largest lengths
+    ratio = s / xs
+    mag = w * (1.0 + ratio * ratio) ** (-0.5 * p) * (x ** -p)[:, None]
     angle = p * np.arctan2(s, xs)
     re = (mag * np.cos(angle)).sum(axis=1)
     im = (mag * np.sin(angle)).sum(axis=1)
@@ -307,114 +310,207 @@ def _pair_halves(jobs, alpha: float):
     return out
 
 
-class _LowBand:
-    """The low band of one train at one exponent, in x = w L.
+@lru_cache(maxsize=64)
+def _train_series(n_pulses: int) -> np.ndarray:
+    """Coefficients f_m, m < _SERIES_TERMS, of Fh(x) = sum_m f_m x^(2m)
+    for the unit ``train`` of n_pulses, from its closed form (Cywinski et
+    al.): 2 sin^2(x/2) = 1 - cos x for N = 0, 8 sin^4(x/4) for N = 1 and
+    8 sin^4(x/4N) E(x) / cos^2(x/2N) above, with E = sin^2(x/2) for even
+    N and cos^2(x/2) for odd N.
 
-    ``bounds`` are the train's boundaries in units of its length.  The
-    grid runs down from top = pi / (shortest gap): uniform panels no
-    wider than pi down to min(top, 4 pi), then geometric by EDGE_RATIO,
-    as deep as a call asks.  Panels that meet the depth rule (module
-    docstring) are kept from the top down, with the first-pass sum that
-    sets the tolerance of the panels below them; a kept panel never
-    changes.  ``pairs`` are the train's ``_pair_terms`` and ``top_pairs``
-    is P(top) with its term magnitudes, once a call has needed it.
+    Each factor's coefficients are quotients of integers, correctly
+    rounded (sin^4's x^0 and x^2 terms exactly 0); the Cauchy products
+    and the series division for 1/cos^2 run in floats.  That series
+    converges for x < pi N only, so N = 1 (where 1/cos^2 cancels E)
+    does not use it.
+    """
+    fact = [math.factorial(2 * m) for m in range(_SERIES_TERMS)]
+    sign = [(-1) ** m for m in range(_SERIES_TERMS)]
+    if n_pulses == 0:
+        return _frozen(np.array([0.0] + [-sign[m] / fact[m]
+                                         for m in range(1, _SERIES_TERMS)]))[0]
+    quarter = np.array([0.0, 0.0] + [  # 8 sin^4(y) = 3 - 4 cos 2y + cos 4y
+        sign[m] * (16 ** m - 4 ** (m + 1))
+        / (fact[m] * (4 * n_pulses) ** (2 * m))
+        for m in range(2, _SERIES_TERMS)])
+    if n_pulses == 1:
+        return _frozen(quarter)[0]
+    odd = 1 if n_pulses % 2 else -1
+    envelope = np.array([(1 + odd) / 2] + [odd * sign[m] / (2 * fact[m])
+                                           for m in range(1, _SERIES_TERMS)])
+    denominator = np.array([1.0] + [  # cos^2(x/2N) = (1 + cos(x/N)) / 2
+        sign[m] / (2 * fact[m] * n_pulses ** (2 * m))
+        for m in range(1, _SERIES_TERMS)])
+    inverse = np.zeros(_SERIES_TERMS)
+    inverse[0] = 1.0
+    for m in range(1, _SERIES_TERMS):
+        inverse[m] = -np.dot(denominator[1:m + 1], inverse[m - 1::-1])
+    product = np.convolve(quarter, envelope)[:_SERIES_TERMS]
+    return _frozen(np.convolve(product, inverse)[:_SERIES_TERMS])[0]
+
+
+def _exact_series(bounds: np.ndarray) -> np.ndarray:
+    """The coefficients of ``_train_series`` for any train with
+    boundaries ``bounds`` (in units of its length), each the correctly
+    rounded value of the exact one.
+
+    Fh(x) = sum_{j<k} c_jk (1 - cos(x d_jk)), so f_m = (-1)^(m+1)
+    sum c_jk d_jk^(2m) / (2m)!.  Every float is an integer over a power
+    of two, so the moments are summed exactly as integers over the
+    largest such denominator, grouped by distinct separation.
+    """
+    ratios = [b.as_integer_ratio() for b in bounds.tolist()]
+    unit = max(den for _, den in ratios)  # every denominator divides it
+    ints = [num * (unit // den) for num, den in ratios]
+    j, k, coef = _pair_pattern(bounds.size)
+    weights = {}
+    for jj, kk, c in zip(j.tolist(), k.tolist(), coef.tolist()):
+        d = ints[kk] - ints[jj]
+        weights[d] = weights.get(d, 0) + int(c)
+    moments = [0] * _SERIES_TERMS
+    for d, term in weights.items():
+        for m in range(1, _SERIES_TERMS):
+            term *= d * d
+            moments[m] += term
+    return np.array([0.0] + [
+        -(-1) ** m * moments[m] / (math.factorial(2 * m) * unit ** (2 * m))
+        for m in range(1, _SERIES_TERMS)])
+
+
+def _node_table(gaps: np.ndarray, mids: np.ndarray, grid: np.ndarray):
+    """The Kronrod nodes of the panels between consecutive ``grid``
+    points, their half widths and the filter of the segments ``gaps``,
+    ``mids`` at them, read-only."""
+    x, half = kronrod_nodes(grid[:-1], grid[1:])
+    return _frozen(x, half,
+                   segment_filter(gaps, mids, x.ravel()).reshape(x.shape))
+
+
+class _Train:
+    """One train in units of its length, whatever the exponent.
+
+    ``bounds`` are its boundaries and ``series`` the coefficients of
+    its filter's power series (``_train_series``).  Its low band splits
+    at x0 = min(4, top), top = pi / (shortest gap); ``grid`` holds the
+    uniform panels from x0 to top, none wider than pi (half the shortest
+    period of Fh), and ``nodes()`` the filter at their Kronrod nodes,
+    evaluated on first use and then kept.
     """
 
-    def __init__(self, bounds: np.ndarray, alpha: float):
+    def __init__(self, bounds: np.ndarray, series: np.ndarray):
         gaps = np.diff(bounds)
-        self.alpha = alpha
+        self.bounds = bounds
+        self.series = series
         self.gaps = gaps[:, None]
         self.mids = (0.5 * (bounds[:-1] + bounds[1:]))[:, None]
         self.top = np.pi / gaps.min()
-        self.knee = min(self.top, 4.0 * np.pi)
-        self.uniform = math.ceil((self.top - self.knee) / np.pi)
-        self.pairs = _pair_terms(bounds, alpha)
+        self.x0 = min(_TAIL_X0, self.top)
+        panels = math.ceil((self.top - self.x0) / np.pi)
+        self.grid = self.x0 + (self.top - self.x0) * (
+            np.arange(panels + 1) / max(panels, 1))
+        self.grid[-1] = self.top
+        self._nodes = None
+
+    def nodes(self):
+        if self._nodes is None:
+            self._nodes = _node_table(self.gaps, self.mids, self.grid)
+        return self._nodes
+
+
+@lru_cache(maxsize=64)
+def _unit_train(n_pulses: int) -> _Train:
+    """The shared _Train of the ``train`` of n_pulses."""
+    return _Train(np.concatenate(([0.0], train(n_pulses, 1.0), [1.0])),
+                  _train_series(n_pulses))
+
+
+class _LowBand:
+    """The low band of one ``_Train`` at one exponent, in x = w L.
+
+    Below x0 the band is the termwise integral of the filter's power
+    series (``series``).  Above it, ``upper()`` weighs the train's cached
+    node values by x^-(2+alpha) once: the panels must meet sum(errors)
+    <= 1e-8 sum(values), and if they do not, each panel whose error is
+    above its equal share of that goes to ``integrate_panels``, to that
+    share.  The result is kept once it is certified; otherwise every
+    call that needs it weighs the panels again and flags its lengths
+    unconverged.  ``pairs`` are the train's ``_pair_terms`` and
+    ``top_pairs`` is P(top) with its term magnitudes, once a call has
+    needed it.
+    """
+
+    def __init__(self, unit: _Train, alpha: float):
+        self.unit = unit
+        self.alpha = alpha
+        self.top = unit.top
+        self.x0 = unit.x0
+        # term m integrates f_m x^(e-1), e = 2m - 1 - alpha, from a to x0
+        # as f_m x0^e (1 - (a/x0)^e) / e = scale_m * -expm1(-e ln(x0/a));
+        # at e = 0 it is f_m ln(x0/a), kept as the column ``log_term``
+        m = np.flatnonzero(unit.series)
+        f = unit.series[m]
+        e = 2.0 * m - 1.0 - alpha
+        flat = np.flatnonzero(e == 0.0)  # at most one term
+        e[flat] = 1.0
+        self.decay = -e
+        self.scale = -f * self.x0 ** e / e
+        self.scale[flat] = f[flat]
+        self.log_term = int(flat[0]) if flat.size else None
+        self.pairs = _pair_terms(unit.bounds, alpha)
         self.top_pairs = None  # set by the first call that needs it
-        # The kept panels, replaced as one tuple so that a reader never
-        # mixes two extensions: their edges from the top down; the sums
-        # of the values, errors and panel counts of the top k of them,
-        # k = 0, 1, ...; their first-pass values summed; and the grid
-        # point after the last of them (top until a call has asked, as
-        # every x a call asks about lies below top).
-        self.kept = (np.array([self.top]),
-                     (np.zeros(1), np.zeros(1), np.zeros(1, np.intp)), 0.0,
-                     self.top)
-
-    def _grid(self, start: int, stop: int) -> np.ndarray:
-        """Grid points start, ..., stop - 1 (start >= 1), counted down from
-        the top."""
-        deep = np.arange(start - self.uniform, stop - self.uniform)
-        return np.where(
-            deep > 0, self.knee / EDGE_RATIO ** np.maximum(deep, 0),
-            self.knee + (self.top - self.knee) * (-deep / max(self.uniform,
-                                                              1)))
-
-    def points_to(self, start: int, x: float) -> np.ndarray:
-        """Grid points from index ``start`` (at least 1) down to the first
-        one at or below x, which ends the array."""
-        stop = max(start, self.uniform) + 2 + max(0, math.ceil(
-            math.log(self.knee / x) / math.log(EDGE_RATIO)))
-        points = self._grid(start, stop)
-        while not points[-1] <= x:  # the log above rounded short
-            points = self._grid(start, stop := stop + 4)
-        return points[:np.argmax(points <= x) + 1]
+        self._upper = None  # set by the first certified upper()
 
     def integrand(self, points) -> np.ndarray:
         x = points["x"]
-        return segment_filter(self.gaps, self.mids, x) * x ** -(
+        return segment_filter(self.unit.gaps, self.unit.mids, x) * x ** -(
             self.alpha + 2.0)
 
-    def panels(self, x: float):
-        """The grid panels wholly above x, 0 < x < top: their edges from
-        the top down, then the sums of the values, errors and quadrature
-        panel counts of the first k panels and whether all of them met
-        the depth rule, for k = 0, 1, ...  A panel that did not, and every
-        panel below it, is evaluated again by the next call that needs
-        it."""
-        kept_edges, kept_sums, first, below = self.kept
-        kept = kept_edges.size - 1
-        if below <= x:
-            return kept_edges, *kept_sums, np.ones(kept + 1, bool)
-        points = self.points_to(kept + 1, x)
-        edges = np.concatenate((kept_edges, points[:-1]))
-        lefts, rights = edges[kept + 1:], edges[kept:-1]
-        values, errors = gauss_kronrod(self.integrand, lefts, rights, 0)
-        depth = np.arange(kept, kept + values.size)
-        share = _LOW_TOL / ((depth + 1.0) * (depth + 2.0))
-        running = np.cumsum(np.concatenate(([first], values)))
-        certified = errors <= share * running[1:]
+    def series(self, a: np.ndarray):
+        """int_a^x0 x^-(2+alpha) Fh(x) dx for each 0 < a <= x0 and the
+        summed magnitudes of its terms, each a function of its own a.
+
+        Every term is written through expm1, so it stays accurate for
+        exponents e near 0 and a near x0, and never forms an overflowing
+        power (|e| <= 1 where e < 0).
+        """
+        ell = np.log(self.x0 / a)[:, None]
+        terms = np.expm1(ell * self.decay)
+        if self.log_term is not None:
+            terms[:, self.log_term] = ell[:, 0]
+        terms *= self.scale
+        return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+    def upper(self):
+        """int_x0^top: its value, error, panel count and certification."""
+        if self._upper is not None:
+            return self._upper
+        x, half, filt = self.unit.nodes()
+        values, errors = kronrod_sums(filt * x ** -(self.alpha + 2.0), half)
         counts = np.ones(values.size, np.intp)
-        redo = np.flatnonzero(~certified)
-        if redo.size:
+        certified = np.ones(values.size, bool)
+        tol = _LOW_TOL * values.sum()
+        if errors.sum() > tol:
+            miss = np.flatnonzero(errors > tol / values.size)
+            grid = self.unit.grid
             res = integrate_panels(
                 self.integrand,
-                Bands(np.column_stack((lefts[redo], rights[redo])).ravel(),
-                      np.full(redo.size, 2)),
-                grouped=True, atol=share[redo] * running[redo],
-                rtol=share[redo])
-            values[redo] = res.values
-            errors[redo] = res.errors
-            counts[redo] = res.group_panels
-            certified[redo] = res.converged
-        # running sums from the top, continued one panel at a time, so
-        # that extending them never changes an earlier sum
-        sums = [np.concatenate((total, np.cumsum(np.concatenate(
-            (total[-1:], new)))[1:]))
-                for total, new in zip(kept_sums, (values, errors, counts))]
-        good = certified.size if certified.all() else int(certified.argmin())
-        self.kept = (edges[:kept + good + 1],
-                     tuple(total[:kept + good + 1] for total in sums),
-                     running[good], points[good])
-        return edges, *sums, np.logical_and.accumulate(
-            np.concatenate((np.ones(kept + 1, bool), certified)))
+                Bands(np.column_stack((grid[miss], grid[miss + 1])).ravel(),
+                      np.full(miss.size, 2)),
+                grouped=True, atol=tol / values.size, rtol=0.0)
+            values[miss] = res.values
+            errors[miss] = res.errors
+            counts[miss] = res.group_panels
+            certified[miss] = res.converged
+        result = (values.sum(), errors.sum(), counts.sum(), certified.all())
+        if result[3]:
+            self._upper = result
+        return result
 
 
 @lru_cache(maxsize=64)
 def _low_band(n_pulses: int, alpha: float) -> _LowBand:
-    """The shared _LowBand of the ``train`` of n_pulses at one exponent;
-    the cache hands the same growing object to every caller."""
-    bounds = np.concatenate(([0.0], train(n_pulses, 1.0), [1.0]))
-    return _LowBand(bounds, alpha)
+    """The shared _LowBand of the ``train`` of n_pulses at one exponent."""
+    return _LowBand(_unit_train(n_pulses), alpha)
 
 
 class Overlaps(NamedTuple):
@@ -502,7 +598,8 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
             f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
             f"length or length^(1+alpha) overflows")
     bands = [_low_band(key, alpha) if isinstance(key, int)
-             else _LowBand(key, alpha) for _, key in groups]
+             else _LowBand(_Train(key, _exact_series(key)), alpha)
+             for _, key in groups]
     rows = [rows for rows, _ in groups]
     return (*_low_parts(rows, bands, lo, hi, lengths ** -(1.0 + alpha),
                         alpha), *_pair_parts(rows, bands, lo, hi, alpha))
@@ -545,87 +642,80 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
     its value, error, convergence and panel count (0 and converged
     elsewhere).
 
-    Where top < b, the band's cached panels above a plus one partial
-    panel [a, next grid point], which gets the share of the depth rule
-    left below them.  The partial panels of the whole batch take one
-    ``gauss_kronrod`` pass; only those whose error misses that share go
-    on to ``integrate_panels``, which evaluates them again and refines
-    them to it.  Where b <= top, the band's grid points inside [a, b] go
-    to ``integrate_panels`` to the absolute-plus-relative tolerance 1e-8
-    (``scale``, L^-(1+alpha), takes the absolute part from w to x units).
+    Below x0 it is the band's series, with a rounding bound of
+    _PAIR_ROUNDING times the summed term magnitudes as its error (where
+    b < x0, the series from a less the series from b).  Where
+    a < x0 and top < b, [x0, top] is the band's ``upper()``.  Elsewhere
+    the part of [x0, top] inside [a, b] goes to ``integrate_panels`` on
+    the grid points inside it, to 1e-8 relative and 1e-8 (scale + the
+    series value) absolute less the series' error (``scale``,
+    L^-(1+alpha), takes the absolute part from w to x units).
     """
     low = np.zeros(lo.size)
     error = np.zeros(lo.size)
     converged = np.ones(lo.size, dtype=bool)
     panels = np.zeros(lo.size, np.intp)
-    split, whole = [], []
+    whole = []
     for column, (r, band) in enumerate(zip(groups, bands)):
-        rows = r[(lo[r] < band.top) & (band.top < hi[r])]
-        if rows.size:
-            x = lo[rows]
-            grid, *sums, certified = band.panels(x.min())
-            k = np.searchsorted(-grid[1:], -x)
-            split.append((rows, np.full(rows.size, column), x, grid[k],
-                          k + 1.0, *(s[k] for s in sums), certified[k]))
-        for i in r[hi[r] <= band.top]:
-            inner = band.points_to(1, lo[i])[:-1]
+        a, b = lo[r], hi[r]
+        below = a < band.x0
+        if below.any():
+            # [a, b] with b < x0 is [a, x0] less [b, x0]
+            rows, short = r[below], b[below] < band.x0
+            value, magnitudes = band.series(a[below])
+            if short.any():
+                cut, cut_magnitudes = band.series(b[below][short])
+                value[short] -= cut
+                magnitudes[short] += cut_magnitudes
+            low[rows] = value
+            error[rows] = _PAIR_ROUNDING * magnitudes
+        spans = below & (band.top < b)
+        if spans.any():
+            rows = r[spans]
+            value, err, count, certified = band.upper()
+            low[rows] += value
+            error[rows] += err
+            panels[rows] = count
+            converged[rows] = certified
+        grid = band.unit.grid
+        for i in r[~spans & (band.x0 < b) & (a < band.top)]:
+            left, right = max(lo[i], band.x0), min(hi[i], band.top)
             whole.append((i, column, np.concatenate(
-                ([lo[i]], inner[inner < hi[i]][::-1], [hi[i]])),
-                _LOW_TOL * scale[i], _LOW_TOL))
-    if not (split or whole):
+                ([left], grid[(left < grid) & (grid < right)], [right])),
+                _LOW_TOL * (scale[i] + low[i]) - error[i], _LOW_TOL))
+    if not whole:
         return low, error, converged, panels
 
     if len(bands) == 1:
-        gaps, mids = bands[0].gaps, bands[0].mids
+        gaps, mids = bands[0].unit.gaps, bands[0].unit.mids
     else:
-        segments = max(band.gaps.shape[0] for band in bands)
+        segments = max(band.unit.gaps.shape[0] for band in bands)
         gaps = np.zeros((segments, len(bands)))
         mids = np.zeros((segments, len(bands)))
         for c, band in enumerate(bands):
-            gaps[:band.gaps.shape[0], c] = band.gaps[:, 0]
-            mids[:band.mids.shape[0], c] = band.mids[:, 0]
+            gaps[:band.unit.gaps.shape[0], c] = band.unit.gaps[:, 0]
+            mids[:band.unit.mids.shape[0], c] = band.unit.mids[:, 0]
     power = -(alpha + 2.0)
+    rows, columns, edges, atol, rtol = zip(*whole)
+    columns = np.array(columns, np.intp)
 
-    def integrand(columns):
+    def integrand(points):
         """The integrand at GROUPED_POINT records whose group g lies in
         band columns[g]."""
-        def fn(points):
-            x = points["x"]
-            return segment_filter(
-                gaps, mids, x,
-                None if len(bands) == 1 else columns[points["group"]]) \
-                * x ** power
-        return fn
+        x = points["x"]
+        return segment_filter(
+            gaps, mids, x,
+            None if len(bands) == 1 else columns[points["group"]]) * x ** power
 
-    if split:
-        # the cached panels above each partial panel: their value, error,
-        # panel count and certification
-        rows, columns, lefts, rights, depth, above, above_error, counts, \
-            certified = split[0] if len(split) == 1 else (
-                np.concatenate(part) for part in zip(*split))
-        atol = _LOW_TOL * above / depth
-        rtol = _LOW_TOL / depth
-        values, errors = gauss_kronrod(integrand(columns), lefts, rights,
-                                       np.arange(rows.size)[:, None])
-        hit = errors <= atol + rtol * np.abs(values)
-        low[rows] = np.where(hit, above + values, above)
-        error[rows] = np.where(hit, above_error + errors, above_error)
-        panels[rows] = counts + hit
-        converged[rows] = certified
-        whole += [(rows[j], columns[j], np.array([lefts[j], rights[j]]),
-                   atol[j], rtol[j]) for j in np.flatnonzero(~hit)]
-    if whole:
-        rows, columns, edges, atol, rtol = zip(*whole)
-        res = integrate_panels(
-            integrand(np.array(columns, np.intp)),
-            Bands(np.concatenate(edges),
-                  np.array([e.size for e in edges], np.intp)),
-            grouped=True, atol=np.array(atol), rtol=np.array(rtol))
-        rows = np.array(rows, np.intp)
-        low[rows] += res.values
-        error[rows] += res.errors
-        panels[rows] += res.group_panels
-        converged[rows] &= res.converged
+    res = integrate_panels(
+        integrand, Bands(np.concatenate(edges),
+                         np.array([e.size for e in edges], np.intp)),
+        grouped=True, atol=np.array(atol), rtol=np.array(rtol))
+    rows = np.array(rows, np.intp)
+    low[rows] += res.values
+    error[rows] += res.errors
+    panels[rows] += res.group_panels
+    converged[rows] &= res.converged
     return low, error, converged, panels
 
 

@@ -105,8 +105,17 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
         raise ValueError("lengths must be positive and finite")
 
-    overlaps = train_overlaps([seq.pulse_count(length) for length in lengths],
-                              spectrum, lengths)
+    return pulse_count_curve([seq.pulse_count(length) for length in lengths],
+                             spectrum, profile, state, lengths)
+
+
+def pulse_count_curve(pulses, spectrum: NoiseSpectrum,
+                      profile: SpectralProfile, state: TwoQubitXState,
+                      lengths: np.ndarray) -> DecoherenceCurve:
+    """``decoherence_curve`` of equally spaced trains given by their pulse
+    counts, ``pulses[i]`` at ``lengths[i]``, in one ``train_overlaps``
+    pass; each length gets the bits it gets alone."""
+    overlaps = train_overlaps(pulses, spectrum, lengths)
     gamma = coherence_factor(overlaps.value, profile)
     conc = dephased_concurrence(state, gamma)
     return DecoherenceCurve(lengths, overlaps.value, gamma, conc,

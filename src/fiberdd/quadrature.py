@@ -20,7 +20,9 @@ in a fixed order, so a group's result never depends on which other
 groups share the call.  ``band_set`` builds the initial panels of many
 bands that share their lower limit in one pass, back to back in a
 ``Bands``.  ``gauss_kronrod`` is the panel rule without refinement, for
-callers that set each panel's tolerance from the values of others.
+callers that set each panel's tolerance from the values of others;
+``kronrod_nodes`` and ``kronrod_sums`` are its two halves, for callers
+that keep an integrand's values at the nodes and weigh them again.
 """
 
 from __future__ import annotations
@@ -212,15 +214,26 @@ def gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray],
     set (one band index, or one per panel as a column), ``fn`` receives
     GROUPED_POINT records.
     """
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * _KRONROD_NODES
+    x, half = kronrod_nodes(lefts, rights)
     points = x
     if group is not None:
         points = np.empty(x.shape, dtype=GROUPED_POINT)
         points["x"] = x
         points["group"] = group
-    fx = fn(points.ravel()).reshape(x.shape)
+    return kronrod_sums(fn(points.ravel()).reshape(x.shape), half)
+
+
+def kronrod_nodes(lefts: np.ndarray, rights: np.ndarray):
+    """The 15 Kronrod nodes of each panel (one row per panel) and the
+    panels' half widths."""
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    return mid[:, None] + half[:, None] * _KRONROD_NODES, half
+
+
+def kronrod_sums(fx: np.ndarray, half: np.ndarray):
+    """Gauss-Kronrod value and error estimate of each panel from the
+    integrand at its ``kronrod_nodes`` (one row per panel)."""
     k15 = (fx * _KRONROD_WEIGHTS).sum(axis=1) * half
     g7 = (fx[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS).sum(axis=1) * half
     return k15, np.abs(k15 - g7)

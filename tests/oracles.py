@@ -1,5 +1,8 @@
 """Reference implementations the production routes are checked against."""
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 
 from fiberdd.dephasing import _tail
@@ -107,3 +110,33 @@ def bisect_esd(seq, spectrum, profile, state, alive_length, dead_length,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def exact_filter_series(bounds, terms):
+    """Coefficients f_m, m < terms, of the unit-length filter
+    Fh(x) = sum_m f_m x^(2m) of the train with boundaries ``bounds``
+    (exact rationals, 0 to 1), as Fractions: Fh(x) = sum_{j<k} c_jk
+    (1 - cos(x d_jk)) with c_jk = -u_j u_k and u = (-1, +-2, ...,
+    (-1)^N), so f_m = (-1)^(m+1) sum_{j<k} c_jk d_jk^(2m) / (2m)!."""
+    signs = [(-1) ** i for i in range(len(bounds) - 1)]
+    u = [-signs[0]] + [signs[i - 1] - signs[i]
+                       for i in range(1, len(signs))] + [signs[-1]]
+    weights = {}
+    for j in range(len(bounds)):
+        for k in range(j + 1, len(bounds)):
+            d = bounds[k] - bounds[j]
+            weights[d] = weights.get(d, 0) - u[j] * u[k]
+    coef = [Fraction(0)] * terms
+    for d, w in weights.items():
+        power = Fraction(w)
+        for m in range(1, terms):
+            power *= d * d
+            coef[m] += (-1) ** (m + 1) * power / factorial(2 * m)
+    return coef
+
+
+def exact_train_bounds(n_pulses):
+    """The boundaries 0, (2k - 1)/(2N), 1 of the unit ``train`` of
+    n_pulses as exact rationals."""
+    return [Fraction(0)] + [Fraction(2 * k - 1, 2 * n_pulses)
+                            for k in range(1, n_pulses + 1)] + [Fraction(1)]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ def test_too_long_grid_is_a_config_error(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "simulate", "--length-max", "1e150",
                               "--grid-points", "4", "--out", str(out))
     assert code == 0 and stderr == ""
+
+
+def test_extreme_valid_length_raises_no_overflow_warning(tmp_path, capsys):
+    # K at x = uv L d past 1.3e151 once squared x beyond the largest
+    # float; the warning is an error here, and the run still exits 0
+    out = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, "simulate", "--length-max",
+                                       "1.3e154", "--grid-points", "4",
+                                       "--out", str(out))
+    assert code == 0 and stderr == ""
+    assert np.isfinite(column(read_csv(out)[2], 1)).all()
 
 
 def test_csv_row_template_formats_cells_as_fmt():

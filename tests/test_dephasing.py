@@ -1,8 +1,10 @@
 """Overlap integral and coherence factor."""
 
+import functools
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho, train
 from fiberdd.filters import check_positions
-from oracles import first_error, full_band_overlap, pair_sum_half
+from oracles import (exact_filter_series, exact_train_bounds, first_error,
+                     full_band_overlap, pair_sum_half)
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -145,35 +148,39 @@ def test_with_error_reports_converged_estimate():
     assert abs(f - riemann_overlap(Free(), spec, 2.0)) <= max(err * 10, 1e-6 * f)
 
 
-def _miss_first_pass(monkeypatch, start):
-    """Make every partial panel that starts at ``start`` miss its first
-    Gauss-Kronrod pass, so that it goes on to integrate_panels."""
-    kronrod = dephasing.gauss_kronrod
+def _miss_first_pass(monkeypatch, panels=slice(None)):
+    """Make the upper panels ``panels`` (all by default) of every band
+    weighed from now on miss their first Gauss-Kronrod pass, so that
+    they go on to integrate_panels."""
+    sums = dephasing.kronrod_sums
 
-    def missed(fn, lefts, rights, group=None):
-        values, errors = kronrod(fn, lefts, rights, group)
-        return values, np.where(lefts == start, np.inf, errors)
+    def missed(fx, half):
+        values, errors = sums(fx, half)
+        errors[panels] = np.inf
+        return values, errors
 
-    monkeypatch.setattr(dephasing, "gauss_kronrod", missed)
+    monkeypatch.setattr(dephasing, "kronrod_sums", missed)
 
 
 def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
-    # an unreachable tolerance exhausts the low-band panel budget; the
-    # attached estimate still includes the closed-form band above w_c
+    # an unreachable tolerance exhausts the panel budget of the upper
+    # panels [x0, top]; the attached estimate still includes the series
+    # below x0 and the closed-form band above w_c
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
-    f = overlap_integral(Free(), spec, 5.0)
+    f = overlap_integral(SpinEcho(), spec, 5.0)
     grouped = dephasing.integrate_panels
-    _miss_first_pass(monkeypatch, spec.ir_cutoff * 5.0)
+    dephasing._low_band.cache_clear()
+    _miss_first_pass(monkeypatch)
 
     def unreachable(fn, bands, **kwargs):
-        # no error estimate meets a negative tolerance, so the length's
-        # partial panel exhausts its budget
+        # no error estimate meets a negative tolerance, so every missed
+        # panel exhausts its budget
         return grouped(fn, bands, **{**kwargs, "atol": -1.0, "rtol": 0.0,
                                      "max_panels": 64})
 
     monkeypatch.setattr(dephasing, "integrate_panels", unreachable)
     with pytest.raises(QuadratureError) as info:
-        overlap_integral(Free(), spec, 5.0)
+        overlap_integral(SpinEcho(), spec, 5.0)
     assert info.value.best_estimate == pytest.approx(f, rel=1e-12)
     assert "overlap integral at length 5.0" in str(info.value)
 
@@ -306,17 +313,17 @@ def test_batch_matches_each_length_alone(seq, alpha, band):
 
 
 def test_unconverged_length_is_isolated_in_batch(monkeypatch):
-    # L = 150's own partial panel [ir L, next grid point] gets an
-    # unreachable tolerance and a budget of 4, so it alone runs out of
-    # panels; every other length converges untouched
+    # at L = 0.1, uv L = 10 lies below top = 4 pi, so [x0, uv L] goes to
+    # integrate_panels; that band gets an unreachable tolerance and a
+    # budget of 4, so it alone runs out of panels; every other length
+    # converges untouched
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
-    lengths = np.array([0.5, 2.0, 150.0, 4.0])
+    lengths = np.array([0.5, 2.0, 0.1, 4.0])
     grouped = dephasing.integrate_panels
-    start = spec.ir_cutoff * 150.0
-    _miss_first_pass(monkeypatch, start)
+    end = spec.uv_cutoff * 0.1
 
     def starved(fn, bands, **kwargs):
-        own = np.array([b[0] == start for b in bands])
+        own = np.array([b[-1] == end for b in bands])
         if not own.any():
             return grouped(fn, bands, **kwargs)
         atol = np.where(own, -1.0, kwargs["atol"])
@@ -324,18 +331,19 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
                                      "max_panels": 4})
 
     monkeypatch.setattr(dephasing, "integrate_panels", starved)
-    batch = train_overlaps(np.zeros(lengths.size, int), spec, lengths)
+    batch = train_overlaps(np.full(lengths.size, 2), spec, lengths)
     with pytest.raises(QuadratureError) as info:
-        overlap_from_positions([], spec, lengths[2])
+        overlap_from_positions(train(2, lengths[2]), spec, lengths[2])
     monkeypatch.undo()
 
     assert list(batch.converged) == [True, True, False, True]
     for i in (0, 1, 3):
-        assert batch.value[i] == overlap_from_positions([], spec, lengths[i])
+        assert batch.value[i] == overlap_from_positions(
+            train(2, lengths[i]), spec, lengths[i])
     assert batch.value[2] == info.value.best_estimate
     assert batch.error[2] == info.value.error_estimate
     assert batch.panels[2] == info.value.panels >= 4
-    assert "overlap integral at length 150.0" in str(info.value)
+    assert "overlap integral at length 0.1" in str(info.value)
 
 
 def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
@@ -411,10 +419,10 @@ def test_length_does_not_depend_on_cache_state(seq):
 
 
 def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
-    # a grid panel that misses the depth rule on its first pass (all of
-    # them, under a tolerance of 1e-300) is refined through
-    # integrate_panels; starved there, it is flagged and never kept, so
-    # a clean run afterwards gets the cold-cache bits
+    # upper panels that miss their share on the first pass (all of them,
+    # under a tolerance of 1e-300) are refined through integrate_panels;
+    # starved there, they are flagged and never kept, so a clean run
+    # afterwards gets the cold-cache bits
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     lengths = np.array([0.05, 1.0, 30.0])
     clean = _fresh(CpmgCount(3), spec, lengths)
@@ -430,7 +438,7 @@ def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
     monkeypatch.setattr(dephasing, "_LOW_TOL", 1e-300)
     bad = _fresh(CpmgCount(3), spec, lengths)
     monkeypatch.undo()
-    assert len(calls) == 2  # the grid panels' refinement, the partial panels
+    assert len(calls) == 1  # the upper panels' refinement
     assert not bad.converged.any()
     again = train_overlaps([3] * lengths.size, spec, lengths)
     for got, want in zip(again, clean):
@@ -586,39 +594,40 @@ def _counting_panels(monkeypatch):
     return calls
 
 
-def test_converged_partial_panel_skips_integrate_panels(monkeypatch):
-    # a warm one-length call takes its partial panel from one
-    # Gauss-Kronrod pass; routed through integrate_panels instead, the
-    # panel converges on that same pass and gives the same bits
+def test_converged_upper_panels_skip_integrate_panels(monkeypatch):
+    # a cold band takes its upper panels from one Gauss-Kronrod pass over
+    # the cached filter nodes; routed through integrate_panels instead,
+    # each panel converges on that same pass and gives the same bits
     spec = NoiseSpectrum(0.008, 1.2, 1e-3, 1e3)
     positions = train(4, 7.3)
-    overlap_from_positions(positions, spec, 7.3)
+    dephasing._low_band.cache_clear()
     calls = _counting_panels(monkeypatch)
     direct = overlap_from_positions(positions, spec, 7.3, with_error=True)
     assert calls == []
-    _miss_first_pass(monkeypatch, spec.ir_cutoff * 7.3)
+    dephasing._low_band.cache_clear()
+    _miss_first_pass(monkeypatch)
     routed = overlap_from_positions(positions, spec, 7.3, with_error=True)
     assert len(calls) == 1
     assert routed == direct
 
 
-def test_missed_partial_panel_keeps_its_depth_rule_share(monkeypatch):
-    # a partial panel that misses its first pass is refined by
-    # integrate_panels to the share of the depth rule below its k whole
-    # panels: 1e-8 S / (k + 1) absolute, 1e-8 / (k + 1) relative
+def test_missed_upper_panel_is_refined_to_its_share(monkeypatch):
+    # an upper panel that misses its first pass is refined by
+    # integrate_panels to its equal share of the band's tolerance:
+    # 1e-8 S / n absolute and no relative part, with S the first-pass
+    # sum of the n panels
     spec = NoiseSpectrum(0.008, 0.8, 1e-3, 1e3)
     lengths = np.array([0.7, 3.0, 30.0])
-    want = train_overlaps([2, 2, 2], spec, lengths)
+    want = _fresh(CpmgCount(2), spec, lengths)
     calls = _counting_panels(monkeypatch)
-    _miss_first_pass(monkeypatch, spec.ir_cutoff * 3.0)
-    got = train_overlaps([2, 2, 2], spec, lengths)
+    _miss_first_pass(monkeypatch, 1)
+    got = _fresh(CpmgCount(2), spec, lengths)
     monkeypatch.undo()
     [kwargs] = calls
-    band = dephasing._low_band(2, 0.8)
-    grid, values, *_ = band.panels(spec.ir_cutoff * 0.7)
-    k = np.searchsorted(-grid[1:], -spec.ir_cutoff * 3.0)
-    assert kwargs["atol"].tolist() == [1e-8 * values[k] / (k + 1.0)]
-    assert kwargs["rtol"].tolist() == [1e-8 / (k + 1.0)]
+    x, half, filt = dephasing._unit_train(2).nodes()
+    values, _ = dephasing.kronrod_sums(filt * x ** -2.8, half)
+    assert kwargs["atol"] == 1e-8 * values.sum() / values.size
+    assert kwargs["rtol"] == 0.0
     for part, reference in zip(got, want):
         assert np.array_equal(part, reference)
 
@@ -655,3 +664,53 @@ def test_length_above_max_length_raises():
                     scaled = np.append(np.array([length]) ** (1.0 + alpha),
                                        uv * length)
                     assert np.isfinite(scaled).all() == finite
+
+
+SERIES_COUNTS = [0, 1, 2, 3, 4, 7, 16, 64]
+
+
+@pytest.mark.parametrize("pulses", SERIES_COUNTS)
+def test_train_series_matches_exact_coefficients(pulses):
+    # the closed-form float coefficients against the exact ones from the
+    # train's rational boundaries: as series on [0, x0] they agree to
+    # 1e-14 relative (summed exactly), and the x^0 and x^2 terms that
+    # vanish are exactly 0
+    got = dephasing._train_series(pulses)
+    want = exact_filter_series(exact_train_bounds(pulses), got.size)
+    x0 = dephasing._unit_train(pulses).x0
+    assert [float(w) for w in want[:2]] == list(got[:2])
+    for x in [1e-3, 0.1, 1.0, 2.5, x0]:
+        power = Fraction(x) ** 2
+        exact = sum(w * power ** m for m, w in enumerate(want))
+        error = sum((Fraction(g) - w) * power ** m
+                    for m, (g, w) in enumerate(zip(got.tolist(), want)))
+        assert abs(error) <= 1e-14 * abs(exact)
+
+
+def test_explicit_train_series_is_correctly_rounded():
+    # an explicit train's coefficients are the exact ones of its float
+    # boundaries, each correctly rounded
+    bounds = np.array([0.0, 0.3, 0.35, 0.8, 1.0])
+    got = dephasing._exact_series(bounds)
+    want = exact_filter_series([Fraction(b) for b in bounds], got.size)
+    assert got.tolist() == [float(w) for w in want]
+
+
+@pytest.mark.parametrize("pulses", SERIES_COUNTS)
+def test_series_band_matches_quadrature(pulses):
+    # int_a^x0 x^-(2+alpha) Fh dx by the termwise series against a
+    # fine Gauss-Kronrod run over the closed-form filter, which keeps
+    # full relative accuracy at small x where the segment sum cancels
+    x0 = dephasing._unit_train(pulses).x0
+    closed = (functools.partial(filters.filter_free, 1.0) if pulses == 0
+              else functools.partial(filters.filter_spin_echo, 1.0)
+              if pulses == 1
+              else functools.partial(filters.filter_cpmg_closed, pulses, 1.0))
+    for alpha in (0.0, 1.0, 2.0):
+        band = dephasing._low_band(pulses, alpha)
+        for a in (1e-8, 1e-3):
+            ref = integrate_panels(lambda x: closed(x) * x ** -(2.0 + alpha),
+                                   band_boundaries(a, x0, 0.5),
+                                   atol=0.0, rtol=1e-14).value
+            value, _ = band.series(np.array([a]))
+            assert value[0] == pytest.approx(ref, rel=1e-12, abs=0.0)

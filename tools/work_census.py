@@ -21,14 +21,23 @@ overlap integral did for them:
   that ``fiberdd.dephasing`` runs itself, without refinement, and the
   panels they evaluate;
 - ``integrate_panels calls``: calls of the adaptive quadrature;
-- ``_tail arguments``: arguments of the pair-sum tail integral K.
+- ``_tail arguments``: arguments of the pair-sum tail integral K;
+- ``series evaluations (lengths)``: lengths whose low band below x0 was
+  summed from the filter's power series (``_LowBand.series``);
+- ``node tables built``: filter tables at the Kronrod nodes of the
+  panels between x0 and top (``_node_table``), with the pulse counts
+  they were built for;
+- ``alpha reweightings``: weighings of a cached node table by one
+  exponent (``kronrod_sums`` as ``fiberdd.dephasing`` binds it);
+- ``panels refined``: cached panels that missed their first pass and
+  went to ``integrate_panels``.
 
-The last five are counted by wrapping names of ``fiberdd.dephasing``
-(``integrate_panels`` evaluates its own panels through
-``fiberdd.quadrature``, which no wrapper sees), so two checkouts can be
-compared line by line; a name a checkout does not bind counts 0.  The
-wall time of the whole run is printed last; it is one run, not a
-benchmark.
+All but the first two are counted by wrapping names of
+``fiberdd.dephasing`` (``integrate_panels`` evaluates its own panels
+through ``fiberdd.quadrature``, which no wrapper sees), so two
+checkouts can be compared line by line; a name a checkout does not bind
+counts 0.  The wall time of the whole run is printed last; it is one
+run, not a benchmark.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
     from fiberdd import cli, dephasing, evolution
 
     counts = Counter()
+    tables = set()
 
     def count(module, name, counter, amount=lambda *args: 1):
         """Wrap ``module.name`` to add ``amount(*args)`` to ``counter``."""
@@ -71,6 +81,15 @@ def census(root: Path) -> tuple[Counter, float, int]:
         counts["points x segments"] += omega.size * gaps.shape[0]
         return omega.size
 
+    def node_table(gaps, *args):
+        tables.add(gaps.shape[0] - 1)
+        return 1
+
+    def refined(fn, bands, **kwargs):
+        band = getattr(dephasing, "_LowBand", None)
+        return len(bands) if band and isinstance(
+            getattr(fn, "__self__", None), band) else 0
+
     count(evolution, "train_overlaps", "curve overlap calls")
     count(evolution, "overlap_from_positions", "probe overlap calls")
     count(dephasing, "segment_filter", "integrand points", filter_points)
@@ -79,6 +98,12 @@ def census(root: Path) -> tuple[Counter, float, int]:
           lambda fn, lefts, *args: lefts.size)
     count(dephasing, "integrate_panels", "integrate_panels calls")
     count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
+    if hasattr(dephasing, "_LowBand"):
+        count(dephasing._LowBand, "series", "series evaluations (lengths)",
+              lambda band, a: a.size)
+    count(dephasing, "_node_table", "node tables built", node_table)
+    count(dephasing, "kronrod_sums", "alpha reweightings")
+    count(dephasing, "integrate_panels", "panels refined", refined)
     task_list = tasks.task_list("sweep", SEED, ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -89,6 +114,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
                 cli.main(tasks.sweep_argv(task, "sweep.csv"))
         seconds = time.perf_counter() - start
         os.chdir(root)
+    counts["node table pulse counts"] = sorted(tables)
     return counts, seconds, len(task_list)
 
 
@@ -104,7 +130,10 @@ def main(argv: list[str]) -> int:
     for name in ("curve overlap calls", "probe overlap calls",
                  "integrand points", "points x segments",
                  "gauss_kronrod calls", "gauss_kronrod panels",
-                 "integrate_panels calls", "_tail arguments"):
+                 "integrate_panels calls", "_tail arguments",
+                 "series evaluations (lengths)", "node tables built",
+                 "node table pulse counts", "alpha reweightings",
+                 "panels refined"):
         print(f"{name} = {counts[name]}")
     print(f"wall_s = {seconds:.3f}")
     return 0
