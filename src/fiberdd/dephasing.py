@@ -270,12 +270,20 @@ def _pair_pattern(size: int):
     return _frozen(j, k, -weights[j] * weights[k])
 
 
-def _pair_terms(bounds: np.ndarray, alpha: float):
+def _pair_separations(bounds: np.ndarray):
     """The pairs j < k of boundaries ``bounds``: their distinct
-    separations d, each pair's index into them and c_jk d_jk^(1+alpha)."""
+    separations, each pair's index into them, and c_jk and d_jk."""
     j, k, coef = _pair_pattern(bounds.size)
     d = bounds[k] - bounds[j]
     distinct, inverse = np.unique(d, return_inverse=True)
+    return distinct, inverse, coef, d
+
+
+def _pair_terms(bounds: np.ndarray, alpha: float):
+    """The pairs j < k of boundaries ``bounds`` at one exponent, as a
+    low band holds them: their distinct separations d, each pair's index
+    into them and c_jk d_jk^(1+alpha)."""
+    distinct, inverse, coef, d = _pair_separations(bounds)
     return distinct, inverse, coef * d ** (1.0 + alpha)
 
 
@@ -390,7 +398,8 @@ class _Train:
     """One train in units of its length, whatever the exponent.
 
     ``bounds`` are its boundaries and ``series`` the coefficients of
-    its filter's power series (``_train_series``).  Its low band splits
+    its filter's power series (``_train_series``), ``separations`` its
+    ``_pair_separations``.  Its low band splits
     at x0 = min(4, top), top = pi / (shortest gap); ``grid`` holds the
     uniform panels from x0 to top, none wider than pi (half the shortest
     period of Fh), and ``nodes()`` the filter at their Kronrod nodes,
@@ -409,6 +418,7 @@ class _Train:
         self.grid = self.x0 + (self.top - self.x0) * (
             np.arange(panels + 1) / max(panels, 1))
         self.grid[-1] = self.top
+        self.separations = _pair_separations(bounds)
         self._nodes = None
 
     def nodes(self):
@@ -434,7 +444,7 @@ class _LowBand:
     above its equal share of that goes to ``integrate_panels``, to that
     share.  The result is kept once it is certified; otherwise every
     call that needs it weighs the panels again and flags its lengths
-    unconverged.  ``pairs`` are the train's ``_pair_terms`` and
+    unconverged.  ``pairs`` are the train's ``_pair_terms`` at alpha and
     ``top_pairs`` is P(top) with its term magnitudes, once a call has
     needed it.
     """
@@ -456,9 +466,11 @@ class _LowBand:
         self.scale = -f * self.x0 ** e / e
         self.scale[flat] = f[flat]
         self.log_term = int(flat[0]) if flat.size else None
-        self.pairs = _pair_terms(unit.bounds, alpha)
+        distinct, inverse, coef, d = unit.separations
+        self.pairs = (distinct, inverse, coef * d ** (1.0 + alpha))
         self.top_pairs = None  # set by the first call that needs it
-        self._upper = None  # set by the first certified upper()
+        # set by the first certified upper(), at once if there are no panels
+        self._upper = None if unit.grid.size > 1 else (0.0, 0.0, 0, True)
 
     def integrand(self, points) -> np.ndarray:
         x = points["x"]
@@ -658,25 +670,23 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
     whole = []
     for column, (r, band) in enumerate(zip(groups, bands)):
         a, b = lo[r], hi[r]
-        below = a < band.x0
-        if below.any():
-            # [a, b] with b < x0 is [a, x0] less [b, x0]
-            rows, short = r[below], b[below] < band.x0
-            value, magnitudes = band.series(a[below])
-            if short.any():
-                cut, cut_magnitudes = band.series(b[below][short])
-                value[short] -= cut
-                magnitudes[short] += cut_magnitudes
-            low[rows] = value
-            error[rows] = _PAIR_ROUNDING * magnitudes
-        spans = below & (band.top < b)
+        # a series from x0 has no terms: a >= x0 contributes exactly 0
+        value, magnitudes = band.series(np.minimum(a, band.x0))
+        short = b < band.x0  # [a, b] is [a, x0] less [b, x0]
+        if short.any():
+            cut, cut_magnitudes = band.series(b[short])
+            value[short] -= cut
+            magnitudes[short] += cut_magnitudes
+        magnitudes *= _PAIR_ROUNDING
+        spans = (a < band.x0) & (band.top < b)
         if spans.any():
-            rows = r[spans]
-            value, err, count, certified = band.upper()
-            low[rows] += value
-            error[rows] += err
-            panels[rows] = count
-            converged[rows] = certified
+            upper, upper_error, count, certified = band.upper()
+            value += np.where(spans, upper, 0.0)
+            magnitudes += np.where(spans, upper_error, 0.0)
+            panels[r] = np.where(spans, count, 0)
+            converged[r] = certified | ~spans
+        low[r] = value
+        error[r] = magnitudes
         grid = band.unit.grid
         for i in r[~spans & (band.x0 < b) & (a < band.top)]:
             left, right = max(lo[i], band.x0), min(hi[i], band.top)
