@@ -19,8 +19,7 @@ time.  Every per-group quantity is reduced over that group's own panels
 in a fixed order, so a group's result never depends on which other
 groups share the call.  ``band_set`` builds the initial panels of many
 bands that share their lower limit in one pass, back to back in a
-``Bands``.  ``gauss_kronrod`` is the panel rule without refinement, for
-callers that set each panel's tolerance from the values of others;
+``Bands``.  ``gauss_kronrod`` is the panel rule without refinement;
 ``kronrod_nodes`` and ``kronrod_sums`` are its two halves, for callers
 that keep an integrand's values at the nodes and weigh them again.
 """
