@@ -68,9 +68,15 @@ ir L >= X there is no low band and the pair terms are P(ir L) - P(uv L).
 Cost: each pulse count pays its filter at about 2N panels' nodes once,
 each (N, alpha) weighs them once, and each length pays one series
 evaluation plus its (N+2)(N+1)/2 pair terms, with K evaluated only at
-the ~2N distinct separations.  The error estimate is the panels'
-Gauss-Kronrod estimate plus a rounding bound of 64 machine epsilons
-times the summed magnitudes of the series and of the pair terms.
+the ~2N distinct separations.  One call runs a fixed number of array
+passes over all its lengths, whatever mix of pulse counts it holds:
+one series pass, each length with its band's coefficients, one K pass
+(``_tail``) for every pair argument, and the band constants (the
+panels from x0 to X and P(X)) gathered per length.  Only the pair
+weights' gather and the row sums run per pulse count.  The error
+estimate is the panels' Gauss-Kronrod estimate plus a rounding bound
+of 64 machine epsilons times the summed magnitudes of the series and of
+the pair terms.
 
 ``train_overlaps`` evaluates many lengths at once from their pulse
 counts and ``overlap_from_positions`` one explicit train, by the same
@@ -108,7 +114,6 @@ from .sequences import train
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
 # sizes keep K within a few 1e-14 relative over exponents [0, 2].
 _TAIL_X0 = 4.0
-_TAIL_SERIES_TERMS = 24
 _LAGUERRE_NODES = 60
 # Arguments per K evaluation pass, bounding its (arguments x nodes) arrays.
 _TAIL_CHUNK = 2048
@@ -117,6 +122,8 @@ _PAIR_WORK = 65_536
 # Terms of the power series of a unit-length filter, in x^2, summed
 # below x0 = min(_TAIL_X0, top) (see the module docstring).
 _SERIES_TERMS = 40
+# 2m - 1 for the series terms m >= 1 (see _termwise).
+_ODD = 2.0 * np.arange(1, _SERIES_TERMS) - 1.0
 # Relative tolerance of every length's low band.
 _LOW_TOL = 1e-8
 # Smallest low-band limit x = ir L: x^-4, the steepest spectral power,
@@ -127,6 +134,10 @@ X_MIN = float(np.finfo(float).max) ** -0.25
 _FLOAT_MAX = float(np.finfo(float).max)
 # Rounding bound on the pair sum, relative to its summed term magnitudes.
 _PAIR_ROUNDING = 64.0 * float(np.finfo(float).eps)
+# Smallest spacing L/N of a train that needs no check (see train_overlaps).
+_SAFE_STEP = 2.0 ** -1021
+# A low band's ``upper()`` where a length does not span [x0, top].
+_NO_UPPER = (0.0, 0.0, 0, True)
 
 
 @dataclass(frozen=True)
@@ -195,57 +206,75 @@ def _frozen(*arrays):
 
 
 @lru_cache(maxsize=64)
-def _series_terms(p: float):
-    """Coefficients and exponents of the _tail_series terms for one p."""
-    n = np.arange(1, _TAIL_SERIES_TERMS + 1)
-    e = 2 * n + 1 - p
-    return _frozen(np.cumprod(-1.0 / ((2 * n - 1) * (2 * n))), e, e > 0.0,
-                   e < 0.0)
+def _term_exponents(x0: float, alpha: float):
+    """The factors of ``_termwise`` that do not depend on the filter."""
+    e = _ODD - alpha
+    # alpha lies in [0, 2], so only e = 1 - alpha of m = 1 can vanish
+    log_term = 0 if alpha == 1.0 else None
+    if log_term == 0:
+        e[0] = 1.0
+    factor = -x0 ** e / e
+    if log_term == 0:
+        factor[0] = 1.0
+    return (*_frozen(factor, -e), log_term)
 
 
-@lru_cache(maxsize=64)
-def _tail_at_x0(p: float) -> float:
-    """K(_TAIL_X0) for p = 2 + alpha, where the series takes over."""
-    return float(_tail_rotated(np.array([_TAIL_X0]), p)[0])
+def _termwise(coefficients: np.ndarray, x0: float, alpha: float):
+    """The weights with which ``_series`` sums int_a^x0 x^-(2+alpha) Fh dx
+    for Fh(x) = sum_m f_m x^(2m), f = ``coefficients``.
 
-
-def _tail_series(x: np.ndarray, p: float) -> np.ndarray:
-    """int_x^X0 t^-p (1 - cos t) dt by the power series of 1 - cos t.
-
-    Term n integrates t^e with e = 2n + 1 - p, as (X0^e - x^e)/e written
-    through expm1 so it stays accurate for e near 0 (log case at e = 0)
-    and never forms an overflowing power for large |e ln(X0/x)|.
+    f_0 = Fh(0) is 0 for every filter, so the terms run from m = 1.
+    Term m integrates f_m x^(e-1), e = 2m - 1 - alpha, from a to x0 as
+    f_m x0^e (1 - (a/x0)^e) / e = scale_m * expm1(decay_m ln(x0/a)) with
+    decay = -e <= 1, so it never forms an overflowing power; at e = 0 it
+    is f_m ln(x0/a), the column ``log_term``.  ``decay`` and
+    ``log_term`` depend on alpha alone.
     """
-    coef, e, up, down = _series_terms(p)
-    ell = np.log(_TAIL_X0 / x)[:, None]
-    terms = np.empty((x.size, e.size))
-    terms[:, up] = _TAIL_X0 ** e[up] * -np.expm1(-e[up] * ell) / e[up]
-    terms[:, down] = (x[:, None] ** e[down] * np.expm1(e[down] * ell)
-                      / e[down])
-    terms[:, e == 0.0] = ell
-    return -(terms * coef).sum(axis=1)
+    factor, decay, log_term = _term_exponents(x0, alpha)
+    return coefficients[1:] * factor, decay, log_term
 
 
-def _chunked(fn, x: np.ndarray, p: float) -> np.ndarray:
-    """fn(x, p) in slices of _TAIL_CHUNK arguments, bounding the
+def _series(ell: np.ndarray, scale: np.ndarray, decay: np.ndarray,
+            log_term):
+    """int_a^x0 x^-(2+alpha) Fh dx for each ell = ln(x0/a) >= 0, with the
+    ``_termwise`` weights of Fh at alpha (one row of ``scale`` per ell,
+    or one row for all), and the summed magnitudes of its terms.  Every
+    row is summed over all its terms alone, so a value depends on its
+    own ell and weights only."""
+    terms = np.expm1(ell[:, None] * decay)
+    if log_term is not None:
+        terms[:, log_term] = ell
+    terms *= scale
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _chunked(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x) in slices of _TAIL_CHUNK arguments, bounding the
     (arguments x terms) workspace; fn works row by row, so slicing
     changes no value."""
     if x.size <= _TAIL_CHUNK:
-        return fn(x, p)
-    return np.concatenate([fn(x[i:i + _TAIL_CHUNK], p)
+        return fn(x)
+    return np.concatenate([fn(x[i:i + _TAIL_CHUNK])
                            for i in range(0, x.size, _TAIL_CHUNK)])
 
 
 def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     """K(x) = int_x^inf t^-(2+alpha) (1 - cos t) dt for x > 0, each value
-    a function of its own argument only."""
+    a function of its own argument only.
+
+    From _TAIL_X0 = 4 up, K is the rotated Laplace integral.  Below it,
+    K(x) = K(4) + int_x^4 t^-(2+alpha) (1 - cos t) dt, and 1 - cos t is
+    the filter of the free train, so the integral is the low band's
+    ``_series`` with the coefficients ``_train_series(0)`` and x0 = 4;
+    K(4) comes from the same rotated pass as the far arguments.
+    """
     p = 2.0 + alpha
-    far = x >= _TAIL_X0
-    out = np.empty_like(x)
-    out[far] = _chunked(_tail_rotated, x[far], p)
-    near = ~far
+    out = _chunked(lambda t: _tail_rotated(t, p), np.maximum(x, _TAIL_X0))
+    near = x < _TAIL_X0
     if near.any():
-        out[near] = _tail_at_x0(p) + _chunked(_tail_series, x[near], p)
+        weights = _termwise(_train_series(0), _TAIL_X0, alpha)
+        out[near] += _chunked(
+            lambda t: _series(np.log(_TAIL_X0 / t), *weights)[0], x[near])
     return out
 
 
@@ -279,42 +308,41 @@ def _pair_separations(bounds: np.ndarray):
     return distinct, inverse, coef, d
 
 
-def _pair_terms(bounds: np.ndarray, alpha: float):
-    """The pairs j < k of boundaries ``bounds`` at one exponent, as a
-    low band holds them: their distinct separations d, each pair's index
-    into them and c_jk d_jk^(1+alpha)."""
-    distinct, inverse, coef, d = _pair_separations(bounds)
-    return distinct, inverse, coef * d ** (1.0 + alpha)
+def _pair_halves(x: np.ndarray, which: np.ndarray, pairs, alpha: float):
+    """P(x_i) = sum_{j<k} c_jk d_jk^(1+alpha) K(x_i d_jk) for each x_i,
+    and the summed magnitudes of its terms, with the pairs ``pairs[g]``
+    of its train g = ``which[i]``, each given as the distinct
+    separations d, each pair's index into them and c_jk d_jk^(1+alpha).
 
-
-def _pair_halves(jobs, alpha: float):
-    """P(x) = sum_{j<k} c_jk d_jk^(1+alpha) K(x d_jk) for each x, and the
-    summed magnitudes of its terms, for (``_pair_terms``, x) jobs.
-
-    One _tail call serves every job, evaluated once per distinct
-    separation and x (an equally spaced train repeats its separations).
-    Each x's terms are summed along its own row in pair order, about
-    _PAIR_WORK terms per pass, so a value depends on its own x only.
+    One _tail call serves every x, evaluated once per distinct
+    separation of its train (an equally spaced train repeats its
+    separations), from a table padded with zero separations.  Each x's
+    terms are then gathered and summed along a row of their own in pair
+    order, about _PAIR_WORK terms per pass, so a value depends on its own
+    x and train only.
     """
-    if not jobs:
-        return []
-    args = [(x[:, None] * distinct).ravel() for (distinct, _, _), x in jobs]
-    tails = _tail(np.concatenate(args), alpha)
-    out = []
+    sizes = [distinct.size for distinct, _, _ in pairs]
+    table = np.zeros((len(pairs), max(sizes)))
+    for g, (distinct, _, _) in enumerate(pairs):
+        table[g, :sizes[g]] = distinct
+    args = x[:, None] * table.take(which, axis=0)
+    real = args > 0.0  # x > 0, so only the padding gives 0
+    tails = np.zeros(args.shape)
+    tails[real] = _tail(args[real], alpha)
+    out = np.empty((2, x.size))  # the sums, then their term magnitudes
+    order = np.argsort(which, kind="stable")
     end = 0
-    for (distinct, inverse, weights), x in jobs:
-        tail = tails[end:(end := end + x.size * distinct.size)].reshape(
-            x.size, distinct.size)
-        sums = np.empty(x.size)
-        magnitudes = np.empty(x.size)
+    for (_, inverse, weights), size in zip(
+            pairs, np.bincount(which, minlength=len(pairs)).tolist()):
+        mine = order[end:(end := end + size)]
         step = max(1, _PAIR_WORK // weights.size)
-        for i in range(0, x.size, step):
-            # C order, so that each row sum below is the pairwise sum a
-            # lone x gets (fancy indexing may hand back another layout)
-            terms = np.ascontiguousarray(weights * tail[i:i + step, inverse])
-            sums[i:i + step] = terms.sum(axis=1)
-            magnitudes[i:i + step] = np.abs(terms).sum(axis=1)
-        out.append((sums, magnitudes))
+        for i in range(0, size, step):
+            rows = mine[i:i + step]
+            # take returns C order, so each row sum is the pairwise sum
+            # a lone x gets
+            terms = weights * tails.take(rows, axis=0).take(inverse, axis=1)
+            out[0, rows] = terms.sum(axis=1)
+            out[1, rows] = np.abs(terms).sum(axis=1)
     return out
 
 
@@ -444,7 +472,9 @@ class _LowBand:
     above its equal share of that goes to ``integrate_panels``, to that
     share.  The result is kept once it is certified; otherwise every
     call that needs it weighs the panels again and flags its lengths
-    unconverged.  ``pairs`` are the train's ``_pair_terms`` at alpha and
+    unconverged.  ``weights`` are the series' ``_termwise`` weights,
+    ``pairs`` the train's distinct separations, each pair's index into
+    them and c_jk d_jk^(1+alpha) (as ``_pair_halves`` takes them), and
     ``top_pairs`` is P(top) with its term magnitudes, once a call has
     needed it.
     """
@@ -454,18 +484,7 @@ class _LowBand:
         self.alpha = alpha
         self.top = unit.top
         self.x0 = unit.x0
-        # term m integrates f_m x^(e-1), e = 2m - 1 - alpha, from a to x0
-        # as f_m x0^e (1 - (a/x0)^e) / e = scale_m * -expm1(-e ln(x0/a));
-        # at e = 0 it is f_m ln(x0/a), kept as the column ``log_term``
-        m = np.flatnonzero(unit.series)
-        f = unit.series[m]
-        e = 2.0 * m - 1.0 - alpha
-        flat = np.flatnonzero(e == 0.0)  # at most one term
-        e[flat] = 1.0
-        self.decay = -e
-        self.scale = -f * self.x0 ** e / e
-        self.scale[flat] = f[flat]
-        self.log_term = int(flat[0]) if flat.size else None
+        self.weights = _termwise(unit.series, self.x0, alpha)
         distinct, inverse, coef, d = unit.separations
         self.pairs = (distinct, inverse, coef * d ** (1.0 + alpha))
         self.top_pairs = None  # set by the first call that needs it
@@ -479,18 +498,8 @@ class _LowBand:
 
     def series(self, a: np.ndarray):
         """int_a^x0 x^-(2+alpha) Fh(x) dx for each 0 < a <= x0 and the
-        summed magnitudes of its terms, each a function of its own a.
-
-        Every term is written through expm1, so it stays accurate for
-        exponents e near 0 and a near x0, and never forms an overflowing
-        power (|e| <= 1 where e < 0).
-        """
-        ell = np.log(self.x0 / a)[:, None]
-        terms = np.expm1(ell * self.decay)
-        if self.log_term is not None:
-            terms[:, self.log_term] = ell[:, 0]
-        terms *= self.scale
-        return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        summed magnitudes of its terms (``_series``)."""
+        return _series(np.log(self.x0 / a), *self.weights)
 
     def upper(self):
         """int_x0^top: its value, error, panel count and certification."""
@@ -498,22 +507,23 @@ class _LowBand:
             return self._upper
         x, half, filt = self.unit.nodes()
         values, errors = kronrod_sums(filt * x ** -(self.alpha + 2.0), half)
-        counts = np.ones(values.size, np.intp)
-        certified = np.ones(values.size, bool)
-        tol = _LOW_TOL * values.sum()
-        if errors.sum() > tol:
-            miss = np.flatnonzero(errors > tol / values.size)
-            grid = self.unit.grid
-            res = integrate_panels(
-                self.integrand,
-                Bands(np.column_stack((grid[miss], grid[miss + 1])).ravel(),
-                      np.full(miss.size, 2)),
-                grouped=True, atol=tol / values.size, rtol=0.0)
-            values[miss] = res.values
-            errors[miss] = res.errors
-            counts[miss] = res.group_panels
-            certified[miss] = res.converged
-        result = (values.sum(), errors.sum(), counts.sum(), certified.all())
+        total, error = values.sum(), errors.sum()
+        tol = _LOW_TOL * total
+        if error <= tol:
+            self._upper = (total, error, values.size, True)
+            return self._upper
+        miss = np.flatnonzero(errors > tol / values.size)
+        grid = self.unit.grid
+        res = integrate_panels(
+            self.integrand,
+            Bands(np.column_stack((grid[miss], grid[miss + 1])).ravel(),
+                  np.full(miss.size, 2)),
+            grouped=True, atol=tol / values.size, rtol=0.0)
+        values[miss] = res.values
+        errors[miss] = res.errors
+        result = (values.sum(), errors.sum(),
+                  values.size - miss.size + res.group_panels.sum(),
+                  res.converged.all())
         if result[3]:
             self._upper = result
         return result
@@ -561,20 +571,24 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
         raise ValueError("need one pulse count per length")
     if pulses.size and not (pulses.dtype.kind in "iu" and pulses.min() >= 0):
         raise ValueError("pulse counts must be nonnegative integers")
+    # train(n, L) places (k - 1/2) s with s = L/n rounded.  Where s >=
+    # 2^-1021 and n <= 2^50, the first position s/2 is exact and
+    # positive, neighbours differ by a relative 1/(k + 1/2) > 2^-51 and
+    # the last lies a relative 1/(2n) >= 2^-51 below L, far more than the
+    # 2^-53 of each rounding: the train lies strictly inside (0, L) in
+    # increasing order.  Only the other trains are placed and checked.
     bad = ~(np.isfinite(lengths) & (lengths > 0.0))
-    groups = []
-    with np.errstate(invalid="ignore"):  # inf - inf gaps of infinite lengths
-        for n in np.unique(pulses).tolist():
-            rows = np.flatnonzero(pulses == n)
-            bounds = np.concatenate((np.zeros((rows.size, 1)),
-                                     train(n, lengths[rows]),
-                                     lengths[rows, None]), axis=1)
-            bad[rows] |= ~(np.diff(bounds, axis=1) > 0.0).all(axis=1)
-            groups.append((rows, n))
+    unsure = ~bad & ~((lengths / np.maximum(pulses, 1) >= _SAFE_STEP)
+                      & (pulses <= 2 ** 50))
+    for i in unsure.nonzero()[0].tolist():
+        bounds = np.concatenate(([0.0], train(pulses[i], lengths[i]),
+                                 [lengths[i]]))
+        bad[i] = not (np.diff(bounds) > 0.0).all()
     if bad.any():
         i = np.flatnonzero(bad)[0]
         check_positions(train(pulses[i], lengths[i]), lengths[i])
-    return _overlaps(groups, spectrum, lengths)
+    return _overlaps([((pulses == n).nonzero()[0], n)
+                      for n in np.unique(pulses).tolist()], spectrum, lengths)
 
 
 def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
@@ -612,87 +626,92 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
     bands = [_low_band(key, alpha) if isinstance(key, int)
              else _LowBand(_Train(key, _exact_series(key)), alpha)
              for _, key in groups]
-    rows = [rows for rows, _ in groups]
-    return (*_low_parts(rows, bands, lo, hi, lengths ** -(1.0 + alpha),
-                        alpha), *_pair_parts(rows, bands, lo, hi, alpha))
+    which = np.empty(lengths.size, np.intp)  # each length's band
+    for g, (rows, _) in enumerate(groups):
+        which[rows] = g
+    x0, top = np.array([(band.x0, band.top) for band in bands]).take(
+        which, axis=0).T
+    return (*_low_parts(which, bands, lo, hi, x0, top, lengths),
+            *_pair_parts(which, bands, lo, hi, top, alpha))
 
 
-def _pair_parts(groups, bands, lo, hi, alpha: float):
+def _pair_parts(which, bands, lo, hi, top, alpha: float):
     """P(x_c) - P(b) and its rounding bound per length, with a = lo,
-    b = hi and x_c = max(a, top) where top < b (0 elsewhere).
+    b = hi and x_c = max(a, top) where top < b (0 elsewhere), each length
+    in band ``bands[which[i]]``, whose ``top`` it is given.
 
-    One _pair_halves job per band: P(b), then P(a) where a >= top, then
-    P(top) if no call has needed it before.
+    One _pair_halves call serves every length: P(b) of each length
+    (kept where top < b), then P(a) where top <= a < b, then P(top) of
+    each band that has not kept it yet.
     """
-    high = np.zeros(lo.size)
-    rounding = np.zeros(lo.size)
-    jobs, rows = [], []
-    for r, band in zip(groups, bands):
-        r = r[band.top < hi[r]]
-        if r.size:
-            over = lo[r] >= band.top
-            x = [hi[r], lo[r][over]]
-            if band.top_pairs is None:
-                x.append([band.top])
-            jobs.append((band.pairs, np.concatenate(x)))
-            rows.append((r, over, band))
-    for (r, over, band), (sums, mags) in zip(rows,
-                                             _pair_halves(jobs, alpha)):
-        if band.top_pairs is None:
-            band.top_pairs = (sums[-1], mags[-1])
-        top = np.full(r.size, band.top_pairs[0])
-        top_mags = np.full(r.size, band.top_pairs[1])
-        top[over] = sums[r.size:r.size + over.sum()]
-        top_mags[over] = mags[r.size:r.size + over.sum()]
-        high[r] = top - sums[:r.size]
-        rounding[r] = _PAIR_ROUNDING * (top_mags + mags[:r.size])
-    return high, rounding
+    has = top < hi
+    over = has & (lo >= top)
+    fresh = [g for g, band in enumerate(bands) if band.top_pairs is None]
+    a = lo[over]
+    halves = _pair_halves(
+        np.concatenate((hi, a, [bands[g].top for g in fresh])),
+        np.concatenate((which, which[over], np.array(fresh, np.intp))),
+        [band.pairs for band in bands], alpha)
+    n, m = hi.size, a.size
+    for g, (s, mag) in zip(fresh, halves[:, n + m:].T.tolist()):
+        bands[g].top_pairs = (s, mag)
+    # P(x_c) and its term magnitudes, less P(b) and plus its magnitudes
+    at = np.array([band.top_pairs for band in bands]).take(which, axis=0).T
+    at[:, over] = halves[:, n:n + m]  # x_c = a
+    at[0] -= halves[0, :n]
+    at[1] += halves[1, :n]
+    at[1] *= _PAIR_ROUNDING
+    return np.where(has, at, 0.0)
 
 
-def _low_parts(groups, bands, lo, hi, scale, alpha: float):
-    """The low band [a, min(b, top)] per length, a = lo < top, b = hi:
-    its value, error, convergence and panel count (0 and converged
-    elsewhere).
+def _low_parts(which, bands, lo, hi, x0, top, lengths):
+    """The low band [a, min(b, top)] per length, a = lo < top, b = hi,
+    each length in band ``bands[which[i]]``, whose ``x0`` and ``top`` it
+    is given: its value, error, convergence and panel count (0 and
+    converged elsewhere).
 
-    Below x0 it is the band's series, with a rounding bound of
-    _PAIR_ROUNDING times the summed term magnitudes as its error (where
-    b < x0, the series from a less the series from b).  Where
-    a < x0 and top < b, [x0, top] is the band's ``upper()``.  Elsewhere
-    the part of [x0, top] inside [a, b] goes to ``integrate_panels`` on
-    the grid points inside it, to 1e-8 relative and 1e-8 (scale + the
-    series value) absolute less the series' error (``scale``,
-    L^-(1+alpha), takes the absolute part from w to x units).
+    Below x0 it is one ``_series`` pass over every length, each with its
+    band's weights, with a rounding bound of _PAIR_ROUNDING times the
+    summed term magnitudes as its error (where b < x0, less the series
+    from b, which a second pass evaluates).  Where a < x0 and top < b,
+    [x0, top] is the band's ``upper()``.  Elsewhere the part of [x0, top]
+    inside [a, b] goes to ``integrate_panels`` on the grid points inside
+    it, to 1e-8 relative and 1e-8 (L^-(1+alpha) + the series value)
+    absolute less the series' error (L^-(1+alpha) takes the absolute
+    part from w to x units).
     """
-    low = np.zeros(lo.size)
-    error = np.zeros(lo.size)
-    converged = np.ones(lo.size, dtype=bool)
-    panels = np.zeros(lo.size, np.intp)
+    scales = np.array([band.weights[0] for band in bands]).take(which, axis=0)
+    _, decay, log_term = bands[0].weights  # alpha's, shared by all bands
+    # a series from x0 has no terms: a >= x0 contributes exactly 0
+    low, error = _series(np.log(x0 / np.minimum(lo, x0)), scales, decay,
+                         log_term)
+    short = hi < x0  # [a, b] is [a, x0] less [b, x0]
+    if short.any():
+        cut, cut_error = _series(np.log(x0[short] / hi[short]), scales[short],
+                                 decay, log_term)
+        low[short] -= cut
+        error[short] += cut_error
+    spans = (lo < x0) & (top < hi)
+    needs = np.bincount(which[spans], minlength=len(bands)).tolist()
+    # each length's (value, error, panels, certified), as floats
+    upper = np.array([band.upper() if need else _NO_UPPER
+                      for band, need in zip(bands, needs)], float).take(
+        which, axis=0)
+    upper[~spans] = _NO_UPPER
+    low += upper[:, 0]
+    error = _PAIR_ROUNDING * error + upper[:, 1]
+    panels = upper[:, 2].astype(np.intp)
+    converged = upper[:, 3] == 1.0
     whole = []
-    for column, (r, band) in enumerate(zip(groups, bands)):
-        a, b = lo[r], hi[r]
-        # a series from x0 has no terms: a >= x0 contributes exactly 0
-        value, magnitudes = band.series(np.minimum(a, band.x0))
-        short = b < band.x0  # [a, b] is [a, x0] less [b, x0]
-        if short.any():
-            cut, cut_magnitudes = band.series(b[short])
-            value[short] -= cut
-            magnitudes[short] += cut_magnitudes
-        magnitudes *= _PAIR_ROUNDING
-        spans = (a < band.x0) & (band.top < b)
-        if spans.any():
-            upper, upper_error, count, certified = band.upper()
-            value += np.where(spans, upper, 0.0)
-            magnitudes += np.where(spans, upper_error, 0.0)
-            panels[r] = np.where(spans, count, 0)
-            converged[r] = certified | ~spans
-        low[r] = value
-        error[r] = magnitudes
+    # lengths that meet [x0, top] without spanning it (spans implies meets)
+    for i in ((lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist():
+        band = bands[which[i]]
         grid = band.unit.grid
-        for i in r[~spans & (band.x0 < b) & (a < band.top)]:
-            left, right = max(lo[i], band.x0), min(hi[i], band.top)
-            whole.append((i, column, np.concatenate(
-                ([left], grid[(left < grid) & (grid < right)], [right])),
-                _LOW_TOL * (scale[i] + low[i]) - error[i], _LOW_TOL))
+        left, right = max(lo[i], band.x0), min(hi[i], band.top)
+        whole.append((i, which[i], np.concatenate(
+            ([left], grid[(left < grid) & (grid < right)], [right])),
+            _LOW_TOL * (lengths[i] ** -(1.0 + band.alpha) + low[i]) - error[i],
+            _LOW_TOL))
     if not whole:
         return low, error, converged, panels
 
@@ -705,7 +724,7 @@ def _low_parts(groups, bands, lo, hi, scale, alpha: float):
         for c, band in enumerate(bands):
             gaps[:band.unit.gaps.shape[0], c] = band.unit.gaps[:, 0]
             mids[:band.unit.mids.shape[0], c] = band.unit.mids[:, 0]
-    power = -(alpha + 2.0)
+    power = -(bands[0].alpha + 2.0)
     rows, columns, edges, atol, rtol = zip(*whole)
     columns = np.array(columns, np.intp)
 
@@ -745,7 +764,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     positions = check_positions(positions, length)
     lengths = np.array([length], dtype=float)
     key = positions.size
-    if not np.array_equal(positions, train(key, length)):
+    if not (positions == train(key, length)).all():
         key = np.concatenate(([0.0], positions, [length])) / length
     res = _overlaps([(np.zeros(1, np.intp), key)], spectrum, lengths)
     value, error = float(res.value[0]), float(res.error[0])

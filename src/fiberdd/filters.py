@@ -39,10 +39,11 @@ def check_positions(positions, length: float) -> np.ndarray:
     if not (np.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
     gaps = np.diff(np.concatenate(([0.0], positions, [length])))
-    if not (gaps[1:-1] > 0.0).all():
-        raise ValueError("pulse positions must be strictly increasing")
-    if not (gaps[0] > 0.0 and gaps[-1] > 0.0):
-        raise ValueError("pulse positions must lie strictly inside (0, length)")
+    if not (gaps > 0.0).all():
+        if not (gaps[1:-1] > 0.0).all():
+            raise ValueError("pulse positions must be strictly increasing")
+        raise ValueError(
+            "pulse positions must lie strictly inside (0, length)")
     return positions
 
 

@@ -5,7 +5,7 @@ from math import factorial
 
 import numpy as np
 
-from fiberdd.dephasing import _tail
+from fiberdd.dephasing import _pair_separations, _tail
 from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
@@ -59,6 +59,28 @@ def pair_sum_half(bounds, alpha, x):
     d = bounds[k] - bounds[j]
     terms = -weights[j] * weights[k] * d ** (1.0 + alpha) * _tail(x * d, alpha)
     return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def tail_oracle(x, alpha, digits=30):
+    """K(x) = int_x^inf t^-p (1 - cos t) dt, p = 2 + alpha, from the
+    incomplete gamma function in mpmath at ``digits`` digits:
+    x^(1-p)/(p-1) - Re[i^(1-p) Gamma(1-p, -ix)], since the substitution
+    t = iu turns int_x^inf t^-p e^(it) dt into i^(1-p) Gamma(1-p, -ix)."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        p = 2 + mpmath.mpf(alpha)
+        x = mpmath.mpf(x)
+        return float(x ** (1 - p) / (p - 1) - mpmath.re(
+            mpmath.mpc(0, 1) ** (1 - p) * mpmath.gammainc(1 - p, -1j * x)))
+
+
+def pair_terms(bounds, alpha):
+    """The pairs j < k of boundaries ``bounds`` at one exponent, as a
+    low band holds them for ``_pair_halves``: their distinct separations
+    d, each pair's index into them and c_jk d_jk^(1+alpha)."""
+    distinct, inverse, coef, d = _pair_separations(bounds)
+    return distinct, inverse, coef * d ** (1.0 + alpha)
 
 
 def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):

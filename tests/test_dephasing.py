@@ -22,7 +22,8 @@ from fiberdd.quadrature import (QuadratureError, band_boundaries,
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho, train
 from fiberdd.filters import check_positions
 from oracles import (exact_filter_series, exact_train_bounds, first_error,
-                     full_band_overlap, pair_sum_half)
+                     full_band_overlap, pair_sum_half, pair_terms,
+                     tail_oracle)
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -101,6 +102,19 @@ def test_tail_integral_matches_quadrature(alpha):
                                 rel=1e-7)
     # x^e of the high series terms underflows here; the sum must not
     assert 0.0 < _tail(np.array([1e-300]), alpha)[0] < np.inf
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_tail_matches_incomplete_gamma_oracle(alpha):
+    # K on both sides of x = 4, where the free train's series hands over
+    # to the rotated rule, against mpmath's incomplete gamma function
+    pytest.importorskip("mpmath")
+    x = np.array([1e-6, 0.3, 1.0, 2.5, 3.0, np.pi, 3.5, 3.999, 4.0, 10.0,
+                  4e3])
+    got = _tail(x, alpha)
+    for value, point in zip(got, x):
+        assert value == pytest.approx(tail_oracle(point, alpha), rel=5e-14,
+                                      abs=0.0)
 
 
 def test_white_noise_linear_growth():
@@ -371,13 +385,15 @@ def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
     # per-pair sum, whatever the other x and trains of the pass
     bounds = np.concatenate(([0.0], train(pulses, length), [length]))
     x = np.concatenate((np.linspace(2.0, 4.0, 23), [1e3]))
-    terms = dephasing._pair_terms(bounds, alpha)
-    other = dephasing._pair_terms(np.array([0.0, 0.3, 1.0]), alpha)
-    _, (sums, magnitudes) = dephasing._pair_halves(
-        [(other, x[::-1]), (terms, x)], alpha)
+    terms = pair_terms(bounds, alpha)
+    other = pair_terms(np.array([0.0, 0.3, 1.0]), alpha)
+    both, which = np.concatenate((x[::-1], x)), np.repeat([0, 1], x.size)
+    sums, magnitudes = (half[x.size:] for half in dephasing._pair_halves(
+        both, which, [other, terms], alpha))
     for i in range(x.size):
         assert (sums[i], magnitudes[i]) == pair_sum_half(bounds, alpha, x[i])
-    [alone] = dephasing._pair_halves([(terms, x[5:6])], alpha)
+    alone = dephasing._pair_halves(x[5:6], np.zeros(1, np.intp), [terms],
+                                   alpha)
     assert (alone[0][0], alone[1][0]) == (sums[5], magnitudes[5])
 
 

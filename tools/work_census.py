@@ -17,27 +17,36 @@ overlap integral did for them:
   evaluated for the low band;
 - ``points x segments``: the same, times the segments of the filter
   table each point was evaluated on (padded columns included);
-- ``gauss_kronrod calls`` and ``gauss_kronrod panels``: first passes
-  that ``fiberdd.dephasing`` runs itself, without refinement, and the
-  panels they evaluate;
 - ``integrate_panels calls``: calls of the adaptive quadrature;
 - ``_tail arguments``: arguments of the pair-sum tail integral K;
+- ``K near-branch arguments``: those of them below 4, which K sums as
+  the free train's power series (``_series`` inside ``_tail``);
 - ``series evaluations (lengths)``: lengths whose low band below x0 was
-  summed from the filter's power series (``_LowBand.series``);
+  summed from the filter's power series: the rows of ``_series`` (or,
+  in a checkout without it, the arguments of ``_LowBand.series``) less
+  the K near-branch arguments;
+- ``low bands built``: ``_LowBand`` objects made, one per pulse count
+  and exponent that a call needed and the cache did not hold, or per
+  explicit train;
 - ``node tables built``: filter tables at the Kronrod nodes of the
   panels between x0 and top (``_node_table``), with the pulse counts
   they were built for;
-- ``alpha reweightings``: weighings of a cached node table by one
-  exponent (``kronrod_sums`` as ``fiberdd.dephasing`` binds it);
+- ``alpha reweightings`` and ``reweighted panels``: weighings of a
+  cached node table by one exponent (``kronrod_sums`` as
+  ``fiberdd.dephasing`` binds it), each a Gauss-Kronrod first pass
+  without refinement, and the panels they sum;
 - ``panels refined``: cached panels that missed their first pass and
-  went to ``integrate_panels``.
+  went to ``integrate_panels``;
+- ``curve calls by pulse-count groups``: curve calls counted by their
+  number of distinct pulse counts.
 
-All but the first two are counted by wrapping names of
+All but the first two and the last are counted by wrapping names of
 ``fiberdd.dephasing`` (``integrate_panels`` evaluates its own panels
 through ``fiberdd.quadrature``, which no wrapper sees), so two
-checkouts can be compared line by line; a name a checkout does not bind
-counts 0.  The wall time of the whole run is printed last; it is one
-run, not a benchmark.
+checkouts can be compared line by line.  A name a checkout does not
+bind counts 0, and is listed on a last ``not bound`` line so that a 0
+from a renamed function is not read as no work.  The wall time of the
+whole run is printed before it; it is one run, not a benchmark.
 """
 
 from __future__ import annotations
@@ -64,10 +73,13 @@ def census(root: Path) -> tuple[Counter, float, int]:
 
     counts = Counter()
     tables = set()
+    groups = Counter()
+    missing = []
 
     def count(module, name, counter, amount=lambda *args: 1):
         """Wrap ``module.name`` to add ``amount(*args)`` to ``counter``."""
         if not hasattr(module, name):
+            missing.append(f"{getattr(module, '__name__', module)}.{name}")
             return
         original = getattr(module, name)
 
@@ -90,19 +102,30 @@ def census(root: Path) -> tuple[Counter, float, int]:
         return len(bands) if band and isinstance(
             getattr(fn, "__self__", None), band) else 0
 
-    count(evolution, "train_overlaps", "curve overlap calls")
+    def curve_groups(pulses, *args):
+        groups[len(set(pulses.tolist() if hasattr(pulses, "tolist")
+                       else pulses))] += 1
+        return 1
+
+    count(evolution, "train_overlaps", "curve overlap calls", curve_groups)
     count(evolution, "overlap_from_positions", "probe overlap calls")
     count(dephasing, "segment_filter", "integrand points", filter_points)
-    count(dephasing, "gauss_kronrod", "gauss_kronrod calls")
-    count(dephasing, "gauss_kronrod", "gauss_kronrod panels",
-          lambda fn, lefts, *args: lefts.size)
     count(dephasing, "integrate_panels", "integrate_panels calls")
     count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
-    if hasattr(dephasing, "_LowBand"):
-        count(dephasing._LowBand, "series", "series evaluations (lengths)",
+    count(dephasing, "_tail", "K near-branch arguments",
+          lambda x, *args: int((x < 4.0).sum()))
+    if hasattr(dephasing, "_series"):
+        count(dephasing, "_series", "series rows",
+              lambda ell, *args: ell.size)
+    elif hasattr(dephasing, "_LowBand"):
+        count(dephasing._LowBand, "series", "series rows",
               lambda band, a: a.size)
+    if hasattr(dephasing, "_LowBand"):
+        count(dephasing._LowBand, "__init__", "low bands built")
     count(dephasing, "_node_table", "node tables built", node_table)
     count(dephasing, "kronrod_sums", "alpha reweightings")
+    count(dephasing, "kronrod_sums", "reweighted panels",
+          lambda fx, *args: fx.shape[0])
     count(dephasing, "integrate_panels", "panels refined", refined)
     task_list = tasks.task_list("sweep", SEED, ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,6 +138,13 @@ def census(root: Path) -> tuple[Counter, float, int]:
         seconds = time.perf_counter() - start
         os.chdir(root)
     counts["node table pulse counts"] = sorted(tables)
+    counts["curve calls by pulse-count groups"] = dict(sorted(groups.items()))
+    # the near branch of K sums the free train's series only where that
+    # series routine is shared (the parent's own K series is not wrapped)
+    near = counts["K near-branch arguments"] if hasattr(dephasing,
+                                                         "_series") else 0
+    counts["series evaluations (lengths)"] = counts["series rows"] - near
+    counts["not bound"] = missing
     return counts, seconds, len(task_list)
 
 
@@ -129,13 +159,15 @@ def main(argv: list[str]) -> int:
           f"{count} tasks")
     for name in ("curve overlap calls", "probe overlap calls",
                  "integrand points", "points x segments",
-                 "gauss_kronrod calls", "gauss_kronrod panels",
                  "integrate_panels calls", "_tail arguments",
-                 "series evaluations (lengths)", "node tables built",
+                 "K near-branch arguments", "series evaluations (lengths)",
+                 "low bands built", "node tables built",
                  "node table pulse counts", "alpha reweightings",
-                 "panels refined"):
+                 "reweighted panels", "panels refined",
+                 "curve calls by pulse-count groups"):
         print(f"{name} = {counts[name]}")
     print(f"wall_s = {seconds:.3f}")
+    print(f"not bound = {counts['not bound'] or 'none'}")
     return 0
 
 
