@@ -122,8 +122,6 @@ _PAIR_WORK = 65_536
 # Terms of the power series of a unit-length filter, in x^2, summed
 # below x0 = min(_TAIL_X0, top) (see the module docstring).
 _SERIES_TERMS = 40
-# 2m - 1 for the series terms m >= 1 (see _termwise).
-_ODD = 2.0 * np.arange(1, _SERIES_TERMS) - 1.0
 # Relative tolerance of every length's low band.
 _LOW_TOL = 1e-8
 # Smallest low-band limit x = ir L: x^-4, the steepest spectral power,
@@ -208,15 +206,14 @@ def _frozen(*arrays):
 @lru_cache(maxsize=64)
 def _term_exponents(x0: float, alpha: float):
     """The factors of ``_termwise`` that do not depend on the filter."""
-    e = _ODD - alpha
-    # alpha lies in [0, 2], so only e = 1 - alpha of m = 1 can vanish
-    log_term = 0 if alpha == 1.0 else None
-    if log_term == 0:
-        e[0] = 1.0
+    e = 2.0 * np.arange(1, _SERIES_TERMS) - 1.0 - alpha
+    # alpha lies in [0, 2], so only e = 1 - alpha of m = 1 can vanish:
+    # that term is f_1 ln(x0/a), column 0 with factor 1
+    flat = alpha == 1.0
+    e[0] = 1.0 if flat else e[0]
     factor = -x0 ** e / e
-    if log_term == 0:
-        factor[0] = 1.0
-    return (*_frozen(factor, -e), log_term)
+    factor[0] = 1.0 if flat else factor[0]
+    return (*_frozen(factor, -e), 0 if flat else None)
 
 
 def _termwise(coefficients: np.ndarray, x0: float, alpha: float):

@@ -103,8 +103,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
             getattr(fn, "__self__", None), band) else 0
 
     def curve_groups(pulses, *args):
-        groups[len(set(pulses.tolist() if hasattr(pulses, "tolist")
-                       else pulses))] += 1
+        groups[len(set(pulses))] += 1
         return 1
 
     count(evolution, "train_overlaps", "curve overlap calls", curve_groups)
@@ -139,8 +138,8 @@ def census(root: Path) -> tuple[Counter, float, int]:
         os.chdir(root)
     counts["node table pulse counts"] = sorted(tables)
     counts["curve calls by pulse-count groups"] = dict(sorted(groups.items()))
-    # the near branch of K sums the free train's series only where that
-    # series routine is shared (the parent's own K series is not wrapped)
+    # where K's near branch runs through _series too, its rows are not
+    # lengths
     near = counts["K near-branch arguments"] if hasattr(dephasing,
                                                          "_series") else 0
     counts["series evaluations (lengths)"] = counts["series rows"] - near
