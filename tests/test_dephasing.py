@@ -658,6 +658,33 @@ def test_single_and_multi_band_batches_agree_bitwise():
         assert part[1] == reference[0]
 
 
+@pytest.mark.parametrize("spec,pulses,lengths", [
+    # uv L <= top for N = 3 at 0.7 and N = 8 at 3.1, with the series-only
+    # N = 0 at 0.2 and spanning N = 1 and N = 3 lengths beside them
+    (NoiseSpectrum(0.008, 1.3, 1e-3, 10.0), [0, 1, 3, 8, 3, 1],
+     [0.2, 0.9, 2.0, 3.1, 0.7, 4.0]),
+    # ir L >= x0 = 4 at 4.5, 5.0 and 6.0; uv L <= top for N = 8 at 0.3
+    (NoiseSpectrum(0.008, 0.6, 1.0, 100.0), [2, 8, 5, 8],
+     [4.5, 5.0, 6.0, 0.3]),
+])
+def test_partial_low_bands_of_mixed_counts_match_lone_calls(spec, pulses,
+                                                            lengths):
+    # lengths whose band only partly covers [x0, top] integrate their
+    # part on their own train's segments; in a batch of mixed pulse
+    # counts each row keeps the bits of its lone cold call
+    dephasing._low_band.cache_clear()
+    batch = train_overlaps(pulses, spec, lengths)
+    assert batch.converged.all()
+    for i, (n, length) in enumerate(zip(pulses, lengths)):
+        dephasing._low_band.cache_clear()
+        lone = train_overlaps([n], spec, [length])
+        for part, reference in zip(batch, lone):
+            assert part[i] == reference[0]
+        assert overlap_from_positions(train(n, length), spec, length,
+                                      with_error=True) == \
+            (batch.value[i], batch.error[i])
+
+
 def test_length_above_max_length_raises():
     # L^(1+alpha) overflows past 1.34e154 at alpha = 1: a NaN overlap
     # flagged converged before this bound was checked
