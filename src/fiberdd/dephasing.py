@@ -51,19 +51,20 @@ in a bounded cache, split at x0 = min(4, X):
   ``segment_filter`` gave, cached per train.  An exponent weighs them by
   x^-(2+alpha) once; the panels must meet sum(errors) <= 1e-8
   sum(values), and only the panels whose error is above their equal
-  share of that are refined, by ``integrate_panels``.  The integrand is
-  nonnegative, so that sum is a lower bound on the low band of every
-  length that spans [x0, X], and each such length meets 1e-8 relative
-  in x, hence after the L^(1+alpha) scale the 1e-8 abs + 1e-8 rel that
-  the low band met in w before.  Panels that miss even after
-  refinement are never kept: every call that needs them weighs them
-  again and flags its lengths unconverged.
+  share of that are refined, each by an ``integrate_panels`` call of
+  its own.  The integrand is nonnegative, so that sum is a lower bound
+  on the low band of every length that spans [x0, X], and each such
+  length meets 1e-8 relative in x, hence after the L^(1+alpha) scale
+  the 1e-8 abs + 1e-8 rel that the low band met in w before.  Panels
+  that miss even after refinement are never kept: every call that needs
+  them weighs them again and flags its lengths unconverged.
 
 Rare lengths keep an integral of their own: where ir L >= x0 or
-uv L <= X, the part of [x0, X] inside [ir L, uv L] goes to
-integrate_panels on the grid points inside it, to 1e-8 abs + 1e-8 rel
-in w, and where uv L < x0 the series runs from ir L to uv L.  Where
-ir L >= X there is no low band and the pair terms are P(ir L) - P(uv L).
+uv L <= X, the part of [x0, X] inside [ir L, uv L] is one
+integrate_panels call over the grid points inside it, on the length's
+own train, to 1e-8 abs + 1e-8 rel in w, and where uv L < x0 the series
+runs from ir L to uv L.  Where ir L >= X there is no low band and the
+pair terms are P(ir L) - P(uv L).
 
 Cost: each pulse count pays its filter at about 2N panels' nodes once,
 each (N, alpha) weighs them once, and each length pays one series
@@ -106,8 +107,8 @@ import numpy as np
 
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import Bands, QuadratureError, integrate_panels, \
-    kronrod_nodes, kronrod_sums
+from .quadrature import QuadratureError, integrate_panels, kronrod_nodes, \
+    kronrod_sums
 from .sequences import train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
@@ -390,7 +391,7 @@ def _exact_series(bounds: np.ndarray) -> np.ndarray:
     Fh(x) = sum_{j<k} c_jk (1 - cos(x d_jk)), so f_m = (-1)^(m+1)
     sum c_jk d_jk^(2m) / (2m)!.  Every float is an integer over a power
     of two, so the moments are summed exactly as integers over the
-    largest such denominator, grouped by distinct separation.
+    largest such denominator, one weight per distinct separation.
     """
     ratios = [b.as_integer_ratio() for b in bounds.tolist()]
     unit = max(den for _, den in ratios)  # every denominator divides it
@@ -463,17 +464,18 @@ class _LowBand:
     """The low band of one ``_Train`` at one exponent, in x = w L.
 
     Below x0 the band is the termwise integral of the filter's power
-    series (``series``).  Above it, ``upper()`` weighs the train's cached
-    node values by x^-(2+alpha) once: the panels must meet sum(errors)
-    <= 1e-8 sum(values), and if they do not, each panel whose error is
-    above its equal share of that goes to ``integrate_panels``, to that
+    series, which ``_series`` sums with the ``_termwise`` weights
+    ``weights``.  Above it, ``upper()`` weighs the train's cached node
+    values by x^-(2+alpha) once: the panels must meet sum(errors) <= 1e-8
+    sum(values), and if they do not, each panel whose error is above its
+    equal share of that goes to ``integrate_panels`` on its own, to that
     share.  The result is kept once it is certified; otherwise every
     call that needs it weighs the panels again and flags its lengths
-    unconverged.  ``weights`` are the series' ``_termwise`` weights,
-    ``pairs`` the train's distinct separations, each pair's index into
-    them and c_jk d_jk^(1+alpha) (as ``_pair_halves`` takes them), and
-    ``top_pairs`` is P(top) with its term magnitudes, once a call has
-    needed it.
+    unconverged.  ``integrand`` is x^-(2+alpha) Fh(x) from the train's
+    own segments, ``pairs`` the train's distinct separations, each
+    pair's index into them and c_jk d_jk^(1+alpha) (as ``_pair_halves``
+    takes them), and ``top_pairs`` is P(top) with its term magnitudes,
+    once a call has needed it.
     """
 
     def __init__(self, unit: _Train, alpha: float):
@@ -486,17 +488,11 @@ class _LowBand:
         self.pairs = (distinct, inverse, coef * d ** (1.0 + alpha))
         self.top_pairs = None  # set by the first call that needs it
         # set by the first certified upper(), at once if there are no panels
-        self._upper = None if unit.grid.size > 1 else (0.0, 0.0, 0, True)
+        self._upper = None if unit.grid.size > 1 else _NO_UPPER
 
-    def integrand(self, points) -> np.ndarray:
-        x = points["x"]
+    def integrand(self, x: np.ndarray) -> np.ndarray:
         return segment_filter(self.unit.gaps, self.unit.mids, x) * x ** -(
             self.alpha + 2.0)
-
-    def series(self, a: np.ndarray):
-        """int_a^x0 x^-(2+alpha) Fh(x) dx for each 0 < a <= x0 and the
-        summed magnitudes of its terms (``_series``)."""
-        return _series(np.log(self.x0 / a), *self.weights)
 
     def upper(self):
         """int_x0^top: its value, error, panel count and certification."""
@@ -509,21 +505,29 @@ class _LowBand:
         if error <= tol:
             self._upper = (total, error, values.size, True)
             return self._upper
-        miss = np.flatnonzero(errors > tol / values.size)
+        share = tol / values.size
         grid = self.unit.grid
-        res = integrate_panels(
-            self.integrand,
-            Bands(np.column_stack((grid[miss], grid[miss + 1])).ravel(),
-                  np.full(miss.size, 2)),
-            grouped=True, atol=tol / values.size, rtol=0.0)
-        values[miss] = res.values
-        errors[miss] = res.errors
-        result = (values.sum(), errors.sum(),
-                  values.size - miss.size + res.group_panels.sum(),
-                  res.converged.all())
-        if result[3]:
+        panels, converged = values.size, True
+        for m in np.flatnonzero(errors > share).tolist():
+            # the missed panel becomes the panels of its own refinement
+            values[m], errors[m], count, ok = _integrate(
+                self.integrand, grid[m:m + 2], share, 0.0)
+            panels += count - 1
+            converged &= ok
+        result = (values.sum(), errors.sum(), panels, converged)
+        if converged:
             self._upper = result
         return result
+
+
+def _integrate(fn, boundaries, atol: float, rtol: float):
+    """``integrate_panels`` as (value, error, panels, converged); a band
+    short of its tolerance gives its best estimate."""
+    try:
+        res = integrate_panels(fn, boundaries, atol=atol, rtol=rtol)
+    except QuadratureError as exc:
+        return exc.best_estimate, exc.error_estimate, exc.panels, False
+    return res.value, res.error, res.panels, True
 
 
 @lru_cache(maxsize=64)
@@ -672,10 +676,11 @@ def _low_parts(which, bands, lo, hi, x0, top, lengths):
     summed term magnitudes as its error (where b < x0, less the series
     from b, which a second pass evaluates).  Where a < x0 and top < b,
     [x0, top] is the band's ``upper()``.  Elsewhere the part of [x0, top]
-    inside [a, b] goes to ``integrate_panels`` on the grid points inside
-    it, to 1e-8 relative and 1e-8 (L^-(1+alpha) + the series value)
-    absolute less the series' error (L^-(1+alpha) takes the absolute
-    part from w to x units).
+    inside [a, b] is one ``integrate_panels`` call of the length's own,
+    on the grid points inside it and the band's ``integrand``, to 1e-8
+    relative and 1e-8 (L^-(1+alpha) + the series value) absolute less
+    the series' error (L^-(1+alpha) takes the absolute part from w to x
+    units).
     """
     scales = np.array([band.weights[0] for band in bands]).take(which, axis=0)
     _, decay, log_term = bands[0].weights  # alpha's, shared by all bands
@@ -699,49 +704,21 @@ def _low_parts(which, bands, lo, hi, x0, top, lengths):
     error = _PAIR_ROUNDING * error + upper[:, 1]
     panels = upper[:, 2].astype(np.intp)
     converged = upper[:, 3] == 1.0
-    whole = []
     # lengths that meet [x0, top] without spanning it (spans implies meets)
     for i in ((lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist():
         band = bands[which[i]]
         grid = band.unit.grid
         left, right = max(lo[i], band.x0), min(hi[i], band.top)
-        whole.append((i, which[i], np.concatenate(
-            ([left], grid[(left < grid) & (grid < right)], [right])),
-            _LOW_TOL * (lengths[i] ** -(1.0 + band.alpha) + low[i]) - error[i],
-            _LOW_TOL))
-    if not whole:
-        return low, error, converged, panels
-
-    if len(bands) == 1:
-        gaps, mids = bands[0].unit.gaps, bands[0].unit.mids
-    else:
-        segments = max(band.unit.gaps.shape[0] for band in bands)
-        gaps = np.zeros((segments, len(bands)))
-        mids = np.zeros((segments, len(bands)))
-        for c, band in enumerate(bands):
-            gaps[:band.unit.gaps.shape[0], c] = band.unit.gaps[:, 0]
-            mids[:band.unit.mids.shape[0], c] = band.unit.mids[:, 0]
-    power = -(bands[0].alpha + 2.0)
-    rows, columns, edges, atol, rtol = zip(*whole)
-    columns = np.array(columns, np.intp)
-
-    def integrand(points):
-        """The integrand at GROUPED_POINT records whose group g lies in
-        band columns[g]."""
-        x = points["x"]
-        return segment_filter(
-            gaps, mids, x,
-            None if len(bands) == 1 else columns[points["group"]]) * x ** power
-
-    res = integrate_panels(
-        integrand, Bands(np.concatenate(edges),
-                         np.array([e.size for e in edges], np.intp)),
-        grouped=True, atol=np.array(atol), rtol=np.array(rtol))
-    rows = np.array(rows, np.intp)
-    low[rows] += res.values
-    error[rows] += res.errors
-    panels[rows] += res.group_panels
-    converged[rows] &= res.converged
+        value, err, count, ok = _integrate(
+            band.integrand,
+            np.concatenate(([left], grid[(left < grid) & (grid < right)],
+                            [right])),
+            _LOW_TOL * (lengths[i] ** -(1.0 + band.alpha) + low[i])
+            - error[i], _LOW_TOL)
+        low[i] += value
+        error[i] += err
+        panels[i] += count
+        converged[i] &= ok
     return low, error, converged, panels
 
 

@@ -47,30 +47,26 @@ def check_positions(positions, length: float) -> np.ndarray:
     return positions
 
 
-def segment_filter(gaps, mids, omega, rows=None):
-    """Filter from segment lengths and midpoints, one column per sequence.
+def segment_filter(gaps, mids, omega):
+    """Filter from segment lengths and midpoints, given as columns.
 
     F(w) = 2 |sum_k (-1)^k sin(w g_k / 2) e^{i w m_k}|^2 with g_k = gaps[k]
-    and m_k = mids[k] taken from column ``rows[i]`` for ``omega[i]`` (from
-    the only column when ``rows`` is None).  Zero gaps pad columns with
-    fewer segments: the sums run segment by segment in order, so a
-    trailing zero term changes no value, and each point's value depends
-    only on its own column, never on the other points evaluated with it.
+    and m_k = mids[k].  The sums run segment by segment in order, so each
+    point's value depends only on its own frequency, never on the other
+    points evaluated with it.
     """
     out = np.empty(omega.size)
     chunk = max(256, _CHUNK_ELEMS // gaps.shape[0])
     for i in range(0, omega.size, chunk):
         w = omega[i:i + chunk]
-        g, m = ((gaps, mids) if rows is None
-                else (gaps[:, rows[i:i + chunk]], mids[:, rows[i:i + chunk]]))
-        amp = np.sin(0.5 * w * g)
-        phase = w * m
+        amp = np.sin(0.5 * w * gaps)
+        phase = w * mids
         re_terms = np.cos(phase)
         re_terms *= amp
         im_terms = np.sin(phase, out=phase)
         im_terms *= amp
         re, im = re_terms[0].copy(), im_terms[0].copy()
-        for k in range(1, g.shape[0]):
+        for k in range(1, gaps.shape[0]):
             if k % 2:
                 re -= re_terms[k]
                 im -= im_terms[k]

@@ -333,15 +333,13 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
     # converges untouched
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     lengths = np.array([0.5, 2.0, 0.1, 4.0])
-    grouped = dephasing.integrate_panels
+    original = dephasing.integrate_panels
     end = spec.uv_cutoff * 0.1
 
-    def starved(fn, bands, **kwargs):
-        own = np.array([b[-1] == end for b in bands])
-        if not own.any():
-            return grouped(fn, bands, **kwargs)
-        atol = np.where(own, -1.0, kwargs["atol"])
-        return grouped(fn, bands, **{**kwargs, "atol": atol,
+    def starved(fn, band, **kwargs):
+        if band[-1] != end:
+            return original(fn, band, **kwargs)
+        return original(fn, band, **{**kwargs, "atol": -1.0,
                                      "max_panels": 4})
 
     monkeypatch.setattr(dephasing, "integrate_panels", starved)
@@ -442,19 +440,20 @@ def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     lengths = np.array([0.05, 1.0, 30.0])
     clean = _fresh(CpmgCount(3), spec, lengths)
-    grouped = dephasing.integrate_panels
+    original = dephasing.integrate_panels
     calls = []
 
-    def starved(fn, bands, **kwargs):
-        calls.append(len(bands))
-        return grouped(fn, bands, **{**kwargs, "atol": -1.0,
+    def starved(fn, band, **kwargs):
+        calls.append(band)
+        return original(fn, band, **{**kwargs, "atol": -1.0,
                                      "max_panels": 2})
 
     monkeypatch.setattr(dephasing, "integrate_panels", starved)
     monkeypatch.setattr(dephasing, "_LOW_TOL", 1e-300)
     bad = _fresh(CpmgCount(3), spec, lengths)
     monkeypatch.undo()
-    assert len(calls) == 1  # the upper panels' refinement
+    # one refinement per upper panel
+    assert len(calls) == dephasing._unit_train(3).grid.size - 1
     assert not bad.converged.any()
     again = train_overlaps([3] * lengths.size, spec, lengths)
     for got, want in zip(again, clean):
@@ -600,11 +599,11 @@ def test_train_overlaps_rejects_bad_counts(pulses):
 def _counting_panels(monkeypatch):
     """Record the keyword arguments of every integrate_panels call."""
     calls = []
-    grouped = dephasing.integrate_panels
+    original = dephasing.integrate_panels
 
-    def counted(fn, bands, **kwargs):
+    def counted(fn, band, **kwargs):
         calls.append(kwargs)
-        return grouped(fn, bands, **kwargs)
+        return original(fn, band, **kwargs)
 
     monkeypatch.setattr(dephasing, "integrate_panels", counted)
     return calls
@@ -623,7 +622,7 @@ def test_converged_upper_panels_skip_integrate_panels(monkeypatch):
     dephasing._low_band.cache_clear()
     _miss_first_pass(monkeypatch)
     routed = overlap_from_positions(positions, spec, 7.3, with_error=True)
-    assert len(calls) == 1
+    assert len(calls) == dephasing._unit_train(4).grid.size - 1
     assert routed == direct
 
 
@@ -755,5 +754,6 @@ def test_series_band_matches_quadrature(pulses):
             ref = integrate_panels(lambda x: closed(x) * x ** -(2.0 + alpha),
                                    band_boundaries(a, x0, 0.5),
                                    atol=0.0, rtol=1e-14).value
-            value, _ = band.series(np.array([a]))
+            value, _ = dephasing._series(np.log(x0 / np.array([a])),
+                                         *band.weights)
             assert value[0] == pytest.approx(ref, rel=1e-12, abs=0.0)

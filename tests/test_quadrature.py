@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fiberdd.quadrature import (Bands, QuadratureError, band_boundaries,
-                                band_set, integrate_panels)
+from fiberdd.quadrature import (QuadratureError, band_boundaries,
+                                integrate_panels)
 from oracles import band_boundaries_loop, check_band, first_error
 
 
@@ -112,60 +112,27 @@ def test_band_boundaries_rejects_non_growing_ratio():
             band_boundaries(1.0, 2.0, 0.1, ratio)
 
 
-def _grouped_integrand(points):
-    # group g integrates cos((1 + 40 g) x) / (1 + x)
-    x = points["x"]
-    return np.cos((1.0 + 40.0 * points["group"]) * x) / (1.0 + x)
+def test_band_boundaries_match_loop_oracle_on_hand_picked_spans():
+    # spans shorter than one geometric step (hi < lo * 1.25) and than one
+    # panel included
+    lo = 1e-3
+    his = [1.1e-3, 1.25e-3, 2e-3, 0.05, 0.7, np.pi, 31.4, 1e3,
+           np.nextafter(lo * 1.25 ** 10, np.inf)]
+    widths = [1e-5, 1e-3, 0.02, 0.4, np.pi / 7.3, 50.0]
+    for hi in his:
+        for w in widths:
+            if (hi - lo) / w <= 1e5:
+                assert np.array_equal(band_boundaries(lo, hi, w),
+                                      band_boundaries_loop(lo, hi, w))
 
 
-def _lone(group):
-    def fn(x):
-        return np.cos((1.0 + 40.0 * group) * x) / (1.0 + x)
-    return fn
-
-
-BANDS = [np.array([0.1, 5.0, 10.0]), band_boundaries(0.5, 3.0, 0.2),
-         np.array([0.0, 1.0]), np.array([1.0, 2.0, 4.0])]
-
-
-def test_grouped_matches_lone_integration():
-    res = integrate_panels(_grouped_integrand, BANDS, atol=1e-11,
-                           rtol=1e-11, grouped=True)
-    assert res.converged.all()
-    for g, band in enumerate(BANDS):
-        lone = integrate_panels(_lone(g), band, atol=1e-11, rtol=1e-11)
-        assert res.values[g] == lone.value
-        assert res.errors[g] == lone.error
-        assert res.group_panels[g] == lone.panels
-    assert res.panels == res.group_panels.sum()
-
-
-def test_grouped_tolerances_may_differ_per_group():
-    atol = [1e-5, 1e-11, 0.0, 1e-9]
-    rtol = [0.0, 1e-11, 1e-10, 1e-3]
-    res = integrate_panels(_grouped_integrand, BANDS, atol=atol, rtol=rtol,
-                           grouped=True)
-    assert res.converged.all()
-    for g, band in enumerate(BANDS):
-        lone = integrate_panels(_lone(g), band, atol=atol[g], rtol=rtol[g])
-        assert (res.values[g], res.errors[g], res.group_panels[g]) == \
-            (lone.value, lone.error, lone.panels)
-
-
-def test_grouped_failure_stays_in_its_group():
-    # group 3 needs hundreds of panels; the budget of 40 stops it alone
-    res = integrate_panels(_grouped_integrand, BANDS, atol=1e-11,
-                           rtol=1e-11, max_panels=40, grouped=True)
-    assert list(res.converged) == [True, True, True, False]
-    for g in range(3):
-        lone = integrate_panels(_lone(g), BANDS[g], atol=1e-11, rtol=1e-11)
-        assert res.values[g] == lone.value
-    with pytest.raises(QuadratureError) as info:
-        integrate_panels(_lone(3), BANDS[3], atol=1e-11, rtol=1e-11,
-                         max_panels=40)
-    assert res.values[3] == info.value.best_estimate
-    assert res.errors[3] == info.value.error_estimate
-    assert res.group_panels[3] == info.value.panels
+def test_band_boundaries_validation_messages():
+    with pytest.raises(ValueError, match=r"0 < lo < hi, got \[1.0, 0.5\]"):
+        band_boundaries(1.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match="max_width .* got inf"):
+        band_boundaries(1.0, 3.0, np.inf)
+    with pytest.raises(ValueError, match="edge_ratio"):
+        band_boundaries(1.0, 2.0, 0.1, 1.0)
 
 
 def _recording(fn, calls, limit=200):
@@ -177,92 +144,14 @@ def _recording(fn, calls, limit=200):
     return recorded
 
 
-# bands 1 and 3 meet 1e-11 on their initial panels, bands 0 and 2 do not
-MIXED = [BANDS[0], np.linspace(0.0, 1.0, 41), BANDS[3],
-         np.linspace(1.0, 2.0, 81)]
-
-
-def test_grouped_call_refines_each_band_on_its_own():
-    lone_rounds = []
-    for g, band in enumerate(MIXED):
-        calls = []
-        integrate_panels(_recording(_lone(g), calls), band, atol=1e-11,
-                         rtol=1e-11)
-        lone_rounds.append(len(calls) - 1)
-    assert [rounds > 0 for rounds in lone_rounds] == [True, False, True,
-                                                      False]
-
-    calls = []
-    res = integrate_panels(_recording(_grouped_integrand, calls), MIXED,
-                           atol=1e-11, rtol=1e-11, grouped=True)
-    assert res.converged.all()
-    assert set(calls[0]["group"]) == set(range(len(MIXED)))
-    bands_per_call = [set(points["group"]) for points in calls[1:]]
-    assert all(len(bands) == 1 for bands in bands_per_call)
-    for g in range(len(MIXED)):
-        assert bands_per_call.count({g}) == lone_rounds[g]
-
-
-def _nan_in_band_2(points):
-    values = _grouped_integrand(points)
-    values[points["group"] == 2] = np.nan
-    return values
-
-
 def test_nan_integrand_ends_refinement():
     calls = []
     with pytest.raises(QuadratureError, match="all panels at machine width"):
         integrate_panels(_recording(lambda x: np.full(x.shape, np.nan),
-                                    calls), BANDS[2])
+                                    calls), np.array([0.0, 1.0]))
     assert len(calls) == 1
 
-    calls = []
-    res = integrate_panels(_recording(_nan_in_band_2, calls), BANDS,
-                           atol=1e-11, rtol=1e-11, grouped=True)
-    assert list(res.converged) == [True, True, False, True]
-    assert np.isnan(res.values[2])
-    for g in (0, 1, 3):
-        lone = integrate_panels(_lone(g), BANDS[g], atol=1e-11, rtol=1e-11)
-        assert res.values[g] == lone.value
-        assert res.errors[g] == lone.error
-        assert res.group_panels[g] == lone.panels
 
-
-def test_grouped_with_no_bands_is_empty():
-    res = integrate_panels(_grouped_integrand, [], grouped=True)
-    assert res.values.size == 0 and res.panels == 0
-
-
-def test_band_set_matches_band_boundaries():
-    # one shared geometric prefix, each band cut where it would stop
-    # alone; spans shorter than one geometric step (hi < lo * 1.25) and
-    # than one panel included
-    lo = 1e-3
-    his = [1.1e-3, 1.25e-3, 2e-3, 0.05, 0.7, np.pi, 31.4, 1e3,
-           np.nextafter(lo * 1.25 ** 10, np.inf)]
-    widths = [1e-5, 1e-3, 0.02, 0.4, np.pi / 7.3, 50.0]
-    cases = [(hi, w) for hi in his for w in widths if (hi - lo) / w <= 1e5]
-    bands = band_set(lo, [hi for hi, _ in cases], [w for _, w in cases])
-    assert len(bands) == len(cases)
-    for band, (hi, w) in zip(bands, cases):
-        assert np.array_equal(band, band_boundaries(lo, hi, w))
-        assert np.array_equal(band, band_boundaries_loop(lo, hi, w))
-    # a band's boundaries do not depend on the others
-    alone = band_set(lo, his[4:5], widths[2:3])
-    assert np.array_equal(alone[0], band_boundaries(lo, his[4], widths[2]))
-    assert len(band_set(lo, [], [])) == 0
-
-
-def test_band_set_validation():
-    with pytest.raises(ValueError, match=r"0 < lo < hi, got \[1.0, 0.5\]"):
-        band_set(1.0, [2.0, 0.5], [0.1, 0.1])
-    with pytest.raises(ValueError, match="max_width .* got inf"):
-        band_set(1.0, [2.0, 3.0], [0.1, np.inf])
-    with pytest.raises(ValueError, match="edge_ratio"):
-        band_set(1.0, [2.0], [0.1], 1.0)
-
-
-GOOD = [0.0, 1.0, 2.0]
 BAD_BANDS = {
     "one point": [3.0],
     "no points": [],
@@ -275,27 +164,6 @@ BAD_BANDS = {
 
 @pytest.mark.parametrize("first", sorted(BAD_BANDS))
 def test_band_check_raises_what_the_per_band_check_raises(first):
-    # every band checked in one pass; the first failing band decides
-    for at in range(4):
-        for second in [None, *sorted(BAD_BANDS)]:
-            bands = [GOOD, GOOD, GOOD]
-            bands.insert(at, BAD_BANDS[first])
-            if second is not None:
-                bands.append(BAD_BANDS[second])
-            expected = first_error(check_band, [(b,) for b in bands])
-            with pytest.raises(ValueError) as info:
-                integrate_panels(_grouped_integrand, bands, grouped=True)
-            assert str(info.value) == expected
     with pytest.raises(ValueError) as info:
         integrate_panels(np.sin, BAD_BANDS[first])
     assert str(info.value) == first_error(check_band, [(BAD_BANDS[first],)])
-
-
-def test_band_check_accepts_back_to_back_bands():
-    bands = band_set(0.1, [1.0, 5.0], [0.3, 0.3])
-    res = integrate_panels(_grouped_integrand, bands, grouped=True)
-    listed = integrate_panels(_grouped_integrand, list(bands), grouped=True)
-    assert np.array_equal(res.values, listed.values)
-    falling = Bands(np.array([0.0, 1.0, 2.0, 1.5]), np.array([2, 2]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        integrate_panels(_grouped_integrand, falling, grouped=True)
