@@ -41,11 +41,9 @@ P(X) depends on L, so each (pulse count, exponent) keeps one low band
 in a bounded cache, split at x0 = min(4, X):
 
 - below x0, Fh(x) = sum_m f_m x^(2m) with 40 terms, whose coefficients
-  depend on the train alone: from the closed form of ``train(N, L)``,
-  cached per pulse count, or exactly from the boundaries of any other
-  train.  Integrated termwise, int_a^x0 x^-(2+alpha) Fh dx =
-  sum_m f_m (x0^e - a^e)/e with e = 2m - 1 - alpha, so a length pays
-  one series evaluation at a = ir L, and no panel;
+  depend on the train alone.  Integrated termwise, int_a^x0
+  x^-(2+alpha) Fh dx = sum_m f_m (x0^e - a^e)/e with e = 2m - 1 - alpha,
+  so a length pays one series evaluation at a = ir L, and no panel;
 - between x0 and X, uniform panels no wider than pi (half the shortest
   period of Fh), whose Gauss-Kronrod nodes hold the values of Fh that
   ``segment_filter`` gave, cached per train.  An exponent weighs them by
@@ -66,18 +64,25 @@ own train, to 1e-8 abs + 1e-8 rel in w, and where uv L < x0 the series
 runs from ir L to uv L.  Where ir L >= X there is no low band and the
 pair terms are P(ir L) - P(uv L).
 
+Both the series and P come from one table per train: its distinct
+separations d_s, integers s over a unit, each with its exact weight
+W_s, the sum of c_jk = -u_j u_k over its pairs.  Then Fh(x) =
+sum_s W_s (1 - cos x d_s), so f_m = (-1)^(m+1) sum_s W_s d_s^(2m) /
+(2m)!, summed in integers and correctly rounded, and P(x) =
+sum_s W_s d_s^(1+alpha) K(x d_s).  ``train(N, L)`` has 2N separations
+(over the unit 2N, in closed form), any other train those its pairs
+group into exactly.
+
 Cost: each pulse count pays its filter at about 2N panels' nodes once,
 each (N, alpha) weighs them once, and each length pays one series
-evaluation plus its (N+2)(N+1)/2 pair terms, with K evaluated only at
-the ~2N distinct separations.  One call runs a fixed number of array
-passes over all its lengths, whatever mix of pulse counts it holds:
-one series pass, each length with its band's coefficients, one K pass
-(``_tail``) for every pair argument, and the band constants (the
-panels from x0 to X and P(X)) gathered per length.  Only the pair
-weights' gather and the row sums run per pulse count.  The error
-estimate is the panels' Gauss-Kronrod estimate plus a rounding bound
-of 64 machine epsilons times the summed magnitudes of the series and of
-the pair terms.
+evaluation plus its about 2N pair terms.  One call runs a fixed number
+of array passes over all its lengths, whatever mix of pulse counts it
+holds: one series pass, each length with its band's coefficients, one
+K pass (``_tail``) for every pair argument, and the band constants (the
+panels from x0 to X and P(X)) gathered per length.  Only the row sums
+run per pulse count.  The error estimate is the panels' Gauss-Kronrod
+estimate plus a rounding bound of 64 machine epsilons times the summed
+magnitudes of the series and of the pair terms.
 
 ``train_overlaps`` evaluates many lengths at once from their pulse
 counts and ``overlap_from_positions`` one explicit train, by the same
@@ -99,8 +104,10 @@ traveling-photon coherences of the two-qubit state.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +125,6 @@ _TAIL_X0 = 4.0
 _LAGUERRE_NODES = 60
 # Arguments per K evaluation pass, bounding its (arguments x nodes) arrays.
 _TAIL_CHUNK = 2048
-# Pair terms per pass of the pair sums, bounding their (x, pair) arrays.
-_PAIR_WORK = 65_536
 # Terms of the power series of a unit-length filter, in x^2, summed
 # below x0 = min(_TAIL_X0, top) (see the module docstring).
 _SERIES_TERMS = 40
@@ -263,14 +268,14 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     From _TAIL_X0 = 4 up, K is the rotated Laplace integral.  Below it,
     K(x) = K(4) + int_x^4 t^-(2+alpha) (1 - cos t) dt, and 1 - cos t is
     the filter of the free train, so the integral is the low band's
-    ``_series`` with the coefficients ``_train_series(0)`` and x0 = 4;
+    ``_series`` with the coefficients of ``_unit_train(0)`` and x0 = 4;
     K(4) comes from the same rotated pass as the far arguments.
     """
     p = 2.0 + alpha
     out = _chunked(lambda t: _tail_rotated(t, p), np.maximum(x, _TAIL_X0))
     near = x < _TAIL_X0
     if near.any():
-        weights = _termwise(_train_series(0), _TAIL_X0, alpha)
+        weights = _termwise(_unit_train(0).series, _TAIL_X0, alpha)
         out[near] += _chunked(
             lambda t: _series(np.log(_TAIL_X0 / t), *weights)[0], x[near])
     return out
@@ -287,128 +292,68 @@ def max_length(spectrum: NoiseSpectrum) -> float:
                _FLOAT_MAX / spectrum.uv_cutoff) * (1.0 - 1e-12)
 
 
-@lru_cache(maxsize=64)
-def _pair_pattern(size: int):
-    """Pair indices j < k of ``size`` boundaries and the products
-    -u_j u_k of their weights u = (-1, +-2, ..., (-1)^N)."""
-    signs = np.where(np.arange(size - 1) % 2, -1.0, 1.0)
-    weights = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-    j, k = np.triu_indices(size, 1)
-    return _frozen(j, k, -weights[j] * weights[k])
+def _separations(bounds: np.ndarray):
+    """The pair table of the train with boundaries ``bounds``: a unit,
+    then the train's distinct pair separations as integers s over it in
+    increasing order and their exact weights W_s, the sums of c_jk =
+    -u_j u_k over the pairs j < k at d_jk = s / unit, with u = (-1, +-2,
+    ..., (-1)^N) (zero sums dropped).  Every float is an integer over a
+    power of two, so the pairs group exactly over the largest
+    denominator.
+    """
+    ratios = [b.as_integer_ratio() for b in bounds.tolist()]
+    unit = max(den for _, den in ratios)  # every denominator divides it
+    ints = [num * (unit // den) for num, den in ratios]
+    u = [-1] + [2 * (-1) ** i for i in range(len(ints) - 2)] + [
+        (-1) ** len(ints)]  # the last is (-1)^N, N = len(ints) - 2
+    weights = Counter()
+    for (b, v), (c, w) in combinations(zip(ints, u), 2):
+        weights[c - b] -= v * w
+    return unit, *zip(*sorted((s, w) for s, w in weights.items() if w))
 
 
-def _pair_separations(bounds: np.ndarray):
-    """The pairs j < k of boundaries ``bounds``: their distinct
-    separations, each pair's index into them, and c_jk and d_jk."""
-    j, k, coef = _pair_pattern(bounds.size)
-    d = bounds[k] - bounds[j]
-    distinct, inverse = np.unique(d, return_inverse=True)
-    return distinct, inverse, coef, d
+def _train_separations(n_pulses: int):
+    """``_separations`` of the unit ``train`` of n_pulses, in closed form:
+    over the unit 2N its boundaries are 0, 1, 3, ..., 2N - 1, 2N, so its
+    separations are s = 1, ..., 2N, with W_s = 4 (-1)^(k-1) at
+    s = 2k - 1, -4 (-1)^m (N - m) at s = 2m < 2N and (-1)^N at s = 2N.
+    The free train has the one separation 1 over the unit 1, weight 1.
+    """
+    n = n_pulses
+    if n == 0:
+        return 1, [1], [1]
+    return 2 * n, range(1, 2 * n + 1), [
+        (-1) ** (s // 2) * (4 if s % 2 else 4 * (s // 2 - n))
+        for s in range(1, 2 * n)] + [(-1) ** n]
 
 
 def _pair_halves(x: np.ndarray, which: np.ndarray, pairs, alpha: float):
-    """P(x_i) = sum_{j<k} c_jk d_jk^(1+alpha) K(x_i d_jk) for each x_i,
-    and the summed magnitudes of its terms, with the pairs ``pairs[g]``
-    of its train g = ``which[i]``, each given as the distinct
-    separations d, each pair's index into them and c_jk d_jk^(1+alpha).
+    """P(x_i) = sum_s W_s d_s^(1+alpha) K(x_i d_s) for each x_i, and the
+    summed magnitudes of its terms, with the pairs ``pairs[g]`` of its
+    train g = ``which[i]``, given as the train's distinct separations d_s
+    and W_s d_s^(1+alpha).
 
-    One _tail call serves every x, evaluated once per distinct
-    separation of its train (an equally spaced train repeats its
-    separations), from a table padded with zero separations.  Each x's
-    terms are then gathered and summed along a row of their own in pair
-    order, about _PAIR_WORK terms per pass, so a value depends on its own
-    x and train only.
+    One _tail call serves every x, from a table of separations padded
+    with zeros.  Each x's terms are then summed along a row of their own,
+    over its own train's first columns of that table in separation order,
+    so a value depends on its own x and train only.
     """
-    sizes = [distinct.size for distinct, _, _ in pairs]
+    sizes = [d.size for d, _ in pairs]
     table = np.zeros((len(pairs), max(sizes)))
-    for g, (distinct, _, _) in enumerate(pairs):
-        table[g, :sizes[g]] = distinct
+    for g, (d, _) in enumerate(pairs):
+        table[g, :sizes[g]] = d
     args = x[:, None] * table.take(which, axis=0)
     real = args > 0.0  # x > 0, so only the padding gives 0
     tails = np.zeros(args.shape)
     tails[real] = _tail(args[real], alpha)
     out = np.empty((2, x.size))  # the sums, then their term magnitudes
-    order = np.argsort(which, kind="stable")
-    end = 0
-    for (_, inverse, weights), size in zip(
-            pairs, np.bincount(which, minlength=len(pairs)).tolist()):
-        mine = order[end:(end := end + size)]
-        step = max(1, _PAIR_WORK // weights.size)
-        for i in range(0, size, step):
-            rows = mine[i:i + step]
-            # take returns C order, so each row sum is the pairwise sum
-            # a lone x gets
-            terms = weights * tails.take(rows, axis=0).take(inverse, axis=1)
-            out[0, rows] = terms.sum(axis=1)
-            out[1, rows] = np.abs(terms).sum(axis=1)
+    for g, (_, weights) in enumerate(pairs):
+        rows = np.flatnonzero(which == g)
+        # a C-order copy, so each row sum is the pairwise sum a lone x gets
+        terms = weights * tails[rows, :sizes[g]]
+        out[0, rows] = terms.sum(axis=1)
+        out[1, rows] = np.abs(terms).sum(axis=1)
     return out
-
-
-@lru_cache(maxsize=64)
-def _train_series(n_pulses: int) -> np.ndarray:
-    """Coefficients f_m, m < _SERIES_TERMS, of Fh(x) = sum_m f_m x^(2m)
-    for the unit ``train`` of n_pulses, from its closed form (Cywinski et
-    al.): 2 sin^2(x/2) = 1 - cos x for N = 0, 8 sin^4(x/4) for N = 1 and
-    8 sin^4(x/4N) E(x) / cos^2(x/2N) above, with E = sin^2(x/2) for even
-    N and cos^2(x/2) for odd N.
-
-    Each factor's coefficients are quotients of integers, correctly
-    rounded (sin^4's x^0 and x^2 terms exactly 0); the Cauchy products
-    and the series division for 1/cos^2 run in floats.  That series
-    converges for x < pi N only, so N = 1 (where 1/cos^2 cancels E)
-    does not use it.
-    """
-    fact = [math.factorial(2 * m) for m in range(_SERIES_TERMS)]
-    sign = [(-1) ** m for m in range(_SERIES_TERMS)]
-    if n_pulses == 0:
-        return _frozen(np.array([0.0] + [-sign[m] / fact[m]
-                                         for m in range(1, _SERIES_TERMS)]))[0]
-    quarter = np.array([0.0, 0.0] + [  # 8 sin^4(y) = 3 - 4 cos 2y + cos 4y
-        sign[m] * (16 ** m - 4 ** (m + 1))
-        / (fact[m] * (4 * n_pulses) ** (2 * m))
-        for m in range(2, _SERIES_TERMS)])
-    if n_pulses == 1:
-        return _frozen(quarter)[0]
-    odd = 1 if n_pulses % 2 else -1
-    envelope = np.array([(1 + odd) / 2] + [odd * sign[m] / (2 * fact[m])
-                                           for m in range(1, _SERIES_TERMS)])
-    denominator = np.array([1.0] + [  # cos^2(x/2N) = (1 + cos(x/N)) / 2
-        sign[m] / (2 * fact[m] * n_pulses ** (2 * m))
-        for m in range(1, _SERIES_TERMS)])
-    inverse = np.zeros(_SERIES_TERMS)
-    inverse[0] = 1.0
-    for m in range(1, _SERIES_TERMS):
-        inverse[m] = -np.dot(denominator[1:m + 1], inverse[m - 1::-1])
-    product = np.convolve(quarter, envelope)[:_SERIES_TERMS]
-    return _frozen(np.convolve(product, inverse)[:_SERIES_TERMS])[0]
-
-
-def _exact_series(bounds: np.ndarray) -> np.ndarray:
-    """The coefficients of ``_train_series`` for any train with
-    boundaries ``bounds`` (in units of its length), each the correctly
-    rounded value of the exact one.
-
-    Fh(x) = sum_{j<k} c_jk (1 - cos(x d_jk)), so f_m = (-1)^(m+1)
-    sum c_jk d_jk^(2m) / (2m)!.  Every float is an integer over a power
-    of two, so the moments are summed exactly as integers over the
-    largest such denominator, one weight per distinct separation.
-    """
-    ratios = [b.as_integer_ratio() for b in bounds.tolist()]
-    unit = max(den for _, den in ratios)  # every denominator divides it
-    ints = [num * (unit // den) for num, den in ratios]
-    j, k, coef = _pair_pattern(bounds.size)
-    weights = {}
-    for jj, kk, c in zip(j.tolist(), k.tolist(), coef.tolist()):
-        d = ints[kk] - ints[jj]
-        weights[d] = weights.get(d, 0) + int(c)
-    moments = [0] * _SERIES_TERMS
-    for d, term in weights.items():
-        for m in range(1, _SERIES_TERMS):
-            term *= d * d
-            moments[m] += term
-    return np.array([0.0] + [
-        -(-1) ** m * moments[m] / (math.factorial(2 * m) * unit ** (2 * m))
-        for m in range(1, _SERIES_TERMS)])
 
 
 def _node_table(gaps: np.ndarray, mids: np.ndarray, grid: np.ndarray):
@@ -421,21 +366,32 @@ def _node_table(gaps: np.ndarray, mids: np.ndarray, grid: np.ndarray):
 
 
 class _Train:
-    """One train in units of its length, whatever the exponent.
+    """One train in units of its length, whatever the exponent, from its
+    boundaries ``bounds`` and its ``_separations`` table.
 
-    ``bounds`` are its boundaries and ``series`` the coefficients of
-    its filter's power series (``_train_series``), ``separations`` its
-    ``_pair_separations``.  Its low band splits
-    at x0 = min(4, top), top = pi / (shortest gap); ``grid`` holds the
-    uniform panels from x0 to top, none wider than pi (half the shortest
-    period of Fh), and ``nodes()`` the filter at their Kronrod nodes,
-    evaluated on first use and then kept.
+    ``series`` holds the coefficients f_m of its filter's power series,
+    ``separations`` and ``weights`` its d_s = s / unit and W_s as floats.
+    Its low band splits at x0 = min(4, top), top = pi / (shortest gap);
+    ``grid`` holds the uniform panels from x0 to top, none wider than pi
+    (half the shortest period of Fh), and ``nodes()`` the filter at their
+    Kronrod nodes, evaluated on first use and then kept.
     """
 
-    def __init__(self, bounds: np.ndarray, series: np.ndarray):
+    def __init__(self, bounds: np.ndarray, unit: int, steps, weights):
+        # f_m = (-1)^(m+1) sum_s W_s s^(2m) / ((2m)! unit^(2m)) (module
+        # docstring), summed in integers, each quotient correctly rounded
+        moments = [0] * _SERIES_TERMS
+        for s, term in zip(steps, weights):
+            for m in range(1, _SERIES_TERMS):
+                term *= s * s
+                moments[m] += term
+        self.series = _frozen(np.array([0.0] + [
+            (-1) ** (m + 1) * moments[m]
+            / (math.factorial(2 * m) * unit ** (2 * m))
+            for m in range(1, _SERIES_TERMS)]))[0]
+        self.separations, self.weights = _frozen(
+            np.array([s / unit for s in steps]), np.array(weights, float))
         gaps = np.diff(bounds)
-        self.bounds = bounds
-        self.series = series
         self.gaps = gaps[:, None]
         self.mids = (0.5 * (bounds[:-1] + bounds[1:]))[:, None]
         self.top = np.pi / gaps.min()
@@ -444,7 +400,6 @@ class _Train:
         self.grid = self.x0 + (self.top - self.x0) * (
             np.arange(panels + 1) / max(panels, 1))
         self.grid[-1] = self.top
-        self.separations = _pair_separations(bounds)
         self._nodes = None
 
     def nodes(self):
@@ -457,7 +412,7 @@ class _Train:
 def _unit_train(n_pulses: int) -> _Train:
     """The shared _Train of the ``train`` of n_pulses."""
     return _Train(np.concatenate(([0.0], train(n_pulses, 1.0), [1.0])),
-                  _train_series(n_pulses))
+                  *_train_separations(n_pulses))
 
 
 class _LowBand:
@@ -472,10 +427,10 @@ class _LowBand:
     share.  The result is kept once it is certified; otherwise every
     call that needs it weighs the panels again and flags its lengths
     unconverged.  ``integrand`` is x^-(2+alpha) Fh(x) from the train's
-    own segments, ``pairs`` the train's distinct separations, each
-    pair's index into them and c_jk d_jk^(1+alpha) (as ``_pair_halves``
-    takes them), and ``top_pairs`` is P(top) with its term magnitudes,
-    once a call has needed it.
+    own segments, ``pairs`` the train's distinct separations d_s and
+    W_s d_s^(1+alpha) (as ``_pair_halves`` takes them), and
+    ``top_pairs`` is P(top) with its term magnitudes, once a call has
+    needed it.
     """
 
     def __init__(self, unit: _Train, alpha: float):
@@ -484,8 +439,8 @@ class _LowBand:
         self.top = unit.top
         self.x0 = unit.x0
         self.weights = _termwise(unit.series, self.x0, alpha)
-        distinct, inverse, coef, d = unit.separations
-        self.pairs = (distinct, inverse, coef * d ** (1.0 + alpha))
+        d = unit.separations
+        self.pairs = (d, unit.weights * d ** (1.0 + alpha))
         self.top_pairs = None  # set by the first call that needs it
         # set by the first certified upper(), at once if there are no panels
         self._upper = None if unit.grid.size > 1 else _NO_UPPER
@@ -589,7 +544,8 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
         i = np.flatnonzero(bad)[0]
         check_positions(train(pulses[i], lengths[i]), lengths[i])
     return _overlaps([((pulses == n).nonzero()[0], n)
-                      for n in np.unique(pulses).tolist()], spectrum, lengths)
+                      for n in sorted(set(pulses.tolist()))],
+                     spectrum, lengths)
 
 
 def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
@@ -625,7 +581,7 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
             f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
             f"length or length^(1+alpha) overflows")
     bands = [_low_band(key, alpha) if isinstance(key, int)
-             else _LowBand(_Train(key, _exact_series(key)), alpha)
+             else _LowBand(_Train(key, *_separations(key)), alpha)
              for _, key in groups]
     which = np.empty(lengths.size, np.intp)  # each length's band
     for g, (rows, _) in enumerate(groups):

@@ -5,7 +5,7 @@ from math import factorial
 
 import numpy as np
 
-from fiberdd.dephasing import _pair_separations, _tail
+from fiberdd.dephasing import _LowBand, _Train, _separations, _tail
 from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
@@ -61,6 +61,19 @@ def pair_sum_half(bounds, alpha, x):
     return float(terms.sum()), float(np.abs(terms).sum())
 
 
+def grouped_pair_sum_half(bounds, alpha, x):
+    """P(x) = sum_s W_s d_s^(1+alpha) K(x d_s) for one x and the summed
+    magnitudes of its terms, over the distinct separations d_s of the
+    float boundaries ``bounds`` in increasing order, grouped exactly as
+    rationals, each with its summed pair weight W_s (zero sums dropped)."""
+    table = sorted((d, w) for d, w in exact_pair_weights(
+        [Fraction(b) for b in bounds.tolist()]).items() if w)
+    d = np.array([float(s) for s, _ in table])
+    weights = np.array([float(w) for _, w in table])
+    terms = (weights * d ** (1.0 + alpha)) * _tail(x * d, alpha)
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
 def tail_oracle(x, alpha, digits=30):
     """K(x) = int_x^inf t^-p (1 - cos t) dt, p = 2 + alpha, from the
     incomplete gamma function in mpmath at ``digits`` digits:
@@ -76,11 +89,10 @@ def tail_oracle(x, alpha, digits=30):
 
 
 def pair_terms(bounds, alpha):
-    """The pairs j < k of boundaries ``bounds`` at one exponent, as a
-    low band holds them for ``_pair_halves``: their distinct separations
-    d, each pair's index into them and c_jk d_jk^(1+alpha)."""
-    distinct, inverse, coef, d = _pair_separations(bounds)
-    return distinct, inverse, coef * d ** (1.0 + alpha)
+    """The pairs of boundaries ``bounds`` at one exponent, as a low band
+    holds them for ``_pair_halves``: the distinct separations d_s and
+    W_s d_s^(1+alpha)."""
+    return _LowBand(_Train(bounds, *_separations(bounds)), alpha).pairs
 
 
 def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):
@@ -134,12 +146,11 @@ def bisect_esd(seq, spectrum, profile, state, alive_length, dead_length,
     return 0.5 * (lo + hi)
 
 
-def exact_filter_series(bounds, terms):
-    """Coefficients f_m, m < terms, of the unit-length filter
-    Fh(x) = sum_m f_m x^(2m) of the train with boundaries ``bounds``
-    (exact rationals, 0 to 1), as Fractions: Fh(x) = sum_{j<k} c_jk
-    (1 - cos(x d_jk)) with c_jk = -u_j u_k and u = (-1, +-2, ...,
-    (-1)^N), so f_m = (-1)^(m+1) sum_{j<k} c_jk d_jk^(2m) / (2m)!."""
+def exact_pair_weights(bounds):
+    """The distinct pair separations of the train with boundaries
+    ``bounds`` (exact rationals, increasing), each mapped to its summed
+    weight: the sum of c_jk = -u_j u_k over the pairs j < k at that
+    separation, with u = (-1, +-2, ..., (-1)^N)."""
     signs = [(-1) ** i for i in range(len(bounds) - 1)]
     u = [-signs[0]] + [signs[i - 1] - signs[i]
                        for i in range(1, len(signs))] + [signs[-1]]
@@ -148,8 +159,17 @@ def exact_filter_series(bounds, terms):
         for k in range(j + 1, len(bounds)):
             d = bounds[k] - bounds[j]
             weights[d] = weights.get(d, 0) - u[j] * u[k]
+    return weights
+
+
+def exact_filter_series(bounds, terms):
+    """Coefficients f_m, m < terms, of the unit-length filter
+    Fh(x) = sum_m f_m x^(2m) of the train with boundaries ``bounds``
+    (exact rationals, 0 to 1), as Fractions: Fh(x) = sum_{j<k} c_jk
+    (1 - cos(x d_jk)), so f_m = (-1)^(m+1) sum_{j<k} c_jk d_jk^(2m) /
+    (2m)!, grouped by ``exact_pair_weights``."""
     coef = [Fraction(0)] * terms
-    for d, w in weights.items():
+    for d, w in exact_pair_weights(bounds).items():
         power = Fraction(w)
         for m in range(1, terms):
             power *= d * d

@@ -21,8 +21,9 @@ from fiberdd.quadrature import (QuadratureError, band_boundaries,
                                 integrate_panels)
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho, train
 from fiberdd.filters import check_positions
-from oracles import (exact_filter_series, exact_train_bounds, first_error,
-                     full_band_overlap, pair_sum_half, pair_terms,
+from oracles import (exact_filter_series, exact_pair_weights,
+                     exact_train_bounds, first_error, full_band_overlap,
+                     grouped_pair_sum_half, pair_sum_half, pair_terms,
                      tail_oracle)
 
 
@@ -365,12 +366,10 @@ def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
     wide = train_overlaps(counts, spec, lengths)
     monkeypatch.setattr(filters, "_CHUNK_ELEMS", 1)
     monkeypatch.setattr(dephasing, "_TAIL_CHUNK", 3)
-    for pair_work in (1, 20):  # one length per pair pass, then a few
-        monkeypatch.setattr(dephasing, "_PAIR_WORK", pair_work)
-        dephasing._low_band.cache_clear()  # rebuild the panels narrow too
-        narrow = train_overlaps(counts, spec, lengths)
-        for got, want in zip(narrow, wide):
-            assert np.array_equal(got, want)
+    dephasing._low_band.cache_clear()  # rebuild the panels narrow too
+    narrow = train_overlaps(counts, spec, lengths)
+    for got, want in zip(narrow, wide):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("pulses,length", [(0, 7.3), (1, 0.05), (4, 30.0),
@@ -378,9 +377,10 @@ def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
                                            (64, 50.0)])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 + 1e-9, 2.0])
 def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
-    # K is evaluated once per distinct separation (CPMG N = 64 has 128
-    # among 2145 pairs), yet each half P(x) stays bit for bit the
-    # per-pair sum, whatever the other x and trains of the pass
+    # the pairs are grouped exactly by separation (CPMG N = 64 has 128
+    # among 2145 pairs), each half P(x) is bit for bit the grouped sum,
+    # whatever the other x and trains of the pass, and it stays within
+    # its rounding bound of the per-pair sum
     bounds = np.concatenate(([0.0], train(pulses, length), [length]))
     x = np.concatenate((np.linspace(2.0, 4.0, 23), [1e3]))
     terms = pair_terms(bounds, alpha)
@@ -389,7 +389,12 @@ def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
     sums, magnitudes = (half[x.size:] for half in dephasing._pair_halves(
         both, which, [other, terms], alpha))
     for i in range(x.size):
-        assert (sums[i], magnitudes[i]) == pair_sum_half(bounds, alpha, x[i])
+        assert (sums[i], magnitudes[i]) == grouped_pair_sum_half(
+            bounds, alpha, x[i])
+        per_pair, per_pair_magnitude = pair_sum_half(bounds, alpha, x[i])
+        assert (abs(sums[i] - per_pair)
+                <= dephasing._PAIR_ROUNDING * per_pair_magnitude)
+        assert magnitudes[i] <= per_pair_magnitude * (1.0 + 1e-12)
     alone = dephasing._pair_halves(x[5:6], np.zeros(1, np.intp), [terms],
                                    alpha)
     assert (alone[0][0], alone[1][0]) == (sums[5], magnitudes[5])
@@ -713,14 +718,14 @@ SERIES_COUNTS = [0, 1, 2, 3, 4, 7, 16, 64]
 
 @pytest.mark.parametrize("pulses", SERIES_COUNTS)
 def test_train_series_matches_exact_coefficients(pulses):
-    # the closed-form float coefficients against the exact ones from the
-    # train's rational boundaries: as series on [0, x0] they agree to
-    # 1e-14 relative (summed exactly), and the x^0 and x^2 terms that
-    # vanish are exactly 0
-    got = dephasing._train_series(pulses)
+    # the coefficients from the closed-form table against the exact ones
+    # from the train's rational boundaries: each is correctly rounded,
+    # and as series on [0, x0] they agree to 1e-14 relative (summed
+    # exactly)
+    got = dephasing._unit_train(pulses).series
     want = exact_filter_series(exact_train_bounds(pulses), got.size)
     x0 = dephasing._unit_train(pulses).x0
-    assert [float(w) for w in want[:2]] == list(got[:2])
+    assert got.tolist() == [float(w) for w in want]
     for x in [1e-3, 0.1, 1.0, 2.5, x0]:
         power = Fraction(x) ** 2
         exact = sum(w * power ** m for m, w in enumerate(want))
@@ -733,9 +738,21 @@ def test_explicit_train_series_is_correctly_rounded():
     # an explicit train's coefficients are the exact ones of its float
     # boundaries, each correctly rounded
     bounds = np.array([0.0, 0.3, 0.35, 0.8, 1.0])
-    got = dephasing._exact_series(bounds)
+    got = dephasing._Train(bounds, *dephasing._separations(bounds)).series
     want = exact_filter_series([Fraction(b) for b in bounds], got.size)
     assert got.tolist() == [float(w) for w in want]
+
+
+@pytest.mark.parametrize("pulses", list(range(41)) + [64, 257])
+def test_train_separations_are_the_exact_grouping(pulses):
+    # the closed-form table of train(N) is the exact grouping of its
+    # rational boundaries' pairs, with 2N distinct separations (1 for
+    # free evolution): O(N), not the (N+2)(N+1)/2 pairs
+    unit, steps, weights = dephasing._train_separations(pulses)
+    want = sorted((d, w) for d, w in exact_pair_weights(
+        exact_train_bounds(pulses)).items() if w)
+    assert [(Fraction(s, unit), w) for s, w in zip(steps, weights)] == want
+    assert len(steps) == max(1, 2 * pulses)
 
 
 @pytest.mark.parametrize("pulses", SERIES_COUNTS)

@@ -21,6 +21,9 @@ overlap integral did for them:
 - ``_tail arguments``: arguments of the pair-sum tail integral K;
 - ``K near-branch arguments``: those of them below 4, which K sums as
   the free train's power series (``_series`` inside ``_tail``);
+- ``pair terms summed``: terms of the pair sums P(x), over the rows of
+  ``_pair_halves``: each row sums one term per entry of its train's
+  pair weights (the last array of its ``pairs`` entry);
 - ``series evaluations (lengths)``: lengths whose low band below x0 was
   summed from the filter's power series: the rows of ``_series`` (or,
   in a checkout without it, the arguments of ``_LowBand.series``) less
@@ -107,6 +110,10 @@ def census(root: Path) -> tuple[Counter, float, int]:
             return 0
         return len(bands) if kwargs.get("grouped") else 1
 
+    def pair_terms(x, which, pairs, *args):
+        sizes = [entry[-1].size for entry in pairs]
+        return sum(sizes[g] for g in which.tolist())
+
     def curve_groups(pulses, *args):
         groups[len(set(pulses))] += 1
         return 1
@@ -118,6 +125,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
     count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
     count(dephasing, "_tail", "K near-branch arguments",
           lambda x, *args: int((x < 4.0).sum()))
+    count(dephasing, "_pair_halves", "pair terms summed", pair_terms)
     if hasattr(dephasing, "_series"):
         count(dephasing, "_series", "series rows",
               lambda ell, *args: ell.size)
@@ -164,7 +172,8 @@ def main(argv: list[str]) -> int:
     for name in ("curve overlap calls", "probe overlap calls",
                  "integrand points", "points x segments",
                  "integrate_panels calls", "_tail arguments",
-                 "K near-branch arguments", "series evaluations (lengths)",
+                 "K near-branch arguments", "pair terms summed",
+                 "series evaluations (lengths)",
                  "low bands built", "node tables built",
                  "node table pulse counts", "alpha reweightings",
                  "reweighted panels", "panels refined",
