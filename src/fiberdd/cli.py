@@ -85,7 +85,6 @@ def _curve_rows(curve) -> list:
 def _cmd_simulate(args) -> int:
     config = _resolve(args)
     seq, spectrum, profile, state = cfg.build_runtime(config)
-    cfg.ensure_state_valid(state)
     lines = cfg.resolved_lines(config)
     _print_resolved(lines)
 
@@ -140,7 +139,6 @@ def _figure_series(preset: str, config: cfg.SimulationConfig, spectrum):
 def _cmd_figure(args) -> int:
     config = _resolve(args)
     _, spectrum, profile, state = cfg.build_runtime(config)
-    cfg.ensure_state_valid(state)
 
     extras = {"preset": args.preset}
     if args.preset == "fig3":
@@ -220,8 +218,7 @@ def _cmd_mc_check(args) -> int:
 
 def _cmd_validate_config(args) -> int:
     config = _resolve(args)
-    _, _, _, state = cfg.build_runtime(config)
-    cfg.ensure_state_valid(state)
+    cfg.build_runtime(config)
     _print_resolved(cfg.resolved_lines(config))
     print("configuration ok")
     return 0

@@ -37,8 +37,8 @@ filter of the unit-length train (Cywinski et al., PRB 77, 174509
 
 with dh = d/L, x_c = w_c L = min(uv L, max(ir L, X)) and X = pi/gh_min
 (pi for free evolution, 2 pi N for CPMG).  Neither the x integrand nor
-P(X) depends on L, so each (pulse count, exponent) keeps one low band
-in a bounded cache, split at x0 = min(4, X):
+P(X) depends on L, so the lengths of one train share one low band,
+split at x0 = min(4, X):
 
 - below x0, Fh(x) = sum_m f_m x^(2m) with 40 terms, whose coefficients
   depend on the train alone.  Integrated termwise, int_a^x0
@@ -46,16 +46,15 @@ in a bounded cache, split at x0 = min(4, X):
   so a length pays one series evaluation at a = ir L, and no panel;
 - between x0 and X, uniform panels no wider than pi (half the shortest
   period of Fh), whose Gauss-Kronrod nodes hold the values of Fh that
-  ``segment_filter`` gave, cached per train.  An exponent weighs them by
-  x^-(2+alpha) once; the panels must meet sum(errors) <= 1e-8
+  ``segment_filter`` gave, cached per train.  A call weighs them by
+  x^-(2+alpha) once per train; the panels must meet sum(errors) <= 1e-8
   sum(values), and only the panels whose error is above their equal
   share of that are refined, each by an ``integrate_panels`` call of
   its own.  The integrand is nonnegative, so that sum is a lower bound
   on the low band of every length that spans [x0, X], and each such
   length meets 1e-8 relative in x, hence after the L^(1+alpha) scale
   the 1e-8 abs + 1e-8 rel that the low band met in w before.  Panels
-  that miss even after refinement are never kept: every call that needs
-  them weighs them again and flags its lengths unconverged.
+  that miss even after refinement flag those lengths unconverged.
 
 Rare lengths keep an integral of their own: where ir L >= x0 or
 uv L <= X, the part of [x0, X] inside [ir L, uv L] is one
@@ -74,20 +73,21 @@ sum_s W_s d_s^(1+alpha) K(x d_s).  ``train(N, L)`` has 2N separations
 group into exactly.
 
 Cost: each pulse count pays its filter at about 2N panels' nodes once,
-each (N, alpha) weighs them once, and each length pays one series
-evaluation plus its about 2N pair terms.  One call runs a fixed number
-of array passes over all its lengths, whatever mix of pulse counts it
-holds: one series pass, each length with its band's coefficients, one
-K pass (``_tail``) for every pair argument, and the band constants (the
-panels from x0 to X and P(X)) gathered per length.  Only the row sums
-run per pulse count.  The error estimate is the panels' Gauss-Kronrod
-estimate plus a rounding bound of 64 machine epsilons times the summed
-magnitudes of the series and of the pair terms.
+each call weighs its trains' nodes and sums their P(X), and each length
+pays one series evaluation plus its about 2N pair terms.  One call runs
+a fixed number of array passes over all its lengths, whatever mix of
+pulse counts it holds: one series pass, each length with its train's
+coefficients, one K pass (``_tail``) for every pair argument and each
+train's P(X), and the band constants (the panels from x0 to X and P(X))
+gathered per length.  Only the row sums run per pulse count.  The error
+estimate is the panels' Gauss-Kronrod estimate plus a rounding bound of
+64 machine epsilons times the summed magnitudes of the series and of
+the pair terms.
 
 ``train_overlaps`` evaluates many lengths at once from their pulse
 counts and ``overlap_from_positions`` one explicit train, by the same
 code.  Every sum over one length's terms runs in a fixed order, and the
-cached panels do not depend on which lengths asked for them, so a
+cached node values do not depend on which lengths asked for them, so a
 length's result depends neither on the rest of its batch nor on what
 the cache held before, bit for bit.
 
@@ -140,7 +140,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _PAIR_ROUNDING = 64.0 * float(np.finfo(float).eps)
 # Smallest spacing L/N of a train that needs no check (see train_overlaps).
 _SAFE_STEP = 2.0 ** -1021
-# A low band's ``upper()`` where a length does not span [x0, top].
+# ``_upper`` of a length that does not span [x0, top].
 _NO_UPPER = (0.0, 0.0, 0, True)
 
 
@@ -374,7 +374,8 @@ class _Train:
     Its low band splits at x0 = min(4, top), top = pi / (shortest gap);
     ``grid`` holds the uniform panels from x0 to top, none wider than pi
     (half the shortest period of Fh), and ``nodes()`` the filter at their
-    Kronrod nodes, evaluated on first use and then kept.
+    Kronrod nodes, evaluated on first use and then kept; each call weighs
+    them, the series and the pair weights by its own exponent.
     """
 
     def __init__(self, bounds: np.ndarray, unit: int, steps, weights):
@@ -407,6 +408,11 @@ class _Train:
             self._nodes = _node_table(self.gaps, self.mids, self.grid)
         return self._nodes
 
+    def integrand(self, alpha: float):
+        """x^-(2+alpha) Fh(x), from the train's own segments."""
+        return lambda x: segment_filter(self.gaps, self.mids, x) * x ** -(
+            alpha + 2.0)
+
 
 @lru_cache(maxsize=64)
 def _unit_train(n_pulses: int) -> _Train:
@@ -415,64 +421,25 @@ def _unit_train(n_pulses: int) -> _Train:
                   *_train_separations(n_pulses))
 
 
-class _LowBand:
-    """The low band of one ``_Train`` at one exponent, in x = w L.
-
-    Below x0 the band is the termwise integral of the filter's power
-    series, which ``_series`` sums with the ``_termwise`` weights
-    ``weights``.  Above it, ``upper()`` weighs the train's cached node
-    values by x^-(2+alpha) once: the panels must meet sum(errors) <= 1e-8
-    sum(values), and if they do not, each panel whose error is above its
-    equal share of that goes to ``integrate_panels`` on its own, to that
-    share.  The result is kept once it is certified; otherwise every
-    call that needs it weighs the panels again and flags its lengths
-    unconverged.  ``integrand`` is x^-(2+alpha) Fh(x) from the train's
-    own segments, ``pairs`` the train's distinct separations d_s and
-    W_s d_s^(1+alpha) (as ``_pair_halves`` takes them), and
-    ``top_pairs`` is P(top) with its term magnitudes, once a call has
-    needed it.
-    """
-
-    def __init__(self, unit: _Train, alpha: float):
-        self.unit = unit
-        self.alpha = alpha
-        self.top = unit.top
-        self.x0 = unit.x0
-        self.weights = _termwise(unit.series, self.x0, alpha)
-        d = unit.separations
-        self.pairs = (d, unit.weights * d ** (1.0 + alpha))
-        self.top_pairs = None  # set by the first call that needs it
-        # set by the first certified upper(), at once if there are no panels
-        self._upper = None if unit.grid.size > 1 else _NO_UPPER
-
-    def integrand(self, x: np.ndarray) -> np.ndarray:
-        return segment_filter(self.unit.gaps, self.unit.mids, x) * x ** -(
-            self.alpha + 2.0)
-
-    def upper(self):
-        """int_x0^top: its value, error, panel count and certification."""
-        if self._upper is not None:
-            return self._upper
-        x, half, filt = self.unit.nodes()
-        values, errors = kronrod_sums(filt * x ** -(self.alpha + 2.0), half)
-        total, error = values.sum(), errors.sum()
-        tol = _LOW_TOL * total
-        if error <= tol:
-            self._upper = (total, error, values.size, True)
-            return self._upper
+def _upper(unit: _Train, alpha: float):
+    """int_x0^top of x^-(2+alpha) Fh over the panels of the train
+    ``unit``, weighed and refined as the module docstring says: its
+    value, error, panel count and convergence."""
+    x, half, filt = unit.nodes()
+    values, errors = kronrod_sums(filt * x ** -(alpha + 2.0), half)
+    total, error = values.sum(), errors.sum()
+    tol = _LOW_TOL * total
+    panels, converged = values.size, True
+    if error > tol:
         share = tol / values.size
-        grid = self.unit.grid
-        panels, converged = values.size, True
         for m in np.flatnonzero(errors > share).tolist():
             # the missed panel becomes the panels of its own refinement
             values[m], errors[m], count, ok = _integrate(
-                self.integrand, grid[m:m + 2], share, 0.0)
+                unit.integrand(alpha), unit.grid[m:m + 2], share, 0.0)
             panels += count - 1
             converged &= ok
-        result = (values.sum(), errors.sum(), panels, converged)
-        if converged:
-            self._upper = result
-        return result
+        total, error = values.sum(), errors.sum()
+    return total, error, panels, converged
 
 
 def _integrate(fn, boundaries, atol: float, rtol: float):
@@ -483,12 +450,6 @@ def _integrate(fn, boundaries, atol: float, rtol: float):
     except QuadratureError as exc:
         return exc.best_estimate, exc.error_estimate, exc.panels, False
     return res.value, res.error, res.panels, True
-
-
-@lru_cache(maxsize=64)
-def _low_band(n_pulses: int, alpha: float) -> _LowBand:
-    """The shared _LowBand of the ``train`` of n_pulses at one exponent."""
-    return _LowBand(_unit_train(n_pulses), alpha)
 
 
 class Overlaps(NamedTuple):
@@ -510,16 +471,16 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
 
     ``pulses[i]`` is the pulse count at ``lengths[i]`` (0 for free
     evolution).  Every length of one count uses that count's cached
-    low band at the spectrum's exponent, and its pair sums (see the
-    module docstring).  Both are computed for unit amplitude, so the
-    refinement path never depends on the amplitude and f stays exactly
-    proportional to it.  A length's result does not depend on the other
-    lengths of the batch, nor on what the cache held before, bit for
-    bit.  The first length that is not positive and finite, or whose
-    train it rounds together (subnormal lengths), raises the ValueError
-    of ``filters.check_positions``; so does, with its own message, a
-    nonzero amplitude where ir_cutoff * length is below X_MIN or the
-    length is above ``max_length(spectrum)``.
+    train, weighed by the spectrum's exponent, for its low band and its
+    pair sums (see the module docstring).  Both are computed for unit
+    amplitude, so the refinement path never depends on the amplitude and
+    f stays exactly proportional to it.  A length's result does not
+    depend on the other lengths of the batch, nor on what the cache held
+    before, bit for bit.  The first length that is not positive and
+    finite, or whose train it rounds together (subnormal lengths), raises
+    the ValueError of ``filters.check_positions``; so does, with its own
+    message, a nonzero amplitude where ir_cutoff * length is below X_MIN
+    or the length is above ``max_length(spectrum)``.
     """
     lengths = np.asarray(lengths, dtype=float)
     pulses = np.asarray(pulses)
@@ -580,40 +541,38 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
         raise ValueError(
             f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
             f"length or length^(1+alpha) overflows")
-    bands = [_low_band(key, alpha) if isinstance(key, int)
-             else _LowBand(_Train(key, *_separations(key)), alpha)
-             for _, key in groups]
-    which = np.empty(lengths.size, np.intp)  # each length's band
+    trains = [_unit_train(key) if isinstance(key, int)
+              else _Train(key, *_separations(key)) for _, key in groups]
+    which = np.empty(lengths.size, np.intp)  # each length's train
     for g, (rows, _) in enumerate(groups):
         which[rows] = g
-    x0, top = np.array([(band.x0, band.top) for band in bands]).take(
+    x0, top = np.array([(unit.x0, unit.top) for unit in trains]).take(
         which, axis=0).T
-    return (*_low_parts(which, bands, lo, hi, x0, top, lengths),
-            *_pair_parts(which, bands, lo, hi, top, alpha))
+    return (*_low_parts(which, trains, lo, hi, x0, top, lengths, alpha),
+            *_pair_parts(which, trains, lo, hi, top, alpha))
 
 
-def _pair_parts(which, bands, lo, hi, top, alpha: float):
+def _pair_parts(which, trains, lo, hi, top, alpha: float):
     """P(x_c) - P(b) and its rounding bound per length, with a = lo,
     b = hi and x_c = max(a, top) where top < b (0 elsewhere), each length
-    in band ``bands[which[i]]``, whose ``top`` it is given.
+    of train ``trains[which[i]]``, whose ``top`` it is given.
 
     One _pair_halves call serves every length: P(b) of each length
     (kept where top < b), then P(a) where top <= a < b, then P(top) of
-    each band that has not kept it yet.
+    each train.
     """
     has = top < hi
     over = has & (lo >= top)
-    fresh = [g for g, band in enumerate(bands) if band.top_pairs is None]
     a = lo[over]
     halves = _pair_halves(
-        np.concatenate((hi, a, [bands[g].top for g in fresh])),
-        np.concatenate((which, which[over], np.array(fresh, np.intp))),
-        [band.pairs for band in bands], alpha)
+        np.concatenate((hi, a, [unit.top for unit in trains])),
+        np.concatenate((which, which[over], np.arange(len(trains)))),
+        [(unit.separations,
+          unit.weights * unit.separations ** (1.0 + alpha))
+         for unit in trains], alpha)
     n, m = hi.size, a.size
-    for g, (s, mag) in zip(fresh, halves[:, n + m:].T.tolist()):
-        bands[g].top_pairs = (s, mag)
     # P(x_c) and its term magnitudes, less P(b) and plus its magnitudes
-    at = np.array([band.top_pairs for band in bands]).take(which, axis=0).T
+    at = halves[:, n + m:].take(which, axis=1)
     at[:, over] = halves[:, n:n + m]  # x_c = a
     at[0] -= halves[0, :n]
     at[1] += halves[1, :n]
@@ -621,25 +580,26 @@ def _pair_parts(which, bands, lo, hi, top, alpha: float):
     return np.where(has, at, 0.0)
 
 
-def _low_parts(which, bands, lo, hi, x0, top, lengths):
+def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     """The low band [a, min(b, top)] per length, a = lo < top, b = hi,
-    each length in band ``bands[which[i]]``, whose ``x0`` and ``top`` it
-    is given: its value, error, convergence and panel count (0 and
+    each length of train ``trains[which[i]]``, whose ``x0`` and ``top``
+    it is given: its value, error, convergence and panel count (0 and
     converged elsewhere).
 
     Below x0 it is one ``_series`` pass over every length, each with its
-    band's weights, with a rounding bound of _PAIR_ROUNDING times the
-    summed term magnitudes as its error (where b < x0, less the series
-    from b, which a second pass evaluates).  Where a < x0 and top < b,
-    [x0, top] is the band's ``upper()``.  Elsewhere the part of [x0, top]
-    inside [a, b] is one ``integrate_panels`` call of the length's own,
-    on the grid points inside it and the band's ``integrand``, to 1e-8
-    relative and 1e-8 (L^-(1+alpha) + the series value) absolute less
-    the series' error (L^-(1+alpha) takes the absolute part from w to x
-    units).
+    train's ``_termwise`` weights, with a rounding bound of
+    _PAIR_ROUNDING times the summed term magnitudes as its error (where
+    b < x0, less the series from b, which a second pass evaluates).
+    Where a < x0 and top < b, [x0, top] is the train's ``_upper``, once
+    per call.  Elsewhere the part of [x0, top] inside [a, b] is one
+    ``integrate_panels`` call of the length's own, on the grid points
+    inside it and the train's ``integrand``, to 1e-8 relative and 1e-8
+    (L^-(1+alpha) + the series value) absolute less the series' error
+    (L^-(1+alpha) takes the absolute part from w to x units).
     """
-    scales = np.array([band.weights[0] for band in bands]).take(which, axis=0)
-    _, decay, log_term = bands[0].weights  # alpha's, shared by all bands
+    scales = np.array([_termwise(unit.series, unit.x0, alpha)[0]
+                       for unit in trains]).take(which, axis=0)
+    _, decay, log_term = _term_exponents(_TAIL_X0, alpha)  # alpha's alone
     # a series from x0 has no terms: a >= x0 contributes exactly 0
     low, error = _series(np.log(x0 / np.minimum(lo, x0)), scales, decay,
                          log_term)
@@ -650,10 +610,12 @@ def _low_parts(which, bands, lo, hi, x0, top, lengths):
         low[short] -= cut
         error[short] += cut_error
     spans = (lo < x0) & (top < hi)
-    needs = np.bincount(which[spans], minlength=len(bands)).tolist()
-    # each length's (value, error, panels, certified), as floats
-    upper = np.array([band.upper() if need else _NO_UPPER
-                      for band, need in zip(bands, needs)], float).take(
+    needs = np.bincount(which[spans], minlength=len(trains)).tolist()
+    # each length's (value, error, panels, converged), as floats; a train
+    # without panels (x0 = top) has none to weigh
+    upper = np.array([_upper(unit, alpha) if need and unit.grid.size > 1
+                      else _NO_UPPER
+                      for unit, need in zip(trains, needs)], float).take(
         which, axis=0)
     upper[~spans] = _NO_UPPER
     low += upper[:, 0]
@@ -662,14 +624,14 @@ def _low_parts(which, bands, lo, hi, x0, top, lengths):
     converged = upper[:, 3] == 1.0
     # lengths that meet [x0, top] without spanning it (spans implies meets)
     for i in ((lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist():
-        band = bands[which[i]]
-        grid = band.unit.grid
-        left, right = max(lo[i], band.x0), min(hi[i], band.top)
+        unit = trains[which[i]]
+        grid = unit.grid
+        left, right = max(lo[i], unit.x0), min(hi[i], unit.top)
         value, err, count, ok = _integrate(
-            band.integrand,
+            unit.integrand(alpha),
             np.concatenate(([left], grid[(left < grid) & (grid < right)],
                             [right])),
-            _LOW_TOL * (lengths[i] ** -(1.0 + band.alpha) + low[i])
+            _LOW_TOL * (lengths[i] ** -(1.0 + alpha) + low[i])
             - error[i], _LOW_TOL)
         low[i] += value
         error[i] += err
@@ -682,10 +644,10 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
                            *, with_error: bool = False):
     """Overlap integral for explicit pulse positions, checked by
     ``filters.check_positions``: the core of ``train_overlaps`` on one
-    length.  Positions equal to ``train(N, length)`` use the cached low
-    band of that count, so they get the bits its ``train_overlaps`` row
-    gets; any other train builds its own from its boundaries in units of
-    the length.
+    length.  Positions equal to ``train(N, length)`` use the cached train
+    of that count, so they get the bits its ``train_overlaps`` row gets;
+    any other train builds its own from its boundaries in units of the
+    length.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
     Raises QuadratureError (best estimate of the whole band attached)

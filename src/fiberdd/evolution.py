@@ -10,7 +10,7 @@ pulse counts (``train_overlaps``), its coherence factors from one array
 expression and its concurrences from one array pass over the X-form
 spin-flip roots; single-length evaluations (death-length probes, pulse
 budgets) run one explicit train (``overlap_from_positions``), reuse the
-low band the curve cached for that pulse count and get the same bits.
+train the curve cached for that pulse count and get the same bits.
 Death lengths are bracketed on a curve and refined by inverse quadratic
 interpolation on the coherence factor, seeded with the values the curve
 already holds, each probe classified by the concurrence itself.

@@ -5,7 +5,7 @@ from math import factorial
 
 import numpy as np
 
-from fiberdd.dephasing import _LowBand, _Train, _separations, _tail
+from fiberdd.dephasing import _Train, _separations, _tail
 from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
@@ -89,10 +89,11 @@ def tail_oracle(x, alpha, digits=30):
 
 
 def pair_terms(bounds, alpha):
-    """The pairs of boundaries ``bounds`` at one exponent, as a low band
-    holds them for ``_pair_halves``: the distinct separations d_s and
-    W_s d_s^(1+alpha)."""
-    return _LowBand(_Train(bounds, *_separations(bounds)), alpha).pairs
+    """The pairs of boundaries ``bounds`` at one exponent, as
+    ``_pair_halves`` takes them: the distinct separations d_s of their
+    ``_Train`` and W_s d_s^(1+alpha)."""
+    unit = _Train(bounds, *_separations(bounds))
+    return unit.separations, unit.weights * unit.separations ** (1.0 + alpha)
 
 
 def band_boundaries_loop(lo, hi, max_width, edge_ratio=1.25):

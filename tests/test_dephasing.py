@@ -184,7 +184,7 @@ def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     f = overlap_integral(SpinEcho(), spec, 5.0)
     grouped = dephasing.integrate_panels
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     _miss_first_pass(monkeypatch)
 
     def unreachable(fn, bands, **kwargs):
@@ -366,7 +366,7 @@ def test_batch_does_not_depend_on_workspace_chunks(monkeypatch):
     wide = train_overlaps(counts, spec, lengths)
     monkeypatch.setattr(filters, "_CHUNK_ELEMS", 1)
     monkeypatch.setattr(dephasing, "_TAIL_CHUNK", 3)
-    dephasing._low_band.cache_clear()  # rebuild the panels narrow too
+    dephasing._unit_train.cache_clear()  # rebuild the panels narrow too
     narrow = train_overlaps(counts, spec, lengths)
     for got, want in zip(narrow, wide):
         assert np.array_equal(got, want)
@@ -401,7 +401,7 @@ def test_grouped_pair_sum_matches_per_pair_oracle(pulses, length, alpha):
 
 
 def _fresh(seq, spec, lengths):
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     return train_overlaps(_counts(seq, lengths), spec, lengths)
 
 
@@ -466,14 +466,13 @@ def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
 
 
 def test_threads_sharing_a_low_band_get_cold_cache_bits():
-    # threads extend one cached low band to different depths at once;
-    # each extension replaces the kept panels as one tuple, so a lost
-    # update costs only a later re-evaluation, and every result keeps
-    # the bits of a lone cold run
+    # threads share one cached train, whose node table the first to
+    # need it fills as one tuple, so a lost update costs only a second
+    # evaluation, and every result keeps the bits of a lone cold run
     spec = NoiseSpectrum(0.008, 0.7, 1e-6, 1e3)
     lengths = [0.01, 0.3, 3.0, 30.0]
     want = [_fresh(CpmgCount(5), spec, [L]) for L in lengths]
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     got = [[] for _ in range(8)]
 
     def work(i):
@@ -500,13 +499,12 @@ def test_threads_sharing_a_low_band_get_cold_cache_bits():
 
 
 def test_panel_cache_is_bounded():
-    spec_at = [NoiseSpectrum(0.008, alpha, 1e-3, 1e3)
-               for alpha in np.linspace(0.0, 2.0, 80)]
-    dephasing._low_band.cache_clear()
-    for spec in spec_at:
-        train_overlaps([0, 1], spec, [2.0, 3.0])
-    info = dephasing._low_band.cache_info()
-    assert info.misses == 160
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    dephasing._unit_train.cache_clear()
+    for pulses in range(80):
+        train_overlaps([pulses], spec, [2.0])
+    info = dephasing._unit_train.cache_info()
+    assert info.misses == 80
     assert info.currsize == info.maxsize
 
 
@@ -620,11 +618,11 @@ def test_converged_upper_panels_skip_integrate_panels(monkeypatch):
     # each panel converges on that same pass and gives the same bits
     spec = NoiseSpectrum(0.008, 1.2, 1e-3, 1e3)
     positions = train(4, 7.3)
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     calls = _counting_panels(monkeypatch)
     direct = overlap_from_positions(positions, spec, 7.3, with_error=True)
     assert calls == []
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     _miss_first_pass(monkeypatch)
     routed = overlap_from_positions(positions, spec, 7.3, with_error=True)
     assert len(calls) == dephasing._unit_train(4).grid.size - 1
@@ -653,8 +651,8 @@ def test_missed_upper_panel_is_refined_to_its_share(monkeypatch):
 
 
 def test_single_and_multi_band_batches_agree_bitwise():
-    # a lone band evaluates on its own segment table, a batch of pulse
-    # counts on one padded table; a shared length gets the same bits
+    # a batch of mixed pulse counts runs its series, K and pair sums in
+    # one pass over every count; a length gets the bits of its lone call
     spec = NoiseSpectrum(0.008, 1.4, 1e-3, 1e3)
     lone = train_overlaps([3], spec, [5.0])
     mixed = train_overlaps([0, 3, 9, 3], spec, [2.0, 5.0, 40.0, 9.0])
@@ -676,11 +674,11 @@ def test_partial_low_bands_of_mixed_counts_match_lone_calls(spec, pulses,
     # lengths whose band only partly covers [x0, top] integrate their
     # part on their own train's segments; in a batch of mixed pulse
     # counts each row keeps the bits of its lone cold call
-    dephasing._low_band.cache_clear()
+    dephasing._unit_train.cache_clear()
     batch = train_overlaps(pulses, spec, lengths)
     assert batch.converged.all()
     for i, (n, length) in enumerate(zip(pulses, lengths)):
-        dephasing._low_band.cache_clear()
+        dephasing._unit_train.cache_clear()
         lone = train_overlaps([n], spec, [length])
         for part, reference in zip(batch, lone):
             assert part[i] == reference[0]
@@ -766,11 +764,12 @@ def test_series_band_matches_quadrature(pulses):
               if pulses == 1
               else functools.partial(filters.filter_cpmg_closed, pulses, 1.0))
     for alpha in (0.0, 1.0, 2.0):
-        band = dephasing._low_band(pulses, alpha)
+        weights = dephasing._termwise(dephasing._unit_train(pulses).series,
+                                      x0, alpha)
         for a in (1e-8, 1e-3):
             ref = integrate_panels(lambda x: closed(x) * x ** -(2.0 + alpha),
                                    band_boundaries(a, x0, 0.5),
                                    atol=0.0, rtol=1e-14).value
             value, _ = dephasing._series(np.log(x0 / np.array([a])),
-                                         *band.weights)
+                                         *weights)
             assert value[0] == pytest.approx(ref, rel=1e-12, abs=0.0)

@@ -45,8 +45,7 @@ ROUNDS = 15
 TASK_ROUNDS = 8
 # caches of fiberdd.dephasing that depend on the pulse count alone and
 # stay warm between the benchmark's tasks
-KEPT_CACHES = {"_unit_train", "_train_series", "_pair_pattern",
-               "_laguerre_rule"}
+KEPT_CACHES = {"_unit_train", "_laguerre_rule"}
 
 
 def record(root: Path, out: Path) -> None:

@@ -25,12 +25,10 @@ overlap integral did for them:
   ``_pair_halves``: each row sums one term per entry of its train's
   pair weights (the last array of its ``pairs`` entry);
 - ``series evaluations (lengths)``: lengths whose low band below x0 was
-  summed from the filter's power series: the rows of ``_series`` (or,
-  in a checkout without it, the arguments of ``_LowBand.series``) less
+  summed from the filter's power series: the rows of ``_series`` less
   the K near-branch arguments;
-- ``low bands built``: ``_LowBand`` objects made, one per pulse count
-  and exponent that a call needed and the cache did not hold, or per
-  explicit train;
+- ``trains built``: ``_Train`` objects made, one per pulse count that a
+  call needed and the cache did not hold, or per explicit train;
 - ``node tables built``: filter tables at the Kronrod nodes of the
   panels between x0 and top (``_node_table``), with the pulse counts
   they were built for;
@@ -39,7 +37,8 @@ overlap integral did for them:
   ``fiberdd.dephasing`` binds it), each a Gauss-Kronrod first pass
   without refinement, and the panels they sum;
 - ``panels refined``: cached panels that missed their first pass and
-  went to ``integrate_panels``;
+  went to ``integrate_panels``, told apart from a length's own part of
+  the band by their zero relative tolerance;
 - ``curve calls by pulse-count groups``: curve calls counted by their
   number of distinct pulse counts.
 
@@ -100,15 +99,8 @@ def census(root: Path) -> tuple[Counter, float, int]:
         tables.add(gaps.shape[0] - 1)
         return 1
 
-    def refined(fn, bands, **kwargs):
-        # _LowBand.upper() refines each missed panel to its share, with no
-        # relative part (a length's own part of the band keeps one): a
-        # grouped call holds one band per panel, a lone call one panel
-        band = getattr(dephasing, "_LowBand", None)
-        if not (band and isinstance(getattr(fn, "__self__", None), band)
-                and kwargs.get("rtol") == 0.0):
-            return 0
-        return len(bands) if kwargs.get("grouped") else 1
+    def refined(fn, band, **kwargs):
+        return int(kwargs.get("rtol") == 0.0)
 
     def pair_terms(x, which, pairs, *args):
         sizes = [entry[-1].size for entry in pairs]
@@ -126,14 +118,8 @@ def census(root: Path) -> tuple[Counter, float, int]:
     count(dephasing, "_tail", "K near-branch arguments",
           lambda x, *args: int((x < 4.0).sum()))
     count(dephasing, "_pair_halves", "pair terms summed", pair_terms)
-    if hasattr(dephasing, "_series"):
-        count(dephasing, "_series", "series rows",
-              lambda ell, *args: ell.size)
-    elif hasattr(dephasing, "_LowBand"):
-        count(dephasing._LowBand, "series", "series rows",
-              lambda band, a: a.size)
-    if hasattr(dephasing, "_LowBand"):
-        count(dephasing._LowBand, "__init__", "low bands built")
+    count(dephasing, "_series", "series rows", lambda ell, *args: ell.size)
+    count(dephasing._Train, "__init__", "trains built")
     count(dephasing, "_node_table", "node tables built", node_table)
     count(dephasing, "kronrod_sums", "alpha reweightings")
     count(dephasing, "kronrod_sums", "reweighted panels",
@@ -151,11 +137,10 @@ def census(root: Path) -> tuple[Counter, float, int]:
         os.chdir(root)
     counts["node table pulse counts"] = sorted(tables)
     counts["curve calls by pulse-count groups"] = dict(sorted(groups.items()))
-    # where K's near branch runs through _series too, its rows are not
+    # K's near branch runs through _series too, and its rows are not
     # lengths
-    near = counts["K near-branch arguments"] if hasattr(dephasing,
-                                                         "_series") else 0
-    counts["series evaluations (lengths)"] = counts["series rows"] - near
+    counts["series evaluations (lengths)"] = (
+        counts["series rows"] - counts["K near-branch arguments"])
     counts["not bound"] = missing
     return counts, seconds, len(task_list)
 
@@ -174,7 +159,7 @@ def main(argv: list[str]) -> int:
                  "integrate_panels calls", "_tail arguments",
                  "K near-branch arguments", "pair terms summed",
                  "series evaluations (lengths)",
-                 "low bands built", "node tables built",
+                 "trains built", "node tables built",
                  "node table pulse counts", "alpha reweightings",
                  "reweighted panels", "panels refined",
                  "curve calls by pulse-count groups"):
