@@ -60,8 +60,10 @@ Rare lengths keep an integral of their own: where ir L >= x0 or
 uv L <= X, the part of [x0, X] inside [ir L, uv L] is one
 integrate_panels call over the grid points inside it, on the length's
 own train, to 1e-8 abs + 1e-8 rel in w, and where uv L < x0 the series
-runs from ir L to uv L.  Where ir L >= X there is no low band and the
-pair terms are P(ir L) - P(uv L).
+runs from ir L to uv L.  An explicit train, built per call, lays its
+grid only up to the call's largest uv L, so a very short segment (X
+far above uv L) costs panels up to uv L only.  Where ir L >= X there
+is no low band and the pair terms are P(ir L) - P(uv L).
 
 Both the series and P come from one table per train: its distinct
 separations d_s, integers s over a unit, each with its exact weight
@@ -375,10 +377,14 @@ class _Train:
     ``grid`` holds the uniform panels from x0 to top, none wider than pi
     (half the shortest period of Fh), and ``nodes()`` the filter at their
     Kronrod nodes, evaluated on first use and then kept; each call weighs
-    them, the series and the pair weights by its own exponent.
+    them, the series and the pair weights by its own exponent.  A train
+    given a ``reach`` keeps its grid only up to a point past it, for the
+    lengths with uv L <= reach, which use no panel beyond; the points
+    kept are those of the whole grid, bit for bit.
     """
 
-    def __init__(self, bounds: np.ndarray, unit: int, steps, weights):
+    def __init__(self, bounds: np.ndarray, unit: int, steps, weights,
+                 reach: float = np.inf):
         # f_m = (-1)^(m+1) sum_s W_s s^(2m) / ((2m)! unit^(2m)) (module
         # docstring), summed in integers, each quotient correctly rounded
         moments = [0] * _SERIES_TERMS
@@ -397,10 +403,14 @@ class _Train:
         self.mids = (0.5 * (bounds[:-1] + bounds[1:]))[:, None]
         self.top = np.pi / gaps.min()
         self.x0 = min(_TAIL_X0, self.top)
-        panels = math.ceil((self.top - self.x0) / np.pi)
+        panels = kept = math.ceil((self.top - self.x0) / np.pi)
+        if panels and reach < self.top:  # one point past reach, for rounding
+            kept = min(panels, 1 + max(0, math.ceil(
+                (reach - self.x0) / (self.top - self.x0) * panels)))
         self.grid = self.x0 + (self.top - self.x0) * (
-            np.arange(panels + 1) / max(panels, 1))
-        self.grid[-1] = self.top
+            np.arange(kept + 1) / max(panels, 1))
+        if kept == panels:
+            self.grid[-1] = self.top
         self._nodes = None
 
     def nodes(self):
@@ -414,9 +424,10 @@ class _Train:
             alpha + 2.0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=80)
 def _unit_train(n_pulses: int) -> _Train:
-    """The shared _Train of the ``train`` of n_pulses."""
+    """The shared _Train of the ``train`` of n_pulses (80 of them, so that
+    a batch of the counts 0..64 finds them all when it comes again)."""
     return _Train(np.concatenate(([0.0], train(n_pulses, 1.0), [1.0])),
                   *_train_separations(n_pulses))
 
@@ -542,7 +553,8 @@ def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
             f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
             f"length or length^(1+alpha) overflows")
     trains = [_unit_train(key) if isinstance(key, int)
-              else _Train(key, *_separations(key)) for _, key in groups]
+              else _Train(key, *_separations(key), hi.max())
+              for _, key in groups]
     which = np.empty(lengths.size, np.intp)  # each length's train
     for g, (rows, _) in enumerate(groups):
         which[rows] = g
@@ -642,22 +654,29 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
 
 def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
                            *, with_error: bool = False):
-    """Overlap integral for explicit pulse positions, checked by
-    ``filters.check_positions``: the core of ``train_overlaps`` on one
-    length.  Positions equal to ``train(N, length)`` use the cached train
-    of that count, so they get the bits its ``train_overlaps`` row gets;
-    any other train builds its own from its boundaries in units of the
-    length.
+    """Overlap integral for explicit pulse positions: the core of
+    ``train_overlaps`` on one length.  Positions equal to
+    ``train(N, length)`` use the cached train of that count, so they get
+    the bits its ``train_overlaps`` row gets; where its spacing length/N
+    is at least 2^-1021 and N at most 2^50, that equality is their one
+    check (see ``train_overlaps``).  Every other input is checked by
+    ``filters.check_positions``, and any other train builds its own from
+    its boundaries in units of the length, with panels only up to
+    uv_cutoff * length.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
     Raises QuadratureError (best estimate of the whole band attached)
     when the low-band quadrature does not converge.
     """
-    positions = check_positions(positions, length)
-    lengths = np.array([length], dtype=float)
+    positions = np.asarray(positions, dtype=float)
     key = positions.size
-    if not (positions == train(key, length)).all():
-        key = np.concatenate(([0.0], positions, [length])) / length
+    if not (positions.ndim == 1 and np.isfinite(length)
+            and length / max(key, 1) >= _SAFE_STEP and key <= 2 ** 50
+            and (positions == train(key, length)).all()):
+        positions = check_positions(positions, length)
+        if not (positions == train(key, length)).all():
+            key = np.concatenate(([0.0], positions, [length])) / length
+    lengths = np.array([length], dtype=float)
     res = _overlaps([(np.zeros(1, np.intp), key)], spectrum, lengths)
     value, error = float(res.value[0]), float(res.error[0])
     if not res.converged[0]:

@@ -11,13 +11,17 @@ expression and its concurrences from one array pass over the X-form
 spin-flip roots; single-length evaluations (death-length probes, pulse
 budgets) run one explicit train (``overlap_from_positions``), reuse the
 train the curve cached for that pulse count and get the same bits.
-Death lengths are bracketed on a curve and refined by inverse quadratic
-interpolation on the coherence factor, seeded with the values the curve
-already holds, each probe classified by the concurrence itself.
+Death lengths are bracketed on a curve and refined by inverse
+interpolation of ln L in ln(-ln Gamma), nearly linear within one pulse
+count, through the bracket ends and the curve's other values of their
+count.  Each probe sits tol/4 past its estimate, so a good estimate and
+one more probe close the bracket (2 probes is the floor; about 2.2 on
+the ``sweep`` tasks), and is classified by the concurrence itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +161,10 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     overlap integral takes.  A state dead even there dies in
     (0, X_MIN / ir_cutoff], alive at 0 by its own concurrence, and gets
     the midpoint.  The refinement starts from the curve's coherence
-    factors at the bracket ends and at their outer neighbours, the
-    neighbours only when they share the pulse count of both ends
-    (``CpmgDensity`` Gamma jumps where the count changes), and from the
-    walk's values at its ends.  A BestEstimate comes back when a value
+    factors at up to three grid points on each side of the crossing,
+    bracket ends included, the others only when they share the pulse
+    count of both ends (``CpmgDensity`` Gamma jumps where the count
+    changes), and from the walk's values at its ends.  A BestEstimate comes back when a value
     it used did not converge.  A state that is separable to begin with
     raises SeparableStateError.
     """
@@ -187,7 +191,7 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
             count = None  # Gamma may jump inside the bracket: ends only
         known = [(lengths[j], curve.gamma[j] if curve.converged[j]
                   else BestEstimate(curve.gamma[j]))
-                 for j in range(max(i - 2, 0), min(i + 2, lengths.size))
+                 for j in range(max(i - 3, 0), min(i + 3, lengths.size))
                  if j in (i - 1, i)
                  or seq.pulse_count(lengths[j]) == count] + known
     return refine_esd(seq, spectrum, profile, state, lo, hi, tol=tol,
@@ -223,78 +227,114 @@ def refine_esd(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
                dead_length: float, *, tol: float, known=()) -> float:
     """Narrow a bracket (alive_length, dead_length] down to the death point.
 
-    Probes are proposed by inverse quadratic interpolation on
-    g(L) = Gamma(L) - Gamma*, Gamma* = ``esd_threshold_gamma(state)``,
-    through the bracket ends and the end a probe last replaced, with
-    regula falsi as the fallback, and classified by the concurrence
-    predicate (C == 0 is dead), so the bracket always runs from an
-    evaluated alive length to an evaluated dead one.  ``known`` holds
-    (length, Gamma) pairs already evaluated on the same smooth stretch
-    of Gamma: bracket ends found there are not evaluated again, and the
-    point nearest the first regula falsi estimate stands in for the
-    replaced end until a probe replaces one.  An alive end that its
-    probe finds dead raises ValueError.  A probe stays at least
-    tol/2 inside the bracket, and a step that fails to halve the
-    bracket is followed by a bisection.  Stops at hi - lo <= tol and
-    returns the midpoint, as a BestEstimate when any value used did not
-    converge.  Assumes a single alive-to-dead transition inside the
-    bracket, which holds whenever the coherence factor is monotone
-    there.
+    Each probe is classified by the concurrence predicate (C == 0 is
+    dead), so the bracket always runs from an evaluated alive length to
+    an evaluated dead one.  ``known`` holds (length, Gamma) pairs already
+    evaluated on the same smooth stretch of Gamma: bracket ends found
+    there are not evaluated again.  An alive end that its probe finds
+    dead raises ValueError.
+
+    A probe is proposed by inverse interpolation: ln L as a polynomial in
+    h = ln(-ln Gamma*) - ln(-ln Gamma), Gamma* = ``esd_threshold_gamma``,
+    through the bracket ends and up to four more evaluated points of
+    their pulse count (``known`` and earlier probes), those nearest the
+    ends' secant estimate first, evaluated at h = 0.  Within one pulse
+    count f = (A/pi) L^(1+alpha) B(L) with B slowly varying, so h is
+    nearly linear in ln L.  Where Gamma* lies outside (0, 1), or Gamma
+    at an end is 0 or 1, the same interpolation runs on L against
+    Gamma - Gamma*.  An estimate outside the bracket gives way to the
+    ends' secant.  The probe sits tol/4 past its estimate, away from the
+    nearer end, and at least tol/2 inside the bracket, so an estimate
+    good to tol/4 lets the next probe close the bracket.  The first two
+    probes interpolate; after them a probe interpolates only while the
+    bracket has halved once per two probes so far, and bisects
+    otherwise, as it does whenever the ends' Gamma - Gamma* do not
+    change sign: no bracket takes more than twice the probes of
+    bisection.  Stops at hi - lo <= tol and returns the midpoint, as a
+    BestEstimate when any value used did not converge.  Assumes a
+    single alive-to-dead transition inside the bracket, which holds
+    whenever the coherence factor is monotone there.
     """
     if not 0.0 < alive_length < dead_length:
         raise ValueError("need 0 < alive_length < dead_length")
     threshold = esd_threshold_gamma(state)
-    known = dict(known)
-    estimated = False
-
-    def g_of(gamma: float) -> float:
-        nonlocal estimated
-        estimated |= isinstance(gamma, BestEstimate)
-        return gamma - threshold
-
-    def probe(length: float) -> tuple[float, bool]:
-        gamma, dead = _probe(seq, spectrum, profile, state, length)
-        return g_of(gamma), dead
-
+    points = {float(length): gamma for length, gamma in known}
     lo, hi = alive_length, dead_length
-    if lo in known:
-        g_lo = g_of(known.pop(lo))
-    else:
-        g_lo, dead = probe(lo)
+    if lo not in points:
+        points[lo], dead = _probe(seq, spectrum, profile, state, lo)
         if dead:
             raise ValueError(f"alive_length {lo} is dead: concurrence 0")
-    g_hi = g_of(known.pop(hi)) if hi in known else probe(hi)[0]
-    seeds = [(length, g_of(gamma)) for length, gamma in known.items()]
-    third = None  # (length, g) of the end a probe last replaced
-    bisect = False
+    if hi not in points:
+        points[hi] = _probe(seq, spectrum, profile, state, hi)[0]
+    width, probes = hi - lo, 0
     while hi - lo > tol:
-        width = hi - lo
-        if bisect or not g_lo > 0.0 >= g_hi:
-            x = 0.5 * (lo + hi)
-        else:
-            x = lo + width * g_lo / (g_lo - g_hi)
-            if third is None and seeds:
-                third = min(seeds, key=lambda p: abs(p[0] - x))
-            if third is not None and third[1] not in (g_lo, g_hi):
-                x = _inverse_quadratic(x, (lo, g_lo), (hi, g_hi), third)
+        if points[lo] - threshold > 0.0 >= points[hi] - threshold and (
+                probes < 2
+                or (hi - lo) * 2.0 ** math.ceil(probes / 2) <= width):
+            x = _interpolate(seq, points, lo, hi, threshold)
+            x += 0.25 * tol if x - lo < hi - x else -0.25 * tol
             x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        g, dead = probe(x)
-        if dead:
-            third, hi, g_hi = (hi, g_hi), x, g
         else:
-            third, lo, g_lo = (lo, g_lo), x, g
-        bisect = not bisect and hi - lo > 0.5 * width
+            x = 0.5 * (lo + hi)
+        points[x], dead = _probe(seq, spectrum, profile, state, x)
+        probes += 1
+        if dead:
+            hi = x
+        else:
+            lo = x
     mid = 0.5 * (lo + hi)
-    return BestEstimate(mid) if estimated else mid
+    if any(isinstance(gamma, BestEstimate) for gamma in points.values()):
+        return BestEstimate(mid)
+    return mid
 
 
-def _inverse_quadratic(secant: float, a, b, c) -> float:
-    """Root of the quadratic in g through the (length, g) points a, b
-    and c, if it lies strictly between a and b; else ``secant``."""
-    (la, ga), (lb, gb), (lc, gc) = a, b, c
-    x = (la + (lb - la) * ga * gc / ((gb - ga) * (gb - gc))
-         + (lc - la) * ga * gb / ((gc - ga) * (gc - gb)))
-    return x if min(la, lb) < x < max(la, lb) else secant
+def _interpolate(seq, points: dict, lo: float, hi: float,
+                 threshold: float) -> float:
+    """The length in (lo, hi) at which Gamma meets ``threshold``, by
+    inverse interpolation through the ends and up to four more of the
+    (length, Gamma) ``points`` (see ``refine_esd``); the ends' secant
+    when the polynomial's root leaves the bracket."""
+    logs = 0.0 < threshold < 1.0 and 0.0 < points[hi] and points[lo] < 1.0
+    level = math.log(-math.log(threshold)) if logs else 0.0
+
+    def coords(length):
+        gamma = points[length]
+        if logs:
+            return level - math.log(-math.log(gamma)), math.log(length)
+        return gamma - threshold, length
+
+    (y_lo, t_lo), (y_hi, t_hi) = fit = [coords(lo), coords(hi)]
+    if not y_lo > y_hi:  # the logs rounded the ends together
+        return 0.5 * (lo + hi)
+    secant = t_lo + (t_hi - t_lo) * y_lo / (y_lo - y_hi)
+    count = seq.pulse_count(lo)
+    if count == seq.pulse_count(hi):  # else Gamma may jump: ends only
+        near = math.exp(secant) if logs else secant
+        others = sorted((length for length, gamma in points.items()
+                         if length not in (lo, hi)
+                         and (not logs or 0.0 < gamma < 1.0)
+                         and seq.pulse_count(length) == count),
+                        key=lambda length: abs(length - near))
+        for length in others[:4]:
+            y, t = coords(length)
+            if all(y != y_fit for y_fit, _ in fit):
+                fit.append((y, t))
+    t = _root(fit)
+    if not t_lo < t < t_hi:
+        t = secant
+    return math.exp(t) if logs else t
+
+
+def _root(points) -> float:
+    """The value at y = 0 of the polynomial in y through the (y, t)
+    ``points`` (distinct y), by Neville's scheme."""
+    ys = [y for y, _ in points]
+    ts = [t for _, t in points]
+    for k in range(1, len(ys)):
+        for i in range(len(ys) - k):
+            ts[i] = (ys[i + k] * ts[i] - ys[i] * ts[i + 1]) / (
+                ys[i + k] - ys[i])
+    return ts[0]
 
 
 @dataclass

@@ -741,6 +741,61 @@ def test_explicit_train_series_is_correctly_rounded():
     assert got.tolist() == [float(w) for w in want]
 
 
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+def test_tiny_gap_runs_panels_only_up_to_uv_length(gap):
+    # a gap g puts top = pi/g far above uv L = 1e3: the panels stop past
+    # uv L (up to top, the 1e-10 gap asked for 74.5 GiB), and f is the
+    # full-band oracle's; the band split in w at min(uv, pi/g) gave
+    # 0.009970151466887005 at the 1e-10 gap too
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    positions = [0.5, 0.5 + gap]
+    got = overlap_from_positions(positions, spec, 1.0)
+    assert got == pytest.approx(full_band_overlap(positions, spec, 1.0),
+                                rel=1e-13, abs=0.0)
+    if gap == 1e-10:
+        assert got == pytest.approx(0.009970151466887005, rel=1e-13, abs=0.0)
+    bounds = np.array([0.0, 0.5, 0.5 + gap, 1.0])
+    cut = dephasing._Train(bounds, *dephasing._separations(bounds), 1e3)
+    assert cut.grid[-3] < 1e3 <= cut.grid[-1] and cut.grid.size < 330
+
+
+def test_cut_grid_keeps_the_whole_grids_points():
+    # a train cut at a reach keeps the first points of its whole grid,
+    # bit for bit, up to one or two past the reach; at or above top it
+    # is the whole grid
+    bounds = np.array([0.0, 0.25, 0.25 + 1e-4, 0.7, 1.0])
+    whole = dephasing._Train(bounds, *dephasing._separations(bounds)).grid
+    for reach in (1.0, 4.0, 100.0, 1e3, 2e4, whole[-1], 1e9):
+        cut = dephasing._Train(bounds, *dephasing._separations(bounds),
+                               reach).grid
+        assert cut.tolist() == whole[:cut.size].tolist()
+        assert cut[-1] >= min(reach, whole[-1])
+        assert cut.size == whole.size or cut.size == 2 or cut[-3] < reach
+
+
+def test_train_positions_need_no_other_check(monkeypatch):
+    # positions equal to train(N, L) at a spacing L/N of at least
+    # 2^-1021 are checked by that equality; every other input still goes
+    # through check_positions
+    checked = []
+    original = dephasing.check_positions
+
+    def counted(positions, length):
+        checked.append(length)
+        return original(positions, length)
+
+    monkeypatch.setattr(dephasing, "check_positions", counted)
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    same = overlap_from_positions(train(3, 2.0), spec, 2.0)
+    assert checked == []
+    assert same == train_overlaps([3], spec, [2.0]).value[0]
+    overlap_from_positions([0.3, 1.1], spec, 2.0)
+    assert checked == [2.0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        overlap_from_positions(train(20, 1e-322), spec, 1e-322)
+    assert checked == [2.0, 1e-322]
+
+
 @pytest.mark.parametrize("pulses", list(range(41)) + [64, 257])
 def test_train_separations_are_the_exact_grouping(pulses):
     # the closed-form table of train(N) is the exact grouping of its

@@ -280,6 +280,30 @@ def test_curve_seeded_refinement_matches_bisection(monkeypatch, seq, spec,
     assert len(seeded) <= 6
 
 
+@pytest.mark.parametrize("seq,alpha,length_max", [
+    (Free(), 1.0, 20.0), (Free(), 1.0, 50.0), (Free(), 1.5, 12.0),
+    (SpinEcho(), 1.0, 50.0), (SpinEcho(), 1.5, 30.0),
+])
+def test_sixteen_point_curve_refines_in_three_probes(monkeypatch, seq, alpha,
+                                                     length_max):
+    # ln L is nearly linear in ln(-ln Gamma) within one pulse count, so
+    # the interpolation through the bracket and its neighbours lands
+    # within a fraction of tol, and the probe placed tol/4 past it and
+    # the next close the bracket
+    spec = NoiseSpectrum(0.008, alpha, 1e-3, 1e3)
+    grid = np.linspace(0.0, length_max, 17)[1:]
+    curve = decoherence_curve(seq, spec, PROF, STATE, grid)
+    i = int(np.flatnonzero(curve.concurrence == 0.0)[0])
+    assert i > 0
+    tol = DEATH_LENGTH_RTOL * length_max
+    probes = _record_probes(monkeypatch)
+    esd = curve_death_length(seq, spec, PROF, STATE, curve, tol=tol)
+    seeded = list(probes)
+    monkeypatch.undo()
+    assert len(seeded) <= 3
+    _assert_refined(seq, spec, esd, seeded, grid[i - 1], grid[i], tol)
+
+
 # CpmgDensity(0.06) gets its first pulse at L = 25/3, where Gamma jumps.
 # At amplitude 0.156 the grid point after the dead end has it; at 0.098
 # the one before the alive end does not; in the last case the bracket

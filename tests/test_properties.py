@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberdd.dephasing as dephasing
 from fiberdd.dephasing import overlap_from_positions, train_overlaps
 from fiberdd.noise import NoiseSpectrum
 from fiberdd.sequences import CpmgCount, CpmgDensity, Free, SpinEcho
@@ -29,6 +30,20 @@ def pulse_positions(draw, length, max_pulses=12):
     gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1,
                                   max_size=n + 1)))
     return length * np.cumsum(gaps)[:-1] / gaps.sum()
+
+
+@st.composite
+def tiny_gap_bounds(draw, max_pulses=12):
+    """Boundaries of a unit-length train, 0 first and 1 last, whose
+    segments may be as short as about 1e-12 (the last is never short)."""
+    n = draw(st.integers(1, max_pulses))
+    gaps = draw(st.lists(st.one_of(st.floats(0.05, 1.0),
+                                   st.floats(1e-12, 1e-6)),
+                         min_size=n, max_size=n))
+    gaps = np.array(gaps + [draw(st.floats(0.05, 1.0))])
+    bounds = np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    bounds[-1] = 1.0
+    return bounds
 
 
 @st.composite
@@ -83,6 +98,36 @@ def test_overlap_matches_full_band_oracle(config):
     assert overlap_from_positions(positions, spectrum, length) == \
         pytest.approx(full_band_overlap(positions, spectrum, length),
                       rel=1e-10, abs=0.0)
+
+
+TINY = settings(PROPERTY, max_examples=20)
+
+
+@TINY
+@given(tiny_gap_bounds(), spectra(),
+       st.lists(st.floats(0.05, 40.0), min_size=1, max_size=2),
+       st.integers(-20, 20))
+def test_tiny_gaps_give_finite_batch_independent_overlaps(bounds, spectrum,
+                                                          lengths, power):
+    # a segment far shorter than pi / (uv L) must not lay panels up to
+    # pi / (that segment): each length gets a finite f >= 0, exactly
+    # proportional to the amplitude, and its batch gives it the bits it
+    # gets alone, although the batch runs its panels to the largest uv L
+    lengths = np.array(lengths)
+
+    def f(amplitude, rows):
+        spec = NoiseSpectrum(amplitude, spectrum.exponent,
+                             spectrum.ir_cutoff, spectrum.uv_cutoff)
+        return dephasing._overlaps([(np.arange(rows.size), bounds)], spec,
+                                   rows).value
+
+    batch = f(1.0, lengths)
+    assert np.isfinite(batch).all() and (batch >= 0.0).all()
+    alone = [f(1.0, lengths[i:i + 1])[0] for i in range(lengths.size)]
+    assert batch.tolist() == alone
+    assert f(2.0 ** power, lengths).tolist() == (batch * 2.0 ** power).tolist()
+    positions = bounds[1:-1] * lengths[0]
+    assert overlap_from_positions(positions, spectrum, lengths[0]) >= 0.0
 
 
 # CpmgDensity(0.3) is scaled as a train: its count at L is kept at cL.

@@ -2,10 +2,11 @@
 
 Usage, from anywhere::
 
-    python3 tools/work_census.py CHECKOUT
+    python3 tools/work_census.py CHECKOUT [SEED]
 
 Runs the 96 ``simulate`` requests of the benchmark's ``sweep`` workload
-for seed 5, rounds 0-7 (built by ``CHECKOUT/bench/tasks.py``), in-process
+for SEED (5 when omitted), rounds 0-7 (built by
+``CHECKOUT/bench/tasks.py``), in-process
 through ``CHECKOUT``'s own ``fiberdd.cli.main``, and prints what the
 overlap integral did for them:
 
@@ -13,6 +14,10 @@ overlap integral did for them:
   (``train_overlaps`` as ``fiberdd.evolution`` binds it);
 - ``probe overlap calls``: one-length overlap calls of the death-length
   probes (``overlap_from_positions`` as ``fiberdd.evolution`` binds it);
+- ``death lengths refined``: calls of ``refine_esd`` as
+  ``fiberdd.evolution`` binds it, one per death length a curve brackets;
+- ``probes per death length``: probe overlap calls over death lengths
+  refined (probes of a walk below a dead first point included);
 - ``integrand points``: frequencies at which ``segment_filter`` was
   evaluated for the low band;
 - ``points x segments``: the same, times the segments of the filter
@@ -42,7 +47,7 @@ overlap integral did for them:
 - ``curve calls by pulse-count groups``: curve calls counted by their
   number of distinct pulse counts.
 
-All but the first two and the last are counted by wrapping names of
+All but the first four and the last are counted by wrapping names of
 ``fiberdd.dephasing`` (``integrate_panels`` evaluates its own panels
 through ``fiberdd.quadrature``, which no wrapper sees), so two
 checkouts can be compared line by line.  A name a checkout does not
@@ -66,9 +71,10 @@ SEED = 5
 ROUNDS = 8
 
 
-def census(root: Path) -> tuple[Counter, float, int]:
-    """Work counters, wall seconds and task count of the checkout at
-    ``root``, whose ``src`` and ``bench`` are put first on sys.path."""
+def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
+    """Work counters, wall seconds and task count of the ``sweep`` tasks
+    of ``seed`` in the checkout at ``root``, whose ``src`` and ``bench``
+    are put first on sys.path."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import tasks
     from fiberdd import cli, dephasing, evolution
@@ -112,6 +118,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
 
     count(evolution, "train_overlaps", "curve overlap calls", curve_groups)
     count(evolution, "overlap_from_positions", "probe overlap calls")
+    count(evolution, "refine_esd", "death lengths refined")
     count(dephasing, "segment_filter", "integrand points", filter_points)
     count(dephasing, "integrate_panels", "integrate_panels calls")
     count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
@@ -125,7 +132,7 @@ def census(root: Path) -> tuple[Counter, float, int]:
     count(dephasing, "kronrod_sums", "reweighted panels",
           lambda fx, *args: fx.shape[0])
     count(dephasing, "integrate_panels", "panels refined", refined)
-    task_list = tasks.task_list("sweep", SEED, ROUNDS)
+    task_list = tasks.task_list("sweep", seed, ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         start = time.perf_counter()
@@ -141,20 +148,26 @@ def census(root: Path) -> tuple[Counter, float, int]:
     # lengths
     counts["series evaluations (lengths)"] = (
         counts["series rows"] - counts["K near-branch arguments"])
+    deaths = counts["death lengths refined"]
+    counts["probes per death length"] = (
+        f"{counts['probe overlap calls'] / deaths:.2f}" if deaths else "-")
     counts["not bound"] = missing
     return counts, seconds, len(task_list)
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not (len(argv) == 1 or len(argv) == 2 and argv[1].isdigit()):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/work_census.py CHECKOUT", file=sys.stderr)
+        print("usage: python3 tools/work_census.py CHECKOUT [SEED]",
+              file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
-    counts, seconds, count = census(root)
-    print(f"checkout {root}: bench sweep seed {SEED}, rounds 0-{ROUNDS - 1}, "
+    seed = int(argv[1]) if len(argv) == 2 else SEED
+    counts, seconds, count = census(root, seed)
+    print(f"checkout {root}: bench sweep seed {seed}, rounds 0-{ROUNDS - 1}, "
           f"{count} tasks")
     for name in ("curve overlap calls", "probe overlap calls",
+                 "death lengths refined", "probes per death length",
                  "integrand points", "points x segments",
                  "integrate_panels calls", "_tail arguments",
                  "K near-branch arguments", "pair terms summed",
