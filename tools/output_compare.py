@@ -4,8 +4,9 @@ Usage, from anywhere::
 
     python3 tools/output_compare.py OTHER_CHECKOUT
 
-The outputs are the groups of ``tools/output_digest.py`` (960 ``sweep``
-tasks, four figures, ``mc-check``, five demos), gathered by its
+The outputs are the 12 groups of ``tools/output_digest.py`` (960
+``sweep`` tasks, three partial-band ``simulate`` requests, four figures,
+``mc-check``, five demos), gathered by its
 ``collect`` for each checkout in a subprocess of its own that imports
 that checkout's ``src`` and ``bench``.  For each group one line says
 ``identical`` or how many places differ, followed by:

@@ -1,12 +1,16 @@
 """Print SHA-256 digests of fiberdd's user-visible outputs.
 
 Run from anywhere as ``python3 tools/output_digest.py``; it takes no
-flags.  Each line names one output group and the SHA-256 of its bytes:
+flags.  Each of its 12 lines names one output group and the SHA-256 of
+its bytes:
 
 - ``sweep``: the 960 ``simulate`` requests of the benchmark's ``sweep``
   workload (bench seeds 0-9, rounds 0-7, built by ``bench/tasks.py`` and
   run in-process through ``fiberdd.cli.main``), each hashed as exit
   code, stdout, stderr and CSV;
+- ``partial band``: three ``simulate`` requests whose lengths clip the
+  low band's panels (``PARTIAL_BAND``), each hashed as the sweep tasks
+  are;
 - ``figure <preset>``: CSV and stdout of ``figure fig2a|fig2b|fig3|fig4``;
 - ``mc-check``: its stdout;
 - ``demo <name>``: the stdout of each script in ``demos/``.
@@ -33,6 +37,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(10)
 SWEEP_ROUNDS = 8
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4")
+# simulate requests with lengths whose band [ir L, uv L] cuts the low
+# band's panels [x0, top] (uv L <= top, or ir L past x0), which no sweep
+# task, figure or demo reaches
+PARTIAL_BAND = (
+    ["--sequence", "cpmg", "--pulses", "16", "--uv-cutoff", "10",
+     "--noise-amp", "0.5", "--length-max", "20"],
+    ["--sequence", "cpmg", "--pulses", "64", "--uv-cutoff", "10",
+     "--length-max", "5"],
+    ["--sequence", "se", "--ir-cutoff", "2", "--length-max", "30"],
+)
 
 
 def _run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -51,20 +65,29 @@ def _read(path: str) -> str:
         return "<no file>"
 
 
+def _simulate_record(label: str, argv: list[str]) -> tuple:
+    """(label, parts) of one ``simulate`` request writing ``sweep.csv``."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove("sweep.csv")
+    code, out, err = _run_cli(argv)
+    return label, {"exit": code, "stdout": out, "stderr": err,
+                   "csv": _read("sweep.csv")}
+
+
 def sweep_records() -> list:
     import tasks
 
-    records = []
-    for seed in SWEEP_SEEDS:
-        for i, task in enumerate(tasks.task_list("sweep", seed,
-                                                 SWEEP_ROUNDS)):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove("sweep.csv")
-            code, out, err = _run_cli(tasks.sweep_argv(task, "sweep.csv"))
-            records.append((f"seed {seed} task {i}",
-                            {"exit": code, "stdout": out, "stderr": err,
-                             "csv": _read("sweep.csv")}))
-    return records
+    return [_simulate_record(f"seed {seed} task {i}",
+                             tasks.sweep_argv(task, "sweep.csv"))
+            for seed in SWEEP_SEEDS
+            for i, task in enumerate(tasks.task_list("sweep", seed,
+                                                     SWEEP_ROUNDS))]
+
+
+def partial_band_records() -> list:
+    return [_simulate_record(" ".join(flags),
+                             ["simulate", *flags, "--out", "sweep.csv"])
+            for flags in PARTIAL_BAND]
 
 
 def figure_records(preset: str) -> list:
@@ -92,6 +115,7 @@ def collect(root: Path = ROOT):
         os.chdir(tmp)
         try:
             yield "sweep", sweep_records()
+            yield "partial band", partial_band_records()
             for preset in FIGURES:
                 yield f"figure {preset}", figure_records(preset)
             yield "mc-check", [("mc-check",
