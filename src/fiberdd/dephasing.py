@@ -47,23 +47,27 @@ split at x0 = min(4, X):
 - between x0 and X, uniform panels no wider than pi (half the shortest
   period of Fh), whose Gauss-Kronrod nodes hold the values of Fh that
   ``segment_filter`` gave, cached per train.  A call weighs them by
-  x^-(2+alpha) once per train; the panels must meet sum(errors) <= 1e-8
-  sum(values), and only the panels whose error is above their equal
-  share of that are refined, each by an ``integrate_panels`` call of
-  its own.  The integrand is nonnegative, so that sum is a lower bound
-  on the low band of every length that spans [x0, X], and each such
-  length meets 1e-8 relative in x, hence after the L^(1+alpha) scale
-  the 1e-8 abs + 1e-8 rel that the low band met in w before.  Panels
-  that miss even after refinement flag those lengths unconverged.
+  x^-(2+alpha) in one Gauss-Kronrod pass per train, and the panels must
+  meet sum(errors) <= 1e-8 sum(values).  The integrand is nonnegative,
+  so that sum is a lower bound on the low band of every length that
+  spans [x0, X], and each such length meets 1e-8 relative in x, hence
+  after the L^(1+alpha) scale the 1e-8 abs + 1e-8 rel that the low
+  band met in w before.
 
-Rare lengths keep an integral of their own: where ir L >= x0 or
-uv L <= X, the part of [x0, X] inside [ir L, uv L] is one
-integrate_panels call over the grid points inside it, on the length's
-own train, to 1e-8 abs + 1e-8 rel in w, and where uv L < x0 the series
-runs from ir L to uv L.  An explicit train, built per call, lays its
-grid only up to the call's largest uv L, so a very short segment (X
-far above uv L) costs panels up to uv L only.  Where ir L >= X there
-is no low band and the pair terms are P(ir L) - P(uv L).
+Rare lengths keep a band of their own: where ir L >= x0 or uv L <= X,
+the part of [x0, X] inside [ir L, uv L] is one pass over a node table
+of the length's own, on the grid points inside it, to 1e-8 abs + 1e-8
+rel in w.  Where uv L < x0 the series runs from ir L to uv L.  An
+explicit train, built per call, lays its grid only up to the call's
+largest uv L, so a very short segment (X far above uv L) costs panels
+up to uv L only.  Where ir L >= X there is no low band and the pair
+terms are P(ir L) - P(uv L).
+
+One pass is all a panel gets: each is at most pi wide and at least 4
+from x = 0, the integrand's only singularity, so the 15-point rule
+converges geometrically on it (Trefethen, SIAM Rev. 50, 67 (2008)).  A
+band that misses is not refined; its lengths keep the first pass and
+are flagged unconverged.
 
 Both the series and P come from one table per train: its distinct
 separations d_s, integers s over a unit, each with its exact weight
@@ -116,8 +120,7 @@ import numpy as np
 
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
-from .quadrature import QuadratureError, integrate_panels, kronrod_nodes, \
-    kronrod_sums
+from .quadrature import QuadratureError, kronrod_nodes, kronrod_sums
 from .sequences import train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
@@ -418,11 +421,6 @@ class _Train:
             self._nodes = _node_table(self.gaps, self.mids, self.grid)
         return self._nodes
 
-    def integrand(self, alpha: float):
-        """x^-(2+alpha) Fh(x), from the train's own segments."""
-        return lambda x: segment_filter(self.gaps, self.mids, x) * x ** -(
-            alpha + 2.0)
-
 
 @lru_cache(maxsize=80)
 def _unit_train(n_pulses: int) -> _Train:
@@ -432,42 +430,41 @@ def _unit_train(n_pulses: int) -> _Train:
                   *_train_separations(n_pulses))
 
 
+def _first_pass(nodes, alpha: float):
+    """Gauss-Kronrod value and error of x^-(2+alpha) Fh on each panel of
+    a ``_node_table``."""
+    x, half, filt = nodes
+    return kronrod_sums(filt * x ** -(alpha + 2.0), half)
+
+
 def _upper(unit: _Train, alpha: float):
-    """int_x0^top of x^-(2+alpha) Fh over the panels of the train
-    ``unit``, weighed and refined as the module docstring says: its
-    value, error, panel count and convergence."""
-    x, half, filt = unit.nodes()
-    values, errors = kronrod_sums(filt * x ** -(alpha + 2.0), half)
+    """int_x0^top of x^-(2+alpha) Fh over the cached panels of the train
+    ``unit`` in one pass: its value, error, panel count and whether it
+    meets 1e-8 relative (see the module docstring)."""
+    values, errors = _first_pass(unit.nodes(), alpha)
     total, error = values.sum(), errors.sum()
-    tol = _LOW_TOL * total
-    panels, converged = values.size, True
-    if error > tol:
-        share = tol / values.size
-        for m in np.flatnonzero(errors > share).tolist():
-            # the missed panel becomes the panels of its own refinement
-            values[m], errors[m], count, ok = _integrate(
-                unit.integrand(alpha), unit.grid[m:m + 2], share, 0.0)
-            panels += count - 1
-            converged &= ok
-        total, error = values.sum(), errors.sum()
-    return total, error, panels, converged
+    return total, error, values.size, error <= _LOW_TOL * total
 
 
-def _integrate(fn, boundaries, atol: float, rtol: float):
-    """``integrate_panels`` as (value, error, panels, converged); a band
-    short of its tolerance gives its best estimate."""
-    try:
-        res = integrate_panels(fn, boundaries, atol=atol, rtol=rtol)
-    except QuadratureError as exc:
-        return exc.best_estimate, exc.error_estimate, exc.panels, False
-    return res.value, res.error, res.panels, True
+def _partial(unit: _Train, left: float, right: float, alpha: float):
+    """int_left^right of x^-(2+alpha) Fh for x0 <= left < right <= top,
+    in one pass over a node table of its own on the grid points of the
+    train ``unit`` inside: its value, error and panel count, each sum
+    over the panels in order (``np.add.reduceat``)."""
+    grid = unit.grid
+    values, errors = _first_pass(_node_table(
+        unit.gaps, unit.mids,
+        np.concatenate(([left], grid[(left < grid) & (grid < right)],
+                        [right]))), alpha)
+    return (np.add.reduceat(values, [0])[0], np.add.reduceat(errors, [0])[0],
+            values.size)
 
 
 class Overlaps(NamedTuple):
     """Per-length overlap integrals of one batch.
 
     ``value`` and ``error`` are f and its error estimate; a length whose
-    low-band quadrature did not converge keeps its best estimate and a
+    low band missed its tolerance keeps its first-pass estimate and a
     false ``converged`` flag.  ``panels`` counts low-band panels.
     """
 
@@ -484,8 +481,8 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     evolution).  Every length of one count uses that count's cached
     train, weighed by the spectrum's exponent, for its low band and its
     pair sums (see the module docstring).  Both are computed for unit
-    amplitude, so the refinement path never depends on the amplitude and
-    f stays exactly proportional to it.  A length's result does not
+    amplitude, so no convergence flag depends on the amplitude and f
+    stays exactly proportional to it.  A length's result does not
     depend on the other lengths of the batch, nor on what the cache held
     before, bit for bit.  The first length that is not positive and
     finite, or whose train it rounds together (subnormal lengths), raises
@@ -603,11 +600,11 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     _PAIR_ROUNDING times the summed term magnitudes as its error (where
     b < x0, less the series from b, which a second pass evaluates).
     Where a < x0 and top < b, [x0, top] is the train's ``_upper``, once
-    per call.  Elsewhere the part of [x0, top] inside [a, b] is one
-    ``integrate_panels`` call of the length's own, on the grid points
-    inside it and the train's ``integrand``, to 1e-8 relative and 1e-8
-    (L^-(1+alpha) + the series value) absolute less the series' error
-    (L^-(1+alpha) takes the absolute part from w to x units).
+    per call.  Elsewhere the part of [x0, top] inside [a, b] is the
+    length's own ``_partial``, and the length converges where its error
+    is at most 1e-8 (L^-(1+alpha) + its low band): 1e-8 abs + 1e-8 rel
+    in w, L^-(1+alpha) taking the absolute part to x units.  No band is
+    refined.
     """
     scales = np.array([_termwise(unit.series, unit.x0, alpha)[0]
                        for unit in trains]).take(which, axis=0)
@@ -637,18 +634,12 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     # lengths that meet [x0, top] without spanning it (spans implies meets)
     for i in ((lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist():
         unit = trains[which[i]]
-        grid = unit.grid
-        left, right = max(lo[i], unit.x0), min(hi[i], unit.top)
-        value, err, count, ok = _integrate(
-            unit.integrand(alpha),
-            np.concatenate(([left], grid[(left < grid) & (grid < right)],
-                            [right])),
-            _LOW_TOL * (lengths[i] ** -(1.0 + alpha) + low[i])
-            - error[i], _LOW_TOL)
+        value, err, panels[i] = _partial(unit, max(lo[i], unit.x0),
+                                         min(hi[i], unit.top), alpha)
         low[i] += value
         error[i] += err
-        panels[i] += count
-        converged[i] &= ok
+        converged[i] = error[i] <= _LOW_TOL * (
+            lengths[i] ** -(1.0 + alpha) + low[i])
     return low, error, converged, panels
 
 
@@ -665,8 +656,8 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     uv_cutoff * length.
 
     Returns f, or (f, error_estimate) when ``with_error`` is set.
-    Raises QuadratureError (best estimate of the whole band attached)
-    when the low-band quadrature does not converge.
+    Raises QuadratureError, with the first-pass estimate of the whole
+    band attached, when the low band misses its tolerance.
     """
     positions = np.asarray(positions, dtype=float)
     key = positions.size

@@ -64,7 +64,9 @@ class QuadratureResult:
 
 
 class QuadratureError(RuntimeError):
-    """Refinement exhausted the panel budget before reaching tolerance.
+    """Refinement exhausted the panel budget before reaching tolerance,
+    or a low band's one pass in ``dephasing.overlap_from_positions``
+    missed it.
 
     The best available estimate is carried along so callers can decide
     whether to reuse it (e.g. to mark a sweep point as unconverged) or

@@ -4,6 +4,7 @@ import functools
 import re
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import fiberdd.dephasing as dephasing
 import fiberdd.filters as filters
+import fiberdd.quadrature as quadrature
 from fiberdd.dephasing import (SpectralProfile, _tail, coherence_factor,
                                overlap_from_positions, overlap_integral,
                                train_overlaps)
@@ -163,37 +165,38 @@ def test_with_error_reports_converged_estimate():
     assert abs(f - riemann_overlap(Free(), spec, 2.0)) <= max(err * 10, 1e-6 * f)
 
 
-def _miss_first_pass(monkeypatch, panels=slice(None)):
-    """Make the upper panels ``panels`` (all by default) of every band
-    weighed from now on miss their first Gauss-Kronrod pass, so that
-    they go on to integrate_panels."""
+def _miss_first_pass(monkeypatch, inside=(0.0, np.inf)):
+    """Make every panel weighed from now on that lies inside the interval
+    ``inside`` (all by default) miss its Gauss-Kronrod pass, by an
+    infinite error; its value stays.  A pass finds its panels' nodes by
+    the half-width array of their node table, each kept alive here so
+    that no other array can take its identity."""
+    tables, node_table = [], dephasing._node_table
     sums = dephasing.kronrod_sums
+
+    def recorded(*args):
+        x, half, filt = node_table(*args)
+        tables.append((half, x))
+        return x, half, filt
 
     def missed(fx, half):
         values, errors = sums(fx, half)
-        errors[panels] = np.inf
+        x = next(x for kept, x in tables if kept is half)
+        errors[(x[:, 0] > inside[0]) & (x[:, -1] < inside[1])] = np.inf
         return values, errors
 
+    dephasing._unit_train.cache_clear()  # every node table is recorded
+    monkeypatch.setattr(dephasing, "_node_table", recorded)
     monkeypatch.setattr(dephasing, "kronrod_sums", missed)
 
 
 def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
-    # an unreachable tolerance exhausts the panel budget of the upper
-    # panels [x0, top]; the attached estimate still includes the series
-    # below x0 and the closed-form band above w_c
+    # upper panels [x0, top] that miss their one pass flag the length;
+    # the attached estimate still includes the series below x0 and the
+    # closed-form band above w_c
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     f = overlap_integral(SpinEcho(), spec, 5.0)
-    grouped = dephasing.integrate_panels
-    dephasing._unit_train.cache_clear()
     _miss_first_pass(monkeypatch)
-
-    def unreachable(fn, bands, **kwargs):
-        # no error estimate meets a negative tolerance, so every missed
-        # panel exhausts its budget
-        return grouped(fn, bands, **{**kwargs, "atol": -1.0, "rtol": 0.0,
-                                     "max_panels": 64})
-
-    monkeypatch.setattr(dephasing, "integrate_panels", unreachable)
     with pytest.raises(QuadratureError) as info:
         overlap_integral(SpinEcho(), spec, 5.0)
     assert info.value.best_estimate == pytest.approx(f, rel=1e-12)
@@ -328,22 +331,16 @@ def test_batch_matches_each_length_alone(seq, alpha, band):
 
 
 def test_unconverged_length_is_isolated_in_batch(monkeypatch):
-    # at L = 0.1, uv L = 10 lies below top = 4 pi, so [x0, uv L] goes to
-    # integrate_panels; that band gets an unreachable tolerance and a
-    # budget of 4, so it alone runs out of panels; every other length
-    # converges untouched
+    # at L = 0.1, uv L = 10 lies below top = 4 pi, so [x0, uv L] takes a
+    # node table of its own; its last panel, [9.7, 10], which no other
+    # length's panels fit inside, misses, so that length alone is flagged
+    # and every other length converges untouched
     spec = NoiseSpectrum(0.3, 1.0, 1e-3, 100.0)
     lengths = np.array([0.5, 2.0, 0.1, 4.0])
-    original = dephasing.integrate_panels
     end = spec.uv_cutoff * 0.1
-
-    def starved(fn, band, **kwargs):
-        if band[-1] != end:
-            return original(fn, band, **kwargs)
-        return original(fn, band, **{**kwargs, "atol": -1.0,
-                                     "max_panels": 4})
-
-    monkeypatch.setattr(dephasing, "integrate_panels", starved)
+    grid = dephasing._unit_train(2).grid
+    assert grid[-2] < end < grid[-1]
+    _miss_first_pass(monkeypatch, (grid[-2], end))
     batch = train_overlaps(np.full(lengths.size, 2), spec, lengths)
     with pytest.raises(QuadratureError) as info:
         overlap_from_positions(train(2, lengths[2]), spec, lengths[2])
@@ -355,7 +352,8 @@ def test_unconverged_length_is_isolated_in_batch(monkeypatch):
             train(2, lengths[i]), spec, lengths[i])
     assert batch.value[2] == info.value.best_estimate
     assert batch.error[2] == info.value.error_estimate
-    assert batch.panels[2] == info.value.panels >= 4
+    # the length's first-pass panels: those of grid points 4, ..., 9.7, 10
+    assert batch.panels[2] == info.value.panels == grid.size - 1
     assert "overlap integral at length 0.1" in str(info.value)
 
 
@@ -438,27 +436,15 @@ def test_length_does_not_depend_on_cache_state(seq):
 
 
 def test_starved_run_leaves_no_trace_in_the_cache(monkeypatch):
-    # upper panels that miss their share on the first pass (all of them,
-    # under a tolerance of 1e-300) are refined through integrate_panels;
-    # starved there, they are flagged and never kept, so a clean run
-    # afterwards gets the cold-cache bits
+    # under a tolerance of 1e-300 every band misses on its one pass and
+    # is flagged; nothing of that run is kept, so a clean run afterwards
+    # gets the cold-cache bits
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     lengths = np.array([0.05, 1.0, 30.0])
     clean = _fresh(CpmgCount(3), spec, lengths)
-    original = dephasing.integrate_panels
-    calls = []
-
-    def starved(fn, band, **kwargs):
-        calls.append(band)
-        return original(fn, band, **{**kwargs, "atol": -1.0,
-                                     "max_panels": 2})
-
-    monkeypatch.setattr(dephasing, "integrate_panels", starved)
     monkeypatch.setattr(dephasing, "_LOW_TOL", 1e-300)
     bad = _fresh(CpmgCount(3), spec, lengths)
     monkeypatch.undo()
-    # one refinement per upper panel
-    assert len(calls) == dephasing._unit_train(3).grid.size - 1
     assert not bad.converged.any()
     again = train_overlaps([3] * lengths.size, spec, lengths)
     for got, want in zip(again, clean):
@@ -516,8 +502,8 @@ TOLERANCE_SEQUENCES = [Free(), SpinEcho(), CpmgCount(3), CpmgCount(64),
 @pytest.mark.parametrize("seq", TOLERANCE_SEQUENCES,
                          ids=lambda seq: repr(seq))
 def test_each_length_meets_the_low_band_tolerance(seq, alpha):
-    # the low band of every length, in the unit-amplitude w units that
-    # integrate_panels checks it in, meets 1e-8 abs + 1e-8 rel, and f
+    # the low band of every length, in the unit-amplitude w units of its
+    # tolerance, meets 1e-8 abs + 1e-8 rel, and f
     # matches the full-band oracle wherever that is cheap
     lengths = np.array([0.05, 1.0, 7.3, 30.0])
     counts = _counts(seq, lengths)
@@ -599,55 +585,83 @@ def test_train_overlaps_rejects_bad_counts(pulses):
         train_overlaps(pulses, spec, [1.0, 2.0])
 
 
-def _counting_panels(monkeypatch):
-    """Record the keyword arguments of every integrate_panels call."""
-    calls = []
-    original = dephasing.integrate_panels
-
-    def counted(fn, band, **kwargs):
-        calls.append(kwargs)
-        return original(fn, band, **kwargs)
-
-    monkeypatch.setattr(dephasing, "integrate_panels", counted)
-    return calls
-
-
-def test_converged_upper_panels_skip_integrate_panels(monkeypatch):
-    # a cold band takes its upper panels from one Gauss-Kronrod pass over
-    # the cached filter nodes; routed through integrate_panels instead,
-    # each panel converges on that same pass and gives the same bits
-    spec = NoiseSpectrum(0.008, 1.2, 1e-3, 1e3)
-    positions = train(4, 7.3)
-    dephasing._unit_train.cache_clear()
-    calls = _counting_panels(monkeypatch)
-    direct = overlap_from_positions(positions, spec, 7.3, with_error=True)
-    assert calls == []
-    dephasing._unit_train.cache_clear()
-    _miss_first_pass(monkeypatch)
-    routed = overlap_from_positions(positions, spec, 7.3, with_error=True)
-    assert len(calls) == dephasing._unit_train(4).grid.size - 1
-    assert routed == direct
-
-
-def test_missed_upper_panel_is_refined_to_its_share(monkeypatch):
-    # an upper panel that misses its first pass is refined by
-    # integrate_panels to its equal share of the band's tolerance:
-    # 1e-8 S / n absolute and no relative part, with S the first-pass
-    # sum of the n panels
-    spec = NoiseSpectrum(0.008, 0.8, 1e-3, 1e3)
-    lengths = np.array([0.7, 3.0, 30.0])
-    want = _fresh(CpmgCount(2), spec, lengths)
-    calls = _counting_panels(monkeypatch)
-    _miss_first_pass(monkeypatch, 1)
-    got = _fresh(CpmgCount(2), spec, lengths)
+@pytest.mark.parametrize("band,lengths", [
+    # uv L = 3 (series only), 8 (ends in panel 1), 11 (ends inside panel
+    # 2), 15 (holds panel 2 whole) and 30 (spans [x0, top])
+    ((1e-3, 10.0), [0.3, 0.8, 1.1, 1.5, 3.0]),
+    # ir L = 11 (starts inside panel 2), 14 (starts past it) and 20
+    # (past top: no low band)
+    ((1.0, 100.0), [11.0, 14.0, 20.0]),
+], ids=["uv-clipped", "ir-clipped"])
+def test_missed_panel_flags_exactly_the_lengths_that_hold_it(monkeypatch,
+                                                             band, lengths):
+    # CPMG N = 3 has panels between 4, 6.97, 9.94, 12.91, 15.88 and
+    # 6 pi; panel 2, [9.94, 12.91], misses its one pass wherever a band
+    # holds it or part of it: exactly those lengths are flagged, with
+    # their first-pass values, and every other length keeps its bits
+    spec = NoiseSpectrum(0.008, 0.8, *band)
+    lengths = np.array(lengths)
+    want = _fresh(CpmgCount(3), spec, lengths)
+    assert want.converged.all()
+    unit = dephasing._unit_train(3)
+    lo, hi = spec.ir_cutoff * lengths, spec.uv_cutoff * lengths
+    holds = (np.maximum(lo, unit.x0) < unit.grid[3]) & (
+        np.minimum(hi, unit.top) > unit.grid[2])
+    _miss_first_pass(monkeypatch, unit.grid[2:4])
+    got = _fresh(CpmgCount(3), spec, lengths)
     monkeypatch.undo()
-    [kwargs] = calls
-    x, half, filt = dephasing._unit_train(2).nodes()
-    values, _ = dephasing.kronrod_sums(filt * x ** -2.8, half)
-    assert kwargs["atol"] == 1e-8 * values.sum() / values.size
-    assert kwargs["rtol"] == 0.0
-    for part, reference in zip(got, want):
-        assert np.array_equal(part, reference)
+    assert np.array_equal(got.converged, ~holds)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.panels, want.panels)
+    assert np.array_equal(got.error[~holds], want.error[~holds])
+    assert (got.error[holds] == np.inf).all()
+
+
+def _margin_trains():
+    """Seeded explicit trains in units of their length: four clustered,
+    their pulses within 1e-8 to 1e-1 of a centre, and four uniform ones
+    with one more pulse 1e-10 to 1e-4 past their first."""
+    rng = np.random.default_rng(2008)
+    trains = []
+    for k in range(8):
+        n = int(rng.integers(2, 10))
+        if k % 2:
+            pos = rng.uniform(0.05, 0.95, n)
+            pos = np.append(pos, pos.min() + 10.0 ** rng.uniform(-10, -4))
+        else:
+            pos = rng.uniform(0.1, 0.9) + 10.0 ** rng.uniform(-8, -1) * (
+                rng.uniform(-1.0, 1.0, n))
+        trains.append(check_positions(np.sort(pos), 1.0))
+    return trains
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_first_pass_error_is_within_a_tenth_of_its_tolerance(monkeypatch,
+                                                             alpha):
+    # no band is refined, so its one Gauss-Kronrod pass must meet its
+    # tolerance; every spanning and partial band of train(N) and of the
+    # seeded clustered and tiny-gap trains meets a tenth of it (the
+    # largest seen over wider draws was 0.043, a clustered train at
+    # alpha = 2), so a length converges at a tenth of _LOW_TOL
+    monkeypatch.setattr(dephasing, "_LOW_TOL", dephasing._LOW_TOL / 10)
+    bands = Counter()
+    for name in ("_upper", "_partial"):
+        def counted(*args, _band=getattr(dephasing, name), _name=name):
+            bands[_name] += 1
+            return _band(*args)
+        monkeypatch.setattr(dephasing, name, counted)
+    # on (1, 10), ir L >= x0 = 4 from L = 4 on: bands clipped below
+    lengths = np.geomspace(1e-3, 50.0, 9)
+    for band in [(1e-3, 1e3), (1.0, 10.0)]:
+        spec = NoiseSpectrum(1.0, alpha, *band)
+        for n in [*range(9), 16, 64, 128, 256]:
+            assert train_overlaps([n] * lengths.size, spec,
+                                  lengths).converged.all()
+        for positions in _margin_trains():
+            for length in (0.01, 0.3, 5.0):  # QuadratureError on a miss
+                overlap_from_positions(positions * length, spec, length)
+    # 17 spanning passes (one per train and call) and 83 partial bands
+    assert bands["_upper"] >= 15 and bands["_partial"] >= 75, bands
 
 
 def test_single_and_multi_band_batches_agree_bitwise():
@@ -669,11 +683,17 @@ def test_single_and_multi_band_batches_agree_bitwise():
     (NoiseSpectrum(0.008, 0.6, 1.0, 100.0), [2, 8, 5, 8],
      [4.5, 5.0, 6.0, 0.3]),
 ])
-def test_partial_low_bands_of_mixed_counts_match_lone_calls(spec, pulses,
-                                                            lengths):
+def test_partial_low_bands_of_mixed_counts_match_lone_calls(monkeypatch, spec,
+                                                            pulses, lengths):
     # lengths whose band only partly covers [x0, top] integrate their
     # part on their own train's segments; in a batch of mixed pulse
-    # counts each row keeps the bits of its lone cold call
+    # counts each row keeps the bits of its lone cold call, and no band,
+    # spanning or partial, goes to the adaptive quadrature
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrate_panels called")
+
+    monkeypatch.setattr(quadrature, "integrate_panels", unreachable)
     dephasing._unit_train.cache_clear()
     batch = train_overlaps(pulses, spec, lengths)
     assert batch.converged.all()

@@ -22,7 +22,6 @@ overlap integral did for them:
   evaluated for the low band;
 - ``points x segments``: the same, times the segments of the filter
   table each point was evaluated on (padded columns included);
-- ``integrate_panels calls``: calls of the adaptive quadrature;
 - ``_tail arguments``: arguments of the pair-sum tail integral K;
 - ``K near-branch arguments``: those of them below 4, which K sums as
   the free train's power series (``_series`` inside ``_tail``);
@@ -32,27 +31,26 @@ overlap integral did for them:
 - ``series evaluations (lengths)``: lengths whose low band below x0 was
   summed from the filter's power series: the rows of ``_series`` less
   the K near-branch arguments;
+- ``partial-band lengths``: lengths whose band [ir L, uv L] clips the
+  panels between x0 and top, each integrating its part over a node
+  table of its own (``_partial``);
 - ``trains built``: ``_Train`` objects made, one per pulse count that a
   call needed and the cache did not hold, or per explicit train;
 - ``node tables built``: filter tables at the Kronrod nodes of the
-  panels between x0 and top (``_node_table``), with the pulse counts
-  they were built for;
+  panels between x0 and top (``_node_table``), a partial-band length's
+  own included, with the pulse counts they were built for;
 - ``alpha reweightings`` and ``reweighted panels``: weighings of a
-  cached node table by one exponent (``kronrod_sums`` as
-  ``fiberdd.dephasing`` binds it), each a Gauss-Kronrod first pass
-  without refinement, and the panels they sum;
-- ``panels refined``: cached panels that missed their first pass and
-  went to ``integrate_panels``, told apart from a length's own part of
-  the band by their zero relative tolerance;
+  node table by one exponent (``kronrod_sums`` as ``fiberdd.dephasing``
+  binds it), each the one Gauss-Kronrod pass its panels get, and the
+  panels they sum;
 - ``curve calls by pulse-count groups``: curve calls counted by their
   number of distinct pulse counts.
 
 All but the first four and the last are counted by wrapping names of
-``fiberdd.dephasing`` (``integrate_panels`` evaluates its own panels
-through ``fiberdd.quadrature``, which no wrapper sees), so two
-checkouts can be compared line by line.  A name a checkout does not
-bind counts 0, and is listed on a last ``not bound`` line so that a 0
-from a renamed function is not read as no work.  The wall time of the
+``fiberdd.dephasing``, so two checkouts can be compared line by line.
+A name a checkout does not bind counts 0, and is listed on a last
+``not bound`` line so that a 0 from a renamed function is not read as
+no work.  The wall time of the
 whole run is printed before it; it is one run, not a benchmark.
 """
 
@@ -105,9 +103,6 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
         tables.add(gaps.shape[0] - 1)
         return 1
 
-    def refined(fn, band, **kwargs):
-        return int(kwargs.get("rtol") == 0.0)
-
     def pair_terms(x, which, pairs, *args):
         sizes = [entry[-1].size for entry in pairs]
         return sum(sizes[g] for g in which.tolist())
@@ -120,7 +115,6 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
     count(evolution, "overlap_from_positions", "probe overlap calls")
     count(evolution, "refine_esd", "death lengths refined")
     count(dephasing, "segment_filter", "integrand points", filter_points)
-    count(dephasing, "integrate_panels", "integrate_panels calls")
     count(dephasing, "_tail", "_tail arguments", lambda x, *args: x.size)
     count(dephasing, "_tail", "K near-branch arguments",
           lambda x, *args: int((x < 4.0).sum()))
@@ -131,7 +125,7 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
     count(dephasing, "kronrod_sums", "alpha reweightings")
     count(dephasing, "kronrod_sums", "reweighted panels",
           lambda fx, *args: fx.shape[0])
-    count(dephasing, "integrate_panels", "panels refined", refined)
+    count(dephasing, "_partial", "partial-band lengths")
     task_list = tasks.task_list("sweep", seed, ROUNDS)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -169,12 +163,11 @@ def main(argv: list[str]) -> int:
     for name in ("curve overlap calls", "probe overlap calls",
                  "death lengths refined", "probes per death length",
                  "integrand points", "points x segments",
-                 "integrate_panels calls", "_tail arguments",
-                 "K near-branch arguments", "pair terms summed",
-                 "series evaluations (lengths)",
-                 "trains built", "node tables built",
+                 "_tail arguments", "K near-branch arguments",
+                 "pair terms summed", "series evaluations (lengths)",
+                 "partial-band lengths", "trains built", "node tables built",
                  "node table pulse counts", "alpha reweightings",
-                 "reweighted panels", "panels refined",
+                 "reweighted panels",
                  "curve calls by pulse-count groups"):
         print(f"{name} = {counts[name]}")
     print(f"wall_s = {seconds:.3f}")
