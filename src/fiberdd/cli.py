@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 import numpy as np
@@ -55,13 +56,29 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s own flags and mode, less O_TRUNC: a file that exists is
+    written over from its start, keeping its inode, links and mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_csv(path: str, comments: list[str], header: str, rows,
                template: str) -> None:
     """The comment lines, the header and one line per row, each row
-    formatted by ``template`` in one pass."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    formatted by ``template`` in one pass.
+
+    A regular file is rewritten in place and then cut to the length
+    written, which costs far less than truncating it to zero first (on
+    ext4 that starts a writeback at close).  Until the cut, and after a
+    failed write, it may end in the old file's tail.  Devices and FIFOs
+    are written as ``open(path, "w")`` writes them.  Nothing is fsynced.
+    """
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=_open_in_place) as fh:
         fh.write("".join(line + "\n" for line in [*comments, header]))
         fh.write("".join(template % tuple(row) for row in rows))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _resolve(args, overrides: dict | None = None) -> cfg.SimulationConfig:

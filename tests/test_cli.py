@@ -95,6 +95,79 @@ def test_simulate_reports_io_error(tmp_path, capsys):
     assert "i/o error" in stderr
 
 
+SHORT_SIMULATE = ("simulate", "--length-max", "4", "--grid-points", "8")
+STALE = b"stale,bytes\n" * 10_000
+
+
+def bytes_without_out_line(path):
+    """A CSV's lines, empty last one included, less the '# out = ' line
+    that names the path."""
+    return [line for line in path.read_bytes().split(b"\n")
+            if not line.startswith(b"# out = ")]
+
+
+def test_simulate_rewrites_a_longer_file_to_its_new_bytes(tmp_path, capsys):
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_bytes(STALE)
+    assert run_cli(capsys, *SHORT_SIMULATE, "--out", str(fresh))[0] == 0
+    assert run_cli(capsys, *SHORT_SIMULATE, "--out", str(old))[0] == 0
+    assert bytes_without_out_line(old) == bytes_without_out_line(fresh)
+    assert old.stat().st_size < len(STALE)
+    # a new file gets the mode open(path, "w") gives it
+    plain = tmp_path / "plain.csv"
+    plain.open("w").close()
+    assert fresh.stat().st_mode == plain.stat().st_mode
+
+
+def test_figure_rewrites_a_longer_file_to_its_new_bytes(tmp_path, capsys):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    old.mkdir()
+    (old / "fig2b.csv").write_bytes(STALE)
+    argv = ("figure", "fig2b", "--length-max", "20", "--grid-points", "10")
+    assert run_cli(capsys, *argv, "--out", str(fresh))[0] == 0
+    assert run_cli(capsys, *argv, "--out", str(old))[0] == 0
+    assert bytes_without_out_line(old / "fig2b.csv") == \
+        bytes_without_out_line(fresh / "fig2b.csv")
+
+
+def test_symlinked_out_stays_a_link_to_the_new_bytes(tmp_path, capsys):
+    fresh, target, link = (tmp_path / name
+                           for name in ("fresh.csv", "target.csv", "link.csv"))
+    target.write_bytes(STALE)
+    link.symlink_to(target)
+    assert run_cli(capsys, *SHORT_SIMULATE, "--out", str(fresh))[0] == 0
+    assert run_cli(capsys, *SHORT_SIMULATE, "--out", str(link))[0] == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert bytes_without_out_line(target) == bytes_without_out_line(fresh)
+
+
+def test_rewritten_file_keeps_its_mode_inode_and_hard_links(tmp_path, capsys):
+    out, twin = tmp_path / "run.csv", tmp_path / "twin.csv"
+    out.write_bytes(STALE)
+    out.chmod(0o640)
+    os.link(out, twin)
+    before = out.stat()
+    assert run_cli(capsys, *SHORT_SIMULATE, "--out", str(out))[0] == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+    assert after.st_mode & 0o777 == 0o640
+    assert twin.read_bytes() == out.read_bytes()
+    assert after.st_size < len(STALE)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_simulate_writes_to_dev_null(capsys):
+    code, stdout, _ = run_cli(capsys, *SHORT_SIMULATE, "--out", "/dev/null")
+    assert code == 0
+    assert "csv = /dev/null" in stdout
+
+
+def test_out_naming_a_directory_is_an_io_error(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, *SHORT_SIMULATE, "--out", str(tmp_path))
+    assert code == 4
+    assert "i/o error" in stderr
+
+
 def test_figure_fig2b_series(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys, "figure", "fig2b", "--length-max", "20",
