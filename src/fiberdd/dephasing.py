@@ -597,8 +597,9 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
 
     Below x0 it is one ``_series`` pass over every length, each with its
     train's ``_termwise`` weights, with a rounding bound of
-    _PAIR_ROUNDING times the summed term magnitudes as its error (where
-    b < x0, less the series from b, which a second pass evaluates).
+    _PAIR_ROUNDING times the summed term magnitudes as its error; where
+    b < x0 the series runs from a to b, its weights anchored at b, so no
+    two series from x0 cancel.
     Where a < x0 and top < b, [x0, top] is the train's ``_upper``, once
     per call.  Elsewhere the part of [x0, top] inside [a, b] is the
     length's own ``_partial``, and the length converges where its error
@@ -609,15 +610,18 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     scales = np.array([_termwise(unit.series, unit.x0, alpha)[0]
                        for unit in trains]).take(which, axis=0)
     _, decay, log_term = _term_exponents(_TAIL_X0, alpha)  # alpha's alone
-    # a series from x0 has no terms: a >= x0 contributes exactly 0
-    low, error = _series(np.log(x0 / np.minimum(lo, x0)), scales, decay,
-                         log_term)
-    short = hi < x0  # [a, b] is [a, x0] less [b, x0]
+    short = hi < x0
     if short.any():
-        cut, cut_error = _series(np.log(x0[short] / hi[short]), scales[short],
-                                 decay, log_term)
-        low[short] -= cut
-        error[short] += cut_error
+        # [a, b] inside [0, x0] is one series anchored at b: term m's
+        # factor x0^e/e becomes b^e/e, and the log term stays ln(b/a)
+        anchor = (hi[short] / x0[short])[:, None] ** -decay
+        if log_term is not None:
+            anchor[:, log_term] = 1.0
+        scales[short] *= anchor
+    end = np.minimum(hi, x0)
+    # a series from x0 has no terms: a >= x0 contributes exactly 0
+    low, error = _series(np.log(end / np.minimum(lo, end)), scales, decay,
+                         log_term)
     spans = (lo < x0) & (top < hi)
     needs = np.bincount(which[spans], minlength=len(trains)).tolist()
     # each length's (value, error, panels, converged), as floats; a train

@@ -1,6 +1,7 @@
 """Reference implementations the production routes are checked against."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -183,3 +184,35 @@ def exact_train_bounds(n_pulses):
     n_pulses as exact rationals."""
     return [Fraction(0)] + [Fraction(2 * k - 1, 2 * n_pulses)
                             for k in range(1, n_pulses + 1)] + [Fraction(1)]
+
+
+@cache
+def _exact_train_series(n_pulses):
+    """``exact_filter_series`` of the unit ``train`` of n_pulses, 40 terms."""
+    bounds = (exact_train_bounds(n_pulses) if n_pulses
+              else [Fraction(0), Fraction(1)])
+    return exact_filter_series(bounds, 40)
+
+
+def short_band_overlap(n_pulses, spectrum, length, digits=40):
+    """f(L) of ``train(n_pulses, L)`` where uv L lies below the series
+    split x0, so the whole band [ir L, uv L] is the filter's power series:
+    f = (A/pi) L^(1+alpha) sum_m f_m (b^e - a^e)/e, e = 2m - 1 - alpha
+    (f_m ln(b/a) at e = 0), over the 40 exact coefficients of
+    ``exact_filter_series``, summed in mpmath at ``digits`` digits."""
+    import mpmath
+
+    coefficients = _exact_train_series(n_pulses)
+    with mpmath.workdps(digits):
+        alpha = mpmath.mpf(spectrum.exponent)
+        L = mpmath.mpf(length)
+        a = mpmath.mpf(spectrum.ir_cutoff) * L
+        b = mpmath.mpf(spectrum.uv_cutoff) * L
+        total = mpmath.mpf(0)
+        for m, coefficient in enumerate(coefficients[1:], start=1):
+            e = 2 * m - 1 - alpha
+            term = mpmath.log(b / a) if e == 0 else (b ** e - a ** e) / e
+            total += mpmath.mpf(coefficient.numerator) / \
+                coefficient.denominator * term
+        return float(mpmath.mpf(spectrum.amplitude) / mpmath.pi
+                     * L ** (1 + alpha) * total)

@@ -26,7 +26,7 @@ from fiberdd.filters import check_positions
 from oracles import (exact_filter_series, exact_pair_weights,
                      exact_train_bounds, first_error, full_band_overlap,
                      grouped_pair_sum_half, pair_sum_half, pair_terms,
-                     tail_oracle)
+                     short_band_overlap, tail_oracle)
 
 
 def riemann_overlap(seq, spec, length, panels=1_000_000):
@@ -826,6 +826,25 @@ def test_train_separations_are_the_exact_grouping(pulses):
         exact_train_bounds(pulses)).items() if w)
     assert [(Fraction(s, unit), w) for s, w in zip(steps, weights)] == want
     assert len(steps) == max(1, 2 * pulses)
+
+
+@pytest.mark.parametrize("pulses", [0, 1, 2, 16, 64])
+@pytest.mark.parametrize("band", [(1e-3, 1.0), (1.0, 10.0)])
+def test_short_band_matches_exact_series(pulses, band):
+    # where uv L < x0 the whole band is the series from ir L to uv L; as
+    # the difference of two series from x0 it lost up to all its digits
+    # (f = 0 exactly, flagged converged, at 835 of 13,000 such lengths)
+    pytest.importorskip("mpmath")
+    x0 = dephasing._unit_train(pulses).x0
+    lengths = np.geomspace(1e-4, 3.0, 12)
+    lengths = lengths[band[1] * lengths < x0]
+    for alpha in (0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0):
+        spec = NoiseSpectrum(0.008, alpha, *band)
+        got = train_overlaps([pulses] * lengths.size, spec, lengths)
+        want = [short_band_overlap(pulses, spec, length)
+                for length in lengths]
+        assert got.converged.all()
+        np.testing.assert_allclose(got.value, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("pulses", SERIES_COUNTS)
