@@ -149,3 +149,50 @@ def test_train_overlap_scales_with_length_and_band(seq, alpha):
             c * lengths).value
         np.testing.assert_allclose(scaled, c ** (1.0 + alpha) * base,
                                    rtol=1e-13, atol=0.0)
+
+
+# 1 +- 1e-9 is where _term_exponents switches the series term of e = 0 to
+# its log form; 0 and 2 are the ends of the exponent's range.
+EDGE_EXPONENTS = (0.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9)
+
+
+@st.composite
+def count_batches(draw, max_pulses=16):
+    """A band and a batch of (pulse count, length) rows, uv L spread
+    over 1e-3..1e3, the first row a short band (uv L below x0)."""
+    ir = draw(st.floats(1e-3, 1.0))
+    uv = min(ir * draw(st.floats(2.0, 1e4)), 1e3)
+    # uv L of the first row: a decade, then 1..3 times it (3 < x0)
+    short = draw(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0])) * \
+        draw(st.floats(1.0, 3.0))
+    logs = draw(st.lists(st.floats(-3.0, 3.0), max_size=3))
+    uv_lengths = np.array([short] + [10.0 ** x for x in logs])
+    pulses = draw(st.lists(st.integers(0, max_pulses),
+                           min_size=uv_lengths.size,
+                           max_size=uv_lengths.size))
+    return ir, uv, pulses, uv_lengths / uv
+
+
+@PROPERTY
+@given(count_batches(), st.sampled_from(EDGE_EXPONENTS),
+       st.integers(-20, 20))
+def test_edge_exponents_give_finite_batch_independent_overlaps(batch, alpha,
+                                                               power):
+    ir, uv, pulses, lengths = batch
+
+    def f(amplitude, exponent, rows):
+        spec = NoiseSpectrum(amplitude, exponent, ir, uv)
+        return train_overlaps([pulses[i] for i in rows], spec,
+                              lengths[rows]).value
+
+    every = np.arange(lengths.size)
+    values = f(1.0, alpha, every)
+    assert np.isfinite(values).all() and (values >= 0.0).all()
+    assert f(2.0 ** power, alpha, every).tolist() == \
+        (values * 2.0 ** power).tolist()
+    assert values.tolist() == [f(1.0, alpha, [i])[0] for i in every]
+    if alpha not in (0.0, 2.0):
+        # f moves by |d ln f / d alpha| 1e-9, at most |ln x| 1e-9 over
+        # the band's x = w L, far below 1e-7 here
+        flat = f(1.0, 1.0, every)
+        assert np.abs(values / flat - 1.0).max() <= 1e-7
