@@ -6,7 +6,7 @@ from math import factorial
 
 import numpy as np
 
-from fiberdd.dephasing import _Train, _separations, _tail
+from fiberdd.dephasing import _SERIES_TERMS, _Train, _separations, _tail
 from fiberdd.evolution import concurrence_at
 from fiberdd.filters import filter_generic
 from fiberdd.quadrature import band_boundaries, integrate_panels
@@ -188,17 +188,16 @@ def exact_train_bounds(n_pulses):
 
 @cache
 def _exact_train_series(n_pulses):
-    """``exact_filter_series`` of the unit ``train`` of n_pulses, 40 terms."""
-    bounds = (exact_train_bounds(n_pulses) if n_pulses
-              else [Fraction(0), Fraction(1)])
-    return exact_filter_series(bounds, 40)
+    """``exact_filter_series`` of the unit ``train`` of n_pulses, with
+    the production series' number of terms."""
+    return exact_filter_series(exact_train_bounds(n_pulses), _SERIES_TERMS)
 
 
 def short_band_overlap(n_pulses, spectrum, length, digits=40):
     """f(L) of ``train(n_pulses, L)`` where uv L lies below the series
     split x0, so the whole band [ir L, uv L] is the filter's power series:
     f = (A/pi) L^(1+alpha) sum_m f_m (b^e - a^e)/e, e = 2m - 1 - alpha
-    (f_m ln(b/a) at e = 0), over the 40 exact coefficients of
+    (f_m ln(b/a) at e = 0), over the exact coefficients of
     ``exact_filter_series``, summed in mpmath at ``digits`` digits."""
     import mpmath
 

@@ -26,6 +26,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import statistics
 import sys
 import tempfile
 import time
@@ -37,8 +38,8 @@ REPEATS = 5
 
 
 def load_package(root: Path, name: str):
-    """The ``fiberdd`` of the checkout at ``root``, imported as ``name``,
-    and its ``cli`` module."""
+    """The ``cli`` module of the checkout at ``root``, whose ``fiberdd``
+    is imported as ``name``."""
     package = root / "src" / "fiberdd"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py",
@@ -67,15 +68,6 @@ def run_once(cli, argv: list[str]):
         code = cli.main(argv)
         elapsed = time.perf_counter() - start
     return elapsed, code, out.getvalue()
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The q-quantile of ``values`` by linear interpolation."""
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def main(argv: list[str]) -> int:
@@ -118,11 +110,11 @@ def main(argv: list[str]) -> int:
           f"rounds 0-{TASK_ROUNDS - 1}), best of {REPEATS} per task")
     for label, root, mine in zip("AB", roots, best):
         ms = [t * 1e3 for t in mine]
-        print(f"{label} {root}: mean {sum(ms) / len(ms):.3f} ms, "
-              f"p50 {percentile(ms, 0.5):.3f} ms, "
-              f"p90 {percentile(ms, 0.9):.3f} ms")
+        deciles = statistics.quantiles(ms, n=10, method="inclusive")
+        print(f"{label} {root}: mean {statistics.fmean(ms):.3f} ms, "
+              f"p50 {deciles[4]:.3f} ms, p90 {deciles[8]:.3f} ms")
     ratios = [b / a for a, b in zip(*best)]
-    print(f"median per-task ratio B/A = {percentile(ratios, 0.5):.3f}")
+    print(f"median per-task ratio B/A = {statistics.median(ratios):.3f}")
     print(f"exit code, stdout and CSV bytes agree on {agree} of "
           f"{len(work)} tasks")
     return 0
