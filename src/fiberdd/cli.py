@@ -89,14 +89,14 @@ def _resolve(args, overrides: dict | None = None) -> cfg.SimulationConfig:
 
 
 def _print_resolved(lines: list[str]) -> None:
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
 
 
 def _curve_rows(curve) -> list:
-    """The curve's (L, f_L, gamma, concurrence) rows as Python floats."""
-    return np.column_stack((curve.lengths, curve.overlap, curve.gamma,
-                            curve.concurrence)).tolist()
+    """The curve's (L, f_L, gamma, concurrence) rows, tuples of Python
+    floats."""
+    return list(zip(curve.lengths.tolist(), curve.overlap.tolist(),
+                    curve.gamma.tolist(), curve.concurrence.tolist()))
 
 
 def _cmd_simulate(args) -> int:
@@ -204,7 +204,11 @@ def _cmd_mc_check(args) -> int:
     try:
         positions = seq.positions(length)
     except SequenceDegenerateError as exc:
-        raise cfg.ConfigError(f"sequence: {exc}") from exc
+        # round(density * length) is 0 up to density * length = 0.5
+        raise cfg.ConfigError(
+            f"sequence: density {seq.density} places no pulse at length "
+            f"{length}; use --sequence free, or a --density above "
+            f"{0.5 / length:g} (0.5 / --length-max)") from exc
 
     settings = McSettings(trials=config.trials, seed=config.seed,
                           resolution=auto_resolution(positions, length,
@@ -242,9 +246,10 @@ def _cmd_validate_config(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every ``main`` call can reuse it."""
+def _build_parser():
+    """The argument parser and its subcommands' parsers by name, built
+    once per process: parsing leaves them unchanged, so every ``main``
+    call can reuse them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key = value config file; flags override it")
@@ -298,12 +303,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-config", parents=[common],
                        help="resolve and validate, then exit")
     p.set_defaults(handler=_cmd_validate_config)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args(argv)`` of the parser, without the top-level pass.
+
+    The top-level parser hands every argument after the subcommand's
+    name to that subcommand's parser and adds ``command``, so that
+    parser runs on them directly.  Arguments it leaves over, and an
+    argv that does not start with a subcommand's name, go through the
+    top-level parser, whose messages and exits they get."""
+    parser, subcommands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in subcommands:
+        args, extras = subcommands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

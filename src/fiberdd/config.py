@@ -15,7 +15,8 @@ import numpy as np
 
 from .dephasing import X_MIN, SpectralProfile, max_length
 from .noise import NoiseSpectrum
-from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho
+from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho, \
+    is_finite
 from .states import TwoQubitXState, read_key_values, resolve_state
 
 # Default noise amplitude, calibrated so that free evolution of the
@@ -128,7 +129,7 @@ def build_runtime(config: SimulationConfig):
         # a state file reports each bad line on a line of its own
         problems.extend(f"state: {line}" for line in str(exc).splitlines())
 
-    if not (np.isfinite(config.length_max) and config.length_max > 0.0):
+    if not (is_finite(config.length_max) and config.length_max > 0.0):
         problems.append(f"length_max: must be positive, got {config.length_max}")
     elif spectrum is not None and not (
             config.length_max <= (limit := max_length(spectrum))):

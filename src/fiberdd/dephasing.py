@@ -121,7 +121,7 @@ import numpy as np
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError, kronrod_nodes, kronrod_sums
-from .sequences import train
+from .sequences import is_finite, train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
@@ -162,14 +162,14 @@ class SpectralProfile:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega0) and self.omega0 > 0.0):
+        if not (is_finite(self.omega0) and self.omega0 > 0.0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (is_finite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         # coherence_factor squares both; a float product overflows to inf
         # where the power operator would raise OverflowError.
         for name, value in (("omega0", self.omega0), ("sigma", self.sigma)):
-            if not np.isfinite(value * value):
+            if not is_finite(value * value):
                 raise ValueError(
                     f"{name} = {value} is too large: its square overflows")
 
@@ -198,12 +198,23 @@ def _tail_rotated(x: np.ndarray, p: float) -> np.ndarray:
     s, w = _laguerre_rule()
     xs = x[:, None]
     # |x + is|^-p as x^-p (1 + (s/x)^2)^(-p/2): no square of x, which
-    # overflows near the largest lengths
-    ratio = s / xs
-    mag = w * (1.0 + ratio * ratio) ** (-0.5 * p) * (x ** -p)[:, None]
-    angle = p * np.arctan2(s, xs)
-    re = (mag * np.cos(angle)).sum(axis=1)
-    im = (mag * np.sin(angle)).sum(axis=1)
+    # overflows near the largest lengths.  The (arguments x nodes)
+    # arrays are worked on in place, in the order of operations of
+    # w (1 + (s/x)^2)^(-p/2) x^-p and p atan2(s, x).
+    mag = s / xs
+    mag *= mag
+    mag += 1.0
+    mag **= -0.5 * p
+    np.multiply(w, mag, out=mag)
+    mag *= (x ** -p)[:, None]
+    angle = np.arctan2(s, xs)
+    angle *= p
+    part = np.cos(angle)
+    part *= mag
+    re = part.sum(axis=1)
+    part = np.sin(angle, out=part)
+    part *= mag
+    im = part.sum(axis=1)
     return x ** (1.0 - p) / (p - 1.0) + np.sin(x) * re - np.cos(x) * im
 
 
@@ -243,17 +254,18 @@ def _termwise(coefficients: np.ndarray, x0: float, alpha: float):
 
 
 def _series(ell: np.ndarray, scale: np.ndarray, decay: np.ndarray,
-            log_term):
+            log_term, *, magnitudes: bool = True):
     """int_a^x0 x^-(2+alpha) Fh dx for each ell = ln(x0/a) >= 0, with the
     ``_termwise`` weights of Fh at alpha (one row of ``scale`` per ell,
-    or one row for all), and the summed magnitudes of its terms.  Every
-    row is summed over all its terms alone, so a value depends on its
-    own ell and weights only."""
+    or one row for all), and the summed magnitudes of its terms (None
+    unless ``magnitudes``).  Every row is summed over all its terms
+    alone, so a value depends on its own ell and weights only."""
     terms = np.expm1(ell[:, None] * decay)
     if log_term is not None:
         terms[:, log_term] = ell
     terms *= scale
-    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    return terms.sum(axis=1), (np.abs(terms).sum(axis=1) if magnitudes
+                               else None)
 
 
 def _chunked(fn, x: np.ndarray) -> np.ndarray:
@@ -282,7 +294,8 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     if near.any():
         weights = _termwise(_unit_train(0).series, _TAIL_X0, alpha)
         out[near] += _chunked(
-            lambda t: _series(np.log(_TAIL_X0 / t), *weights)[0], x[near])
+            lambda t: _series(np.log(_TAIL_X0 / t), *weights,
+                              magnitudes=False)[0], x[near])
     return out
 
 
@@ -344,17 +357,24 @@ def _pair_halves(x: np.ndarray, which: np.ndarray, pairs, alpha: float):
     so a value depends on its own x and train only.
     """
     sizes = [d.size for d, _ in pairs]
-    table = np.zeros((len(pairs), max(sizes)))
-    for g, (d, _) in enumerate(pairs):
-        table[g, :sizes[g]] = d
-    args = x[:, None] * table.take(which, axis=0)
-    real = args > 0.0  # x > 0, so only the padding gives 0
-    tails = np.zeros(args.shape)
-    tails[real] = _tail(args[real], alpha)
+    if len(pairs) == 1:  # every x of one train: no table to gather from
+        args = x[:, None] * pairs[0][0]
+    else:
+        table = np.zeros((len(pairs), max(sizes)))
+        for g, (d, _) in enumerate(pairs):
+            table[g, :sizes[g]] = d
+        args = x[:, None] * table.take(which, axis=0)
+    if min(sizes) == args.shape[1]:  # no padding
+        tails = _tail(args.ravel(), alpha).reshape(args.shape)
+    else:
+        real = args > 0.0  # x > 0, so only the padding gives 0
+        tails = np.zeros(args.shape)
+        tails[real] = _tail(args[real], alpha)
     out = np.empty((2, x.size))  # the sums, then their term magnitudes
     for g, (_, weights) in enumerate(pairs):
-        rows = np.flatnonzero(which == g)
-        # a C-order copy, so each row sum is the pairwise sum a lone x gets
+        rows = slice(None) if len(pairs) == 1 else np.flatnonzero(which == g)
+        # a C-order product, so each row sum is the pairwise sum a lone x
+        # gets
         terms = weights * tails[rows, :sizes[g]]
         out[0, rows] = terms.sum(axis=1)
         out[1, rows] = np.abs(terms).sum(axis=1)
@@ -501,17 +521,21 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     # positive, neighbours differ by a relative 1/(k + 1/2) > 2^-51 and
     # the last lies a relative 1/(2n) >= 2^-51 below L, far more than the
     # 2^-53 of each rounding: the train lies strictly inside (0, L) in
-    # increasing order.  Only the other trains are placed and checked.
-    bad = ~(np.isfinite(lengths) & (lengths > 0.0))
-    unsure = ~bad & ~((lengths / np.maximum(pulses, 1) >= _SAFE_STEP)
-                      & (pulses <= 2 ** 50))
-    for i in unsure.nonzero()[0].tolist():
-        bounds = np.concatenate(([0.0], train(pulses[i], lengths[i]),
-                                 [lengths[i]]))
-        bad[i] = not (np.diff(bounds) > 0.0).all()
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        check_positions(train(pulses[i], lengths[i]), lengths[i])
+    # increasing order.  Only the other trains are placed and checked; a
+    # batch of finite lengths whose trains are all such builds no mask.
+    step = lengths / np.maximum(pulses, 1)
+    if lengths.size and not (step.min() >= _SAFE_STEP
+                             and lengths.max() < np.inf
+                             and pulses.max() <= 2 ** 50):
+        bad = ~(np.isfinite(lengths) & (lengths > 0.0))
+        unsure = ~bad & ~((step >= _SAFE_STEP) & (pulses <= 2 ** 50))
+        for i in unsure.nonzero()[0].tolist():
+            bounds = np.concatenate(([0.0], train(pulses[i], lengths[i]),
+                                     [lengths[i]]))
+            bad[i] = not (np.diff(bounds) > 0.0).all()
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            check_positions(train(pulses[i], lengths[i]), lengths[i])
     return _overlaps([((pulses == n).nonzero()[0], n)
                       for n in sorted(set(pulses.tolist()))],
                      spectrum, lengths)
@@ -529,9 +553,12 @@ def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
         groups, spectrum, lengths)
     scale = spectrum.amplitude / np.pi
     stretch = lengths ** (1.0 + spectrum.exponent)
-    return Overlaps(scale * (stretch * (low + high)),
-                    scale * (stretch * (low_err + rounding)), converged,
-                    panels)
+    # f beyond the largest float is +inf, which coherence_factor reads
+    # as complete dephasing
+    with np.errstate(over="ignore"):
+        return Overlaps(scale * (stretch * (low + high)),
+                        scale * (stretch * (low_err + rounding)), converged,
+                        panels)
 
 
 def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
@@ -571,7 +598,7 @@ def _pair_parts(which, trains, lo, hi, top, alpha: float):
     each train.
     """
     has = top < hi
-    over = has & (lo >= top)
+    over = (has & (lo >= top)).nonzero()[0]
     a = lo[over]
     halves = _pair_halves(
         np.concatenate((hi, a, [unit.top for unit in trains])),
@@ -582,11 +609,12 @@ def _pair_parts(which, trains, lo, hi, top, alpha: float):
     n, m = hi.size, a.size
     # P(x_c) and its term magnitudes, less P(b) and plus its magnitudes
     at = halves[:, n + m:].take(which, axis=1)
-    at[:, over] = halves[:, n:n + m]  # x_c = a
+    if m:
+        at[:, over] = halves[:, n:n + m]  # x_c = a
     at[0] -= halves[0, :n]
     at[1] += halves[1, :n]
     at[1] *= _PAIR_ROUNDING
-    return np.where(has, at, 0.0)
+    return at if has.all() else np.where(has, at, 0.0)
 
 
 def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
@@ -608,10 +636,14 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     refined.
     """
     scales = np.array([_termwise(unit.series, unit.x0, alpha)[0]
-                       for unit in trains]).take(which, axis=0)
+                       for unit in trains])
     _, decay, log_term = _term_exponents(_TAIL_X0, alpha)  # alpha's alone
     short = hi < x0
-    if short.any():
+    any_short = short.any()
+    # one row for all lengths, unless their trains or anchors differ
+    if len(trains) > 1 or any_short:
+        scales = scales.take(which, axis=0)
+    if any_short:
         # [a, b] inside [0, x0] is one series anchored at b: term m's
         # factor x0^e/e becomes b^e/e, and the log term stays ln(b/a)
         anchor = (hi[short] / x0[short])[:, None] ** -decay
@@ -623,20 +655,25 @@ def _low_parts(which, trains, lo, hi, x0, top, lengths, alpha: float):
     low, error = _series(np.log(end / np.minimum(lo, end)), scales, decay,
                          log_term)
     spans = (lo < x0) & (top < hi)
-    needs = np.bincount(which[spans], minlength=len(trains)).tolist()
+    every = spans.all()  # then every train, each with lengths, needs _upper
+    needs = [True] * len(trains) if every else np.bincount(
+        which[spans], minlength=len(trains)).tolist()
     # each length's (value, error, panels, converged), as floats; a train
     # without panels (x0 = top) has none to weigh
     upper = np.array([_upper(unit, alpha) if need and unit.grid.size > 1
                       else _NO_UPPER
                       for unit, need in zip(trains, needs)], float).take(
         which, axis=0)
-    upper[~spans] = _NO_UPPER
+    if not every:
+        upper[~spans] = _NO_UPPER
     low += upper[:, 0]
     error = _PAIR_ROUNDING * error + upper[:, 1]
     panels = upper[:, 2].astype(np.intp)
     converged = upper[:, 3] == 1.0
     # lengths that meet [x0, top] without spanning it (spans implies meets)
-    for i in ((lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist():
+    meets = [] if every else (
+        (lo < top) & (x0 < hi) ^ spans).nonzero()[0].tolist()
+    for i in meets:
         unit = trains[which[i]]
         value, err, panels[i] = _partial(unit, max(lo[i], unit.x0),
                                          min(hi[i], unit.top), alpha)
@@ -665,7 +702,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     """
     positions = np.asarray(positions, dtype=float)
     key = positions.size
-    if not (positions.ndim == 1 and np.isfinite(length)
+    if not (positions.ndim == 1 and is_finite(length)
             and length / max(key, 1) >= _SAFE_STEP and key <= 2 ** 50
             and (positions == train(key, length)).all()):
         positions = check_positions(positions, length)
@@ -703,19 +740,22 @@ def coherence_factor(overlap, profile: SpectralProfile):
     Gamma = exp(-w0^2 f) at sigma = 0.  Strong dephasing
     (w0^2 f / (1 + s^2 f) beyond about 745) underflows Gamma to exactly
     0, the completely dephased limit; the sweep helpers of the
-    evolution module report concurrence 0 there.  A finite optical
-    bandwidth *weakens* dephasing whenever w0^2 f exceeds (1 + s^2 f)/2,
-    which is the regime of every sudden-death crossing studied here.
+    evolution module report concurrence 0 there.  An overlap that
+    overflowed to +inf is that limit too; NaN and negative overlaps
+    raise ValueError.  A finite optical bandwidth *weakens* dephasing
+    whenever w0^2 f exceeds (1 + s^2 f)/2, which is the regime of every
+    sudden-death crossing studied here.
     """
     f = np.asarray(overlap, dtype=float)
-    bad = ~(np.isfinite(f) & (f >= 0.0))
-    if bad.any():
-        raise ValueError(f"overlap must be >= 0, got {f[bad][0]}")
+    if not (f >= 0.0).all():
+        raise ValueError(f"overlap must be >= 0, got {f[~(f >= 0.0)][0]}")
     # Overflow to inf is the completely dephased limit, not an error.
     with np.errstate(over="ignore", invalid="ignore"):
         bulge = 1.0 + profile.sigma ** 2 * f
         gamma = np.exp(-profile.omega0 ** 2 * f / bulge) / np.sqrt(bulge)
-    # Gamma <= 1/sqrt(bulge) = 0 there, and w0^2 f may be inf as well
-    # (inf/inf gives nan)
-    gamma = np.where(bulge == np.inf, 0.0, gamma)
+    # Gamma <= 1/sqrt(bulge) = 0 where the bulge is inf, and where f is
+    # inf; the formula gives nan at both (inf/inf), and the bulge is nan
+    # at f = inf and sigma = 0 (0 inf), so it is not below inf exactly
+    # there
+    gamma = np.where(bulge < np.inf, gamma, 0.0)
     return float(gamma) if f.ndim == 0 else gamma

@@ -30,7 +30,7 @@ from .dephasing import X_MIN, SpectralProfile, coherence_factor, \
     overlap_from_positions, train_overlaps
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
-from .sequences import CpmgCount, Free, train
+from .sequences import CpmgCount, Free, is_finite, train
 from .states import TwoQubitXState, concurrence, dephased_concurrence, \
     esd_threshold_gamma
 
@@ -106,7 +106,7 @@ def decoherence_curve(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size == 0:
         raise ValueError("lengths must be a nonempty 1-D array")
-    if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
+    if not (lengths.min() > 0.0 and lengths.max() < np.inf):  # nan fails
         raise ValueError("lengths must be positive and finite")
 
     return pulse_count_curve([seq.pulse_count(length) for length in lengths],
@@ -138,7 +138,7 @@ def esd_length(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     refinement used an unconverged quadrature.  The initial state itself
     must be entangled.
     """
-    if not (np.isfinite(length_max) and length_max > 0.0):
+    if not (is_finite(length_max) and length_max > 0.0):
         raise ValueError(f"length_max must be positive, got {length_max}")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -157,16 +157,16 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     The bracket runs from the grid point before it.  When the first
     point is already dead, it runs from a billionth of the first length
     instead, walked down by further factors of a billion while that is
-    dead too, never below X_MIN / ir_cutoff, the shortest length the
-    overlap integral takes.  A state dead even there dies in
-    (0, X_MIN / ir_cutoff], alive at 0 by its own concurrence, and gets
-    the midpoint.  The refinement starts from the curve's coherence
-    factors at up to three grid points on each side of the crossing,
-    bracket ends included, the others only when they share the pulse
-    count of both ends (``CpmgDensity`` Gamma jumps where the count
-    changes), and from the walk's values at its ends.  A BestEstimate comes back when a value
-    it used did not converge.  A state that is separable to begin with
-    raises SeparableStateError.
+    dead too, never below the shortest length the overlap integral
+    takes, the first whose ir_cutoff * length reaches X_MIN.  A state
+    dead even there dies between 0, alive by its own concurrence, and
+    that length, and gets the midpoint.  The refinement starts from the
+    curve's coherence factors at up to three grid points on each side of
+    the crossing, bracket ends included, the others only when they share
+    the pulse count of both ends (``CpmgDensity`` Gamma jumps where the
+    count changes), and from the walk's values at its ends.  A
+    BestEstimate comes back when a value it used did not converge.  A
+    state that is separable to begin with raises SeparableStateError.
     """
     if concurrence(state) <= 0.0:
         raise SeparableStateError(
@@ -203,8 +203,11 @@ def _alive_below(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     """An alive length below ``dead_length``, walking down from it by
     factors of a billion, and the dead length above it, with the
     (length, Gamma) pairs evaluated there; 0 as the alive length when
-    the state is dead even at X_MIN / ir_cutoff."""
+    the state is dead even at the floor, the shortest length whose
+    ir_cutoff * length is at least X_MIN."""
     floor = X_MIN / spectrum.ir_cutoff
+    while spectrum.ir_cutoff * floor < X_MIN:  # the quotient rounded down
+        floor = math.nextafter(floor, math.inf)
     hi, lo, known = dead_length, max(dead_length * 1e-9, floor), []
     while True:
         gamma, dead = _probe(seq, spectrum, profile, state, lo)

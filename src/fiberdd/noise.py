@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import band_boundaries, integrate_panels
+from .sequences import is_finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class NoiseSpectrum:
     uv_cutoff: float = 1e3
 
     def __post_init__(self):
-        if not (np.isfinite(self.amplitude) and self.amplitude >= 0.0):
+        if not (is_finite(self.amplitude) and self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not (0.0 <= self.exponent <= 2.0):
             raise ValueError(f"exponent must lie in [0, 2], got {self.exponent}")

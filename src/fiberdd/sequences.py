@@ -12,6 +12,7 @@ completely and its positions follow from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,17 @@ class SequenceDegenerateError(ValueError):
     """Fixed-density placement quantizes to zero pulses at this length."""
 
 
+def is_finite(value):
+    """``np.isfinite(value)``, at the cost of ``math.isfinite`` for a
+    float (``np.float64`` included); anything else gets numpy's answer
+    or exception."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return np.isfinite(value)
+
+
 def _check_length(length: float) -> None:
-    if not (np.isfinite(length) and length > 0.0):
+    if not (is_finite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
 
 
@@ -101,7 +111,7 @@ class CpmgDensity(PulseSequence):
     density: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.density) and self.density > 0.0):
+        if not (is_finite(self.density) and self.density > 0.0):
             raise ValueError(f"density must be positive, got {self.density}")
 
     def pulse_count(self, length: float) -> int:

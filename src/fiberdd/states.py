@@ -16,6 +16,7 @@ is the one-pair case of the same routine, so both give the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,16 +118,22 @@ def _x_concurrences(diag, rho14: np.ndarray, rho23: np.ndarray) -> np.ndarray:
     For X form the square roots of the spin-flip eigenvalues are
     |sqrt(rho11 rho44) +- |rho14|| and |sqrt(rho22 rho33) +- |rho23||
     (Wootters, PRL 80, 2245 (1998); Yu and Eberly, Science 323, 598
-    (2009)).  They are sorted, and the three smaller ones are subtracted
-    from the largest, so no eigensolver is needed.
+    (2009)).  The three smaller ones are subtracted from the largest, so
+    no eigensolver is needed.  No sort either: the + root of each pair
+    is at least its - root, so the largest root is the larger + root,
+    the smallest the smaller - root, and the middle two are the smaller
+    + root and the larger - root, in either order.
     """
     d1, d2, d3, d4 = diag
-    outer, inner = np.sqrt(max(d1 * d4, 0.0)), np.sqrt(max(d2 * d3, 0.0))
+    outer, inner = math.sqrt(max(d1 * d4, 0.0)), math.sqrt(max(d2 * d3, 0.0))
     c14, c23 = np.abs(rho14), np.abs(rho23)
-    root = np.sort(np.abs(np.stack(
-        [outer + c14, outer - c14, inner + c23, inner - c23], axis=1)),
-        axis=1)
-    c = root[:, 3] - root[:, 2] - root[:, 1] - root[:, 0]
+    plus14, plus23 = outer + c14, inner + c23
+    minus14, minus23 = np.abs(outer - c14), np.abs(inner - c23)
+    mid_a = np.minimum(plus14, plus23)
+    mid_b = np.maximum(minus14, minus23)
+    # the sorted roots' difference, subtracted from the largest down
+    c = (np.maximum(plus14, plus23) - np.maximum(mid_a, mid_b)
+         - np.minimum(mid_a, mid_b) - np.minimum(minus14, minus23))
     return np.where(c > 0.0, c, 0.0)
 
 
@@ -139,7 +146,8 @@ def dephased_concurrence(state: TwoQubitXState, gamma) -> np.ndarray:
     coherence, so the pair is separable and its concurrence is 0.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or not np.all((gamma >= 0.0) & (gamma <= 1.0)):
+    if gamma.ndim != 1 or gamma.size and not (
+            gamma.min() >= 0.0 and gamma.max() <= 1.0):  # nan fails both
         raise ValueError("gamma must be a 1-D array of values in [0, 1]")
     # same products as apply_dephasing's complex * float
     return _x_concurrences(state.diag, state.rho14 * gamma,

@@ -31,6 +31,22 @@ def eigen_concurrence(state):
     return max(0.0, float(root[0] - root[1] - root[2] - root[3]))
 
 
+def sorted_x_concurrences(diag, rho14, rho23):
+    """Concurrence of the X states with populations ``diag`` and the
+    coherence pairs rho14[i], rho23[i], from the four spin-flip roots
+    |sqrt(rho11 rho44) +- |rho14|| and |sqrt(rho22 rho33) +- |rho23||
+    stacked and sorted per state, the three smaller subtracted from the
+    largest in increasing order of size from the top, clamped at 0."""
+    d1, d2, d3, d4 = diag
+    outer, inner = np.sqrt(max(d1 * d4, 0.0)), np.sqrt(max(d2 * d3, 0.0))
+    c14, c23 = np.abs(rho14), np.abs(rho23)
+    root = np.sort(np.abs(np.stack(
+        [outer + c14, outer - c14, inner + c23, inner - c23], axis=1)),
+        axis=1)
+    c = root[:, 3] - root[:, 2] - root[:, 1] - root[:, 0]
+    return np.where(c > 0.0, c, 0.0)
+
+
 def full_band_overlap(positions, spectrum, length, *, atol=1e-16,
                       rtol=1e-13):
     """Overlap integral by adaptive Gauss-Kronrod over the whole band.

@@ -323,6 +323,54 @@ def test_extreme_valid_length_raises_no_overflow_warning(tmp_path, capsys):
     assert np.isfinite(column(read_csv(out)[2], 1)).all()
 
 
+def test_death_length_walk_floor_stays_in_the_overlap_domain(tmp_path,
+                                                           capsys):
+    # the whole curve is dead, so the walk goes down to its floor, and
+    # 1e-9 * (X_MIN / 1e-9) rounds one ulp below X_MIN: the floor must be
+    # the first length whose ir_cutoff * length reaches X_MIN
+    from fiberdd.dephasing import X_MIN
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--noise-amp", "1e300", "--ir-cutoff", "1e-9",
+        "--alpha", "1.5", "--out", str(tmp_path / "run.csv"))
+    assert code == 0, stderr
+    assert 1e-9 * (X_MIN / 1e-9) < X_MIN
+    esd = float(stdout.split("esd_length = ")[1].split(";")[0])
+    assert esd == pytest.approx(4.318084277547222e-69, rel=1e-12)
+    assert 1e-9 * (2.0 * esd) >= X_MIN
+
+
+def test_overflowing_overlap_is_complete_dephasing(tmp_path, capsys):
+    # f overflows to +inf along this curve: Gamma and C are 0 there, and
+    # no RuntimeWarning is raised on the way (warnings are errors here)
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--noise-amp", "1e300", "--ir-cutoff",
+            "1e-9", "--alpha", "2", "--out", str(out))
+    assert code == 0 and stderr == ""
+    assert "esd_length = 4.318" in stdout
+    rows = read_csv(out)[2]
+    overflowed = np.isposinf(column(rows, 1))
+    assert overflowed.any() and not overflowed.all()
+    assert not column(rows, 2)[overflowed].any()
+    assert not column(rows, 3).any()
+
+
+def test_mc_check_without_pulses_names_cli_options(capsys):
+    code, stdout, stderr = run_cli(capsys, "mc-check", "--sequence", "cpmg",
+                                   "--density", "0.01")
+    assert code == 2 and stdout == ""
+    assert stderr == (
+        "config error:\nsequence: density 0.01 places no pulse at length "
+        "2.0; use --sequence free, or a --density above 0.25 "
+        "(0.5 / --length-max)\n")
+    assert "Free()" not in stderr
+    code, _, stderr = run_cli(capsys, "mc-check", "--sequence", "cpmg",
+                              "--density", "0.26", "--trials", "50")
+    assert code in (0, 5) and "config error" not in stderr
+
+
 def test_csv_row_template_formats_cells_as_fmt():
     # every CSV row is one '%.17g' template: the bytes _fmt gave per cell
     from fiberdd.cli import _CURVE_ROW, _fmt
@@ -549,3 +597,39 @@ def test_reused_parser_matches_separate_processes(tmp_path, capsys,
         if expected_csv is not None:
             assert open(out, encoding="utf-8").read() == expected_csv
     assert codes == [0, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "1.2", "--length-max", "12", "--out", "x.csv"],
+    ["simulate", "--alp", "1.2", "--grid-points", "7"],  # abbreviation
+    ["simulate", "--alpha=1.2", "--alpha", "0.8", "--state", "werner:0.9"],
+    ["figure", "fig3", "--noise-amp", "0.01"],
+    ["figure", "--out", "d", "fig2b"],
+    ["mc-check", "--trials", "50", "--seed", "3"],
+    ["validate-config", "--sequence", "cpmg", "--pulses", "4"],
+    ["simulate", "--", "--alpha"],
+    # usage errors, help and argv that reach the top-level parser
+    ["simulate", "--grid-points", "many"],
+    ["simulate", "--bogus", "3", "--alpha", "1"],
+    ["simulate", "stray"],
+    ["figure"],
+    ["figure", "fig9"],
+    ["simulate", "--help"],
+    ["--help"],
+    ["simulat", "--alpha", "1"],
+    ["--alpha", "1", "simulate"],
+    [],
+])
+def test_subcommand_parse_matches_the_full_parser(argv, capsys):
+    # the subcommand's parser run directly gives the namespace, output
+    # and exit of the whole parser
+    from fiberdd.cli import _build_parser, _parse_args
+    results = []
+    for parse in (_parse_args, _build_parser()[0].parse_args):
+        try:
+            result = sorted(vars(parse(list(argv))).items(),
+                            key=lambda item: item[0])
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        results.append((result, capsys.readouterr()))
+    assert results[0] == results[1]

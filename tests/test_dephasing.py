@@ -4,6 +4,7 @@ import functools
 import re
 import sys
 import threading
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -287,6 +288,24 @@ def test_profile_rejects_overflowing_squares():
     assert 0.0 <= coherence_factor(1.0, big) <= 1.0
     # finite squares whose products with f overflow: complete dephasing
     assert coherence_factor(2.0, SpectralProfile(1e154, 1e154)) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_infinite_overlap_is_complete_dephasing(sigma):
+    # an overlap that overflowed to +inf gives Gamma = 0, alone and in an
+    # array, with no warning; NaN and negative overlaps still raise
+    prof = SpectralProfile(1.0, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coherence_factor(np.inf, prof) == 0.0
+        gamma = coherence_factor(np.array([0.0, np.inf, 0.5]), prof)
+    assert gamma[1] == 0.0
+    assert gamma[0] == 1.0 and gamma[2] == coherence_factor(0.5, prof)
+    for bad in (np.nan, -np.inf, -0.1):
+        with pytest.raises(ValueError, match="overlap must be >= 0"):
+            coherence_factor(bad, prof)
+        with pytest.raises(ValueError, match="overlap must be >= 0"):
+            coherence_factor(np.array([0.5, bad, np.inf]), prof)
 
 
 def _counts(seq, lengths):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fiberdd.sequences import (CpmgCount, CpmgDensity, Free,
-                               SequenceDegenerateError, SpinEcho, train)
+                               SequenceDegenerateError, SpinEcho, is_finite,
+                               train)
 
 
 def test_free_and_se_positions():
@@ -100,3 +101,17 @@ def test_train_gives_one_row_per_length():
         assert np.array_equal(row, (np.arange(1, 6) - 0.5) * (length / 5))
     assert train(0, lengths).shape == (3, 0)
     assert train(0, 2.0).shape == (0,)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, -0.0, np.inf, -np.inf, np.nan, np.float64(2.0), np.float64(np.nan),
+    np.float32(np.inf), 3, True, 10 ** 400, "1.0", None, 1 + 2j,
+    np.array(2.0), np.array([1.0]), np.array([1.0, np.inf])])
+def test_is_finite_answers_and_raises_as_numpy(value):
+    # a float takes the math.isfinite route; everything else, numpy's
+    def outcome(check):
+        try:
+            return np.asarray(check(value)).tolist()
+        except Exception as exc:  # the type is what must agree
+            return type(exc)
+    assert outcome(is_finite) == outcome(np.isfinite)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import eigen_concurrence
+from oracles import eigen_concurrence, sorted_x_concurrences
 
 from fiberdd.states import (StateFileError, TwoQubitXState, apply_dephasing,
                             bell_state, concurrence, concurrence_x_closed,
@@ -170,6 +170,44 @@ def test_stacked_concurrence_matches_pointwise():
             assert stacked[i] == expected
             assert dephased_concurrence(state, gamma[i:i + 1])[0] == expected
         assert concurrence(state) == stacked[1]
+
+
+def test_sort_free_roots_match_sorted_roots_bit_for_bit():
+    # the sort-free ordering of the spin-flip roots subtracts the same
+    # roots in the same order as sorting them, so every value agrees to
+    # the bit with the stack-and-sort oracle
+    from fiberdd.states import _x_concurrences
+    rng = np.random.default_rng(2245)
+    states = [mixed_third_state(), bell_state(), werner_state(0.2),
+              werner_state(1.0 / 3.0), werner_state(0.5), werner_state(1.0)]
+    states += [random_x_state(rng) for _ in range(300)]
+    # ties: outer = inner with c14 = c23, a root pair of equal size,
+    # roots that meet across the pairs, and coherences of zero
+    states += [TwoQubitXState((0.25, 0.25, 0.25, 0.25), 0.1, 0.1j),
+               TwoQubitXState((0.25, 0.25, 0.25, 0.25), 0.25, -0.25),
+               TwoQubitXState((0.36, 0.16, 0.16, 0.32), 0.1, 0.05),
+               TwoQubitXState((0.3, 0.2, 0.2, 0.3), 0.0, 0.0),
+               TwoQubitXState((0.3, 0.2, 0.2, 0.3), 0.2, 0.0),
+               TwoQubitXState((0.3, 0.2, 0.2, 0.3), 0.0, 0.2),
+               TwoQubitXState((0.5, 0.0, 0.0, 0.5), 0.0, 0.0)]
+    gamma = np.concatenate(([0.0, 5e-324, 1e-300, 1.0, 0.5],
+                            rng.uniform(size=40)))
+    for state in states:
+        rho14, rho23 = state.rho14 * gamma, state.rho23 * gamma
+        for a, b in ((rho14, rho23), (rho14[:1], rho23[:1]),
+                     (rho14[:0], rho23[:0])):
+            got = _x_concurrences(state.diag, a, b)
+            assert got.tobytes() == sorted_x_concurrences(
+                state.diag, a, b).tobytes()
+        assert dephased_concurrence(state, gamma).tobytes() == \
+            sorted_x_concurrences(state.diag, rho14, rho23).tobytes()
+    # random coherence pairs, not tied to one state's ratio
+    for _ in range(200):
+        state = random_x_state(rng)
+        scale = rng.uniform(size=(2, 30))
+        a, b = state.rho14 * scale[0], state.rho23 * scale[1]
+        assert _x_concurrences(state.diag, a, b).tobytes() == \
+            sorted_x_concurrences(state.diag, a, b).tobytes()
 
 
 def test_stacked_concurrence_gamma_domain():

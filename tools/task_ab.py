@@ -15,8 +15,11 @@ own CSV path every time, as the benchmark does.
 
 For each checkout it prints the mean, p50 and p90 over the tasks of each
 task's best time, then the median over the tasks of B's best over A's,
-and whether exit codes, stdout and CSV bytes agree task by task (each
-checkout's CSV path read as one placeholder).  Run it with the same
+overall, for each sequence (free, se, cpmg) and for the tasks with and
+without a death length (as A printed it), and whether exit codes, stdout
+and CSV bytes agree task by task (each checkout's CSV path read as one
+placeholder).  The split shows whether a change moved the death-length
+probes or the curves, whose pulse counts the sequence sets.  Run it with the same
 checkout twice for an A/A baseline: its ratio should be within 1 % of 1.
 """
 
@@ -86,6 +89,7 @@ def main(argv: list[str]) -> int:
 
     best = [[], []]  # per side, per task
     agree = 0
+    dies = []  # per task, whether A printed a death length
     with tempfile.TemporaryDirectory() as tmp:
         paths = [str(Path(tmp) / side / "sweep.csv") for side in "ab"]
         for path in paths:
@@ -103,6 +107,7 @@ def main(argv: list[str]) -> int:
                     results[side] = (code, out.replace(paths[side], "OUT"),
                                      csv.replace(paths[side], "OUT"))
             agree += results[0] == results[1]
+            dies.append("esd_length = none;" not in results[0][1])
             for side in (0, 1):
                 best[side].append(times[side])
 
@@ -115,6 +120,14 @@ def main(argv: list[str]) -> int:
               f"p50 {deciles[4]:.3f} ms, p90 {deciles[8]:.3f} ms")
     ratios = [b / a for a, b in zip(*best)]
     print(f"median per-task ratio B/A = {statistics.median(ratios):.3f}")
+    groups = {f"sequence {seq}": [task["sequence"] == seq for task in work]
+              for seq in ("free", "se", "cpmg")}
+    groups["with a death length"] = dies
+    groups["without a death length"] = [not d for d in dies]
+    for label, members in groups.items():
+        mine = [r for r, member in zip(ratios, members) if member]
+        median = f"{statistics.median(mine):.3f}" if mine else "-"
+        print(f"  {label}: {median} over {len(mine)} tasks")
     print(f"exit code, stdout and CSV bytes agree on {agree} of "
           f"{len(work)} tasks")
     return 0
