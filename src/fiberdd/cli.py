@@ -83,13 +83,8 @@ def _write_csv(path: str, comments: list[str], header: str, rows,
 
 def _resolve(args, overrides: dict | None = None) -> cfg.SimulationConfig:
     file_values = cfg.load_config_file(args.config) if args.config else None
-    flag_values = {key: getattr(args, key) for key in _FLAG_KEYS
-                   if hasattr(args, key)}
+    flag_values = {key: getattr(args, key) for key in _FLAG_KEYS}
     return cfg.resolve(overrides, file_values, flag_values)
-
-
-def _print_resolved(lines: list[str]) -> None:
-    print("\n".join(lines))
 
 
 def _curve_rows(curve) -> list:
@@ -103,7 +98,7 @@ def _cmd_simulate(args) -> int:
     config = _resolve(args)
     seq, spectrum, profile, state = cfg.build_runtime(config)
     lines = cfg.resolved_lines(config)
-    _print_resolved(lines)
+    print("\n".join(lines))
 
     curve = decoherence_curve(seq, spectrum, profile, state,
                               cfg.length_grid(config))
@@ -164,7 +159,7 @@ def _cmd_figure(args) -> int:
     if args.preset == "fig4":
         extras["fig4_sequence"] = f"cpmg density={FIG4_DENSITY:g}"
     lines = cfg.resolved_lines(config, **extras)
-    _print_resolved(lines)
+    print("\n".join(lines))
 
     out_dir = config.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -220,7 +215,7 @@ def _cmd_mc_check(args) -> int:
     lines = cfg.resolved_lines(config, mc_length=length,
                                mc_resolution=settings.resolution,
                                mc_frequency_modes=settings.frequency_modes)
-    _print_resolved(lines)
+    print("\n".join(lines))
 
     analytic = coherence_factor(
         overlap_from_positions(positions, spectrum, length), profile)
@@ -240,7 +235,7 @@ def _cmd_mc_check(args) -> int:
 def _cmd_validate_config(args) -> int:
     config = _resolve(args)
     cfg.build_runtime(config)
-    _print_resolved(cfg.resolved_lines(config))
+    print("\n".join(cfg.resolved_lines(config)))
     print("configuration ok")
     return 0
 

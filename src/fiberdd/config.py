@@ -138,8 +138,8 @@ def build_runtime(config: SimulationConfig):
             f"uv_cutoff * length_max or length_max^(1+alpha) overflows")
     elif config.grid_points >= 2:
         # the shortest grid length: below the smallest normal float its
-        # pulse positions round together, and below X_MIN / ir_cutoff the
-        # overlap's low-band integrand overflows
+        # pulse positions round together, and below X_MIN / ir_cutoff
+        # lies outside the overlap's length domain
         shortest = config.length_max / config.grid_points
         if not shortest >= _SMALLEST_NORMAL:
             problems.append(

@@ -8,11 +8,13 @@ build initial boundaries that already resolve the fastest oscillation
 (no panel wider than half its period) and the steep spectral edge near
 the infrared cutoff; the engine then bisects the worst panels until the
 summed Gauss-Kronrod error estimate meets an absolute-plus-relative
-tolerance.
+tolerance.  That adaptive integrator, ``integrate_panels``, now serves
+only ``noise.correlation`` and the test oracles.
 
 ``gauss_kronrod`` is the panel rule without refinement;
 ``kronrod_nodes`` and ``kronrod_sums`` are its two halves, for callers
-that keep an integrand's values at the nodes and weigh them again.
+that keep an integrand's values at the nodes and weigh them again.  The
+overlap core in ``dephasing`` reads only these two.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-# Growth ratio of the geometric panels at a band's lower limit.
-EDGE_RATIO = 1.25
-
-
 @dataclass
 class QuadratureResult:
     """Integral value with its achieved error estimate and panel count."""
@@ -82,7 +80,7 @@ class QuadratureError(RuntimeError):
 
 
 def band_boundaries(lo: float, hi: float, max_width: float,
-                    edge_ratio: float = EDGE_RATIO) -> np.ndarray:
+                    edge_ratio: float = 1.25) -> np.ndarray:
     """Initial panel boundaries over ``[lo, hi]``.
 
     Panels grow geometrically away from ``lo`` (resolving integrands that
@@ -154,18 +152,6 @@ def kronrod_sums(fx: np.ndarray, half: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _as_band(boundaries) -> np.ndarray:
-    """``integrate_panels``' boundaries as a validated float array; one
-    that is not 1-D counts as holding no panel, and the panel count is
-    checked before the ordering."""
-    edges = np.asarray(boundaries, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("boundaries must hold at least one panel")
-    if not (np.diff(edges) > 0.0).all():
-        raise ValueError("boundaries must be strictly increasing")
-    return edges
-
-
 def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
                      boundaries, *,
                      atol: float = 1e-8, rtol: float = 1e-8,
@@ -183,7 +169,11 @@ def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
     exhausted, ``QuadratureError`` is raised with the best estimate
     attached.
     """
-    edges = _as_band(boundaries)
+    edges = np.asarray(boundaries, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("boundaries must hold at least one panel")
+    if not (np.diff(edges) > 0.0).all():
+        raise ValueError("boundaries must be strictly increasing")
     lefts, rights = edges[:-1], edges[1:]
     vals, errs = gauss_kronrod(fn, lefts, rights)
     while True:

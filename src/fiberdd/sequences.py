@@ -38,11 +38,10 @@ def _check_length(length: float) -> None:
 
 def train(n_pulses: int, length) -> np.ndarray:
     """Positions (k - 1/2) * length / n_pulses, k = 1..n_pulses, of an
-    equally spaced train; an array of lengths gives one row per length."""
-    length = np.asarray(length, dtype=float)
+    equally spaced train."""
     if n_pulses == 0:
-        return np.empty(length.shape + (0,))
-    return (np.arange(1, n_pulses + 1) - 0.5) * (length[..., None] / n_pulses)
+        return np.empty(0)
+    return (np.arange(1, n_pulses + 1) - 0.5) * (length / n_pulses)
 
 
 class PulseSequence:

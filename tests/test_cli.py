@@ -282,7 +282,7 @@ def test_simulate_separable_state_is_a_config_error(tmp_path, capsys,
       "--grid-points", "2"),
      "length_max: length_max / grid_points = 5e-323 is below the smallest "
      "normal float"),
-    # the low band would start where x^-(2+alpha) overflows
+    # the low band would start below X_MIN, the overlap's length floor
     (("--ir-cutoff", "1e-300"),
      "length_max: ir_cutoff * length_max / grid_points = 2.5e-301 is below "),
 ], ids=["underflow", "collapsed-train", "tiny-ir"])

@@ -169,26 +169,17 @@ def test_with_error_reports_converged_estimate():
 def _miss_first_pass(monkeypatch, inside=(0.0, np.inf)):
     """Make every panel weighed from now on that lies inside the interval
     ``inside`` (all by default) miss its Gauss-Kronrod pass, by an
-    infinite error; its value stays.  A pass finds its panels' nodes by
-    the half-width array of their node table, each kept alive here so
-    that no other array can take its identity."""
-    tables, node_table = [], dephasing._node_table
-    sums = dephasing.kronrod_sums
+    infinite error; its value stays.  A panel is told by its nodes, the
+    rows of the node table's ``x``."""
+    first_pass = dephasing._first_pass
 
-    def recorded(*args):
-        x, half, filt = node_table(*args)
-        tables.append((half, x))
-        return x, half, filt
-
-    def missed(fx, half):
-        values, errors = sums(fx, half)
-        x = next(x for kept, x in tables if kept is half)
+    def missed(nodes, alpha):
+        values, errors = first_pass(nodes, alpha)
+        x = nodes[0]
         errors[(x[:, 0] > inside[0]) & (x[:, -1] < inside[1])] = np.inf
         return values, errors
 
-    dephasing._unit_train.cache_clear()  # every node table is recorded
-    monkeypatch.setattr(dephasing, "_node_table", recorded)
-    monkeypatch.setattr(dephasing, "kronrod_sums", missed)
+    monkeypatch.setattr(dephasing, "_first_pass", missed)
 
 
 def test_low_band_nonconvergence_carries_whole_band_estimate(monkeypatch):
@@ -586,10 +577,13 @@ def test_batch_position_check_raises_what_check_positions_raises(first):
     ([1.0, 0.0], "length must be positive and finite, got 0.0"),
     ([np.inf, 1.0], "length must be positive and finite, got inf"),
     ([5e-323, 1e-322], "pulse positions must be strictly increasing"),
-    ([1.0, 5e-324], "pulse positions must lie strictly inside")])
+    ([1.0, 5e-324], "pulse positions must lie strictly inside"),
+    ([5e-323, np.nan], "strictly increasing"),
+    ([np.nan, 5e-323], "got nan")])
 def test_count_built_trains_that_collapse_raise(lengths, message):
     # subnormal lengths round a train's positions together or onto an
-    # end; the batch raises what check_positions says about that train
+    # end; the batch raises what check_positions says about the first
+    # failing length's train, in index order
     spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
     pulses = [20, 1] if lengths[1] == 5e-324 else [20, 20]
     with pytest.raises(ValueError, match=message):
@@ -833,6 +827,34 @@ def test_train_positions_need_no_other_check(monkeypatch):
     with pytest.raises(ValueError, match="strictly increasing"):
         overlap_from_positions(train(20, 1e-322), spec, 1e-322)
     assert checked == [2.0, 1e-322]
+
+
+@pytest.mark.parametrize("length", [np.array([1.0]), [1.0], np.ones((1, 1)),
+                                    np.array([1.0, 2.0])])
+def test_length_that_is_not_a_number_raises(length):
+    # checked before anything else, so train(3, length) cannot broadcast
+    # a one-element array into a train of three positions
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    message = re.escape(f"length must be a number, got {length}")
+    for positions in ([0.5], [0.2, 0.5, 0.9], train(3, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            overlap_from_positions(positions, spec, length)
+    if isinstance(length, np.ndarray) and length.size == 1:
+        for seq in (Free(), CpmgCount(3)):
+            with pytest.raises(ValueError, match=message):
+                overlap_integral(seq, spec, length)
+
+
+@pytest.mark.parametrize("length", [np.array(2.0), np.float32(2.0),
+                                    np.int64(2)])
+def test_scalar_lengths_of_any_type_are_numbers(length):
+    # a 0-d array, a float32 and an int64 length give the bits of 2.0
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    for seq in (Free(), CpmgCount(3)):
+        assert overlap_integral(seq, spec, length) == overlap_integral(
+            seq, spec, 2.0)
+    assert overlap_from_positions([0.3, 1.1], spec, length) == \
+        overlap_from_positions([0.3, 1.1], spec, 2.0)
 
 
 @pytest.mark.parametrize("pulses", list(range(41)) + [64, 257])

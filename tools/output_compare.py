@@ -187,7 +187,9 @@ def main(argv: list[str]) -> int:
         _collect(Path(argv[1]).resolve(), Path(argv[2]))
         return 0
     if len(argv) != 1 or not (Path(argv[0]) / "src" / "fiberdd").is_dir():
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python3 tools/output_compare.py OTHER_CHECKOUT",
+              file=sys.stderr)
         print("OTHER_CHECKOUT must hold src/fiberdd", file=sys.stderr)
         return 2
     other = Path(argv[0]).resolve()
