@@ -14,6 +14,7 @@ non-convergence, 4 I/O error, 5 Monte Carlo z-score failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import stat
@@ -28,9 +29,9 @@ from .evolution import DEATH_LENGTH_RTOL, BestEstimate, \
     pulse_count_curve
 from .montecarlo import McSettings, auto_resolution, mc_coherence, \
     validate_settings, z_score
-from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
-from .sequences import CpmgDensity, Free, SequenceDegenerateError, SpinEcho
+from .sequences import CpmgCount, CpmgDensity, Free, \
+    SequenceDegenerateError, SpinEcho
 
 FIG2A_DENSITIES = (0.1, 0.2, 0.4)
 FIG3_LENGTH = 50.0
@@ -125,27 +126,29 @@ def _cmd_simulate(args) -> int:
     return code
 
 
-def _figure_series(preset: str, config: cfg.SimulationConfig, spectrum):
-    """(series label, sequence, spectrum, lengths) tuples for one preset
-    other than fig3, which is one batch of pulse counts."""
-    grid = cfg.length_grid(config)
-    if preset == "fig2a":
-        series = [("free", Free(), spectrum, grid)]
-        series += [(f"density={n:g}", CpmgDensity(n), spectrum, grid)
-                   for n in FIG2A_DENSITIES]
-        return series
-    if preset == "fig2b":
-        return [("free", Free(), spectrum, grid),
-                ("se", SpinEcho(), spectrum, grid)]
-    if preset == "fig4":
-        series = []
-        for alpha in FIG4_ALPHAS:
-            spec_a = NoiseSpectrum(spectrum.amplitude, alpha,
-                                   spectrum.ir_cutoff, spectrum.uv_cutoff)
-            series.append((f"alpha={alpha:g}", CpmgDensity(FIG4_DENSITY),
-                           spec_a, grid))
-        return series
-    raise cfg.ConfigError(f"unknown figure preset {preset!r}")
+def _figure_batches(preset: str, config: cfg.SimulationConfig, spectrum):
+    """Yield the (spectrum, row labels, pulse counts, lengths) batches of
+    a preset, one per noise spectrum, each drawn by one
+    ``pulse_count_curve`` call.  Each (label, sequence) series of a batch
+    runs over the preset's lengths with the pulse counts that
+    ``decoherence_curve`` gives it, series back to back."""
+    grid = cfg.length_grid(config).tolist()
+    if preset == "fig3":  # one row per pulse count at one length
+        grid = [FIG3_LENGTH]
+        batches = [(spectrum, [(f"N={n}", CpmgCount(n) if n else Free())
+                               for n in range(FIG3_MAX_PULSES + 1)])]
+    elif preset == "fig4":
+        batches = [(dataclasses.replace(spectrum, exponent=alpha),
+                    [(f"alpha={alpha:g}", CpmgDensity(FIG4_DENSITY))])
+                   for alpha in FIG4_ALPHAS]
+    elif preset == "fig2a":
+        batches = [(spectrum, [("free", Free())] + [
+            (f"density={n:g}", CpmgDensity(n)) for n in FIG2A_DENSITIES])]
+    else:  # fig2b
+        batches = [(spectrum, [("free", Free()), ("se", SpinEcho())])]
+    for spec, series in batches:
+        yield (spec, *zip(*[(label, seq.pulse_count(length), length)
+                            for label, seq in series for length in grid]))
 
 
 def _cmd_figure(args) -> int:
@@ -165,20 +168,12 @@ def _cmd_figure(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{args.preset}.csv")
 
-    if args.preset == "fig3":
-        # one row per pulse count at one length: a single batch
-        counts = np.arange(FIG3_MAX_PULSES + 1)
-        curves = [([f"N={n}" for n in counts], pulse_count_curve(
-            counts, spectrum, profile, state,
-            np.full(counts.size, FIG3_LENGTH)))]
-    else:
-        curves = [([label] * grid.size,
-                   decoherence_curve(seq, spec, profile, state, grid))
-                  for label, seq, spec, grid in _figure_series(
-                      args.preset, config, spectrum)]
     rows = []
     all_converged = True
-    for labels, curve in curves:
+    for spec, labels, pulses, lengths in _figure_batches(
+            args.preset, config, spectrum):
+        curve = pulse_count_curve(pulses, spec, profile, state,
+                                  np.array(lengths))
         all_converged &= bool(curve.converged.all())
         rows += [[label, *row] for label, row in zip(labels,
                                                       _curve_rows(curve))]

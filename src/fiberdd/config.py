@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dephasing import X_MIN, SpectralProfile, max_length
+from .dephasing import X_MIN, SpectralProfile, max_length, min_length
 from .noise import NoiseSpectrum
 from .sequences import CpmgCount, CpmgDensity, Free, PulseSequence, SpinEcho, \
     is_finite
@@ -138,7 +138,7 @@ def build_runtime(config: SimulationConfig):
             f"uv_cutoff * length_max or length_max^(1+alpha) overflows")
     elif config.grid_points >= 2:
         # the shortest grid length: below the smallest normal float its
-        # pulse positions round together, and below X_MIN / ir_cutoff
+        # pulse positions round together, and below min_length(spectrum)
         # lies outside the overlap's length domain
         shortest = config.length_max / config.grid_points
         if not shortest >= _SMALLEST_NORMAL:
@@ -146,11 +146,11 @@ def build_runtime(config: SimulationConfig):
                 f"length_max: length_max / grid_points = {shortest} is "
                 f"below the smallest normal float {_SMALLEST_NORMAL}")
         elif spectrum is not None and not (
-                spectrum.ir_cutoff * shortest >= X_MIN):
+                shortest >= min_length(spectrum)):
             problems.append(
                 f"length_max: ir_cutoff * length_max / grid_points = "
-                f"{spectrum.ir_cutoff * shortest} is below {X_MIN}, where "
-                f"the overlap integrand overflows")
+                f"{spectrum.ir_cutoff * shortest} is below X_MIN = {X_MIN}, "
+                f"the documented floor of the length domain")
     if config.grid_points < 2:
         problems.append(f"grid_points: must be >= 2, got {config.grid_points}")
     if config.trials < 2:

@@ -301,6 +301,15 @@ def _tail(x: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+def min_length(spectrum: NoiseSpectrum) -> float:
+    """The shortest length whose overlap integral is computed: the first
+    whose ir_cutoff * length reaches X_MIN."""
+    floor = X_MIN / spectrum.ir_cutoff
+    while spectrum.ir_cutoff * floor < X_MIN:  # the quotient rounded down
+        floor = math.nextafter(floor, math.inf)
+    return floor
+
+
 def max_length(spectrum: NoiseSpectrum) -> float:
     """The longest length whose overlap integral is computed: at and
     below it, uv_cutoff * length and length^(1+alpha) stay finite.  It
@@ -533,21 +542,20 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
                    & (pulses <= 2 ** 50))
         for i in unsafe.nonzero()[0].tolist():
             check_positions(train(pulses[i], lengths[i]), lengths[i])
-    return _overlaps([((pulses == n).nonzero()[0], n)
-                      for n in sorted(set(pulses.tolist()))],
-                     spectrum, lengths)
+    keys = sorted(set(pulses.tolist()))
+    return _overlaps(keys, np.searchsorted(keys, pulses), spectrum, lengths)
 
 
-def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
-    """Overlaps of checked trains.  ``groups`` pairs row indices with the
-    pulse count of their ``train`` or with explicit boundaries in units
-    of the length."""
+def _overlaps(keys, which, spectrum: NoiseSpectrum, lengths) -> Overlaps:
+    """Overlaps of checked trains.  ``keys`` holds the trains, each the
+    pulse count of a ``train`` or explicit boundaries in units of the
+    length, and ``which[i]`` indexes the train of ``lengths[i]``."""
     count = lengths.size
     if spectrum.amplitude == 0.0 or count == 0:
         return Overlaps(np.zeros(count), np.zeros(count),
                         np.ones(count, dtype=bool), np.zeros(count, np.intp))
     low, low_err, converged, panels, high, rounding = _unit_parts(
-        groups, spectrum, lengths)
+        keys, which, spectrum, lengths)
     scale = spectrum.amplitude / np.pi
     stretch = lengths ** (1.0 + spectrum.exponent)
     # f beyond the largest float is +inf, which coherence_factor reads
@@ -558,27 +566,24 @@ def _overlaps(groups, spectrum: NoiseSpectrum, lengths) -> Overlaps:
                         panels)
 
 
-def _unit_parts(groups, spectrum: NoiseSpectrum, lengths):
-    """Per length, in x units at unit amplitude: the low band and its
-    error, whether it converged and its panel count, then the pair sums
-    and their rounding bound."""
+def _unit_parts(keys, which, spectrum: NoiseSpectrum, lengths):
+    """Per length, in x units at unit amplitude, with the train
+    ``keys[which[i]]`` (see ``_overlaps``): the low band and its error,
+    whether it converged and its panel count, then the pair sums and
+    their rounding bound."""
     alpha = spectrum.exponent
     lo = spectrum.ir_cutoff * lengths
     hi = spectrum.uv_cutoff * lengths
     if lo.min() < X_MIN:
         raise ValueError(
-            f"ir_cutoff * length = {lo.min()} is below {X_MIN}, where the "
-            f"low-band integrand x^-(2+alpha) overflows")
+            f"ir_cutoff * length = {lo.min()} is below X_MIN = {X_MIN}, "
+            f"the documented floor of the length domain")
     if lengths.max() > (limit := max_length(spectrum)):
         raise ValueError(
             f"length = {lengths.max()} is above {limit}, where uv_cutoff * "
             f"length or length^(1+alpha) overflows")
     trains = [_unit_train(key) if isinstance(key, int)
-              else _Train(key, *_separations(key), hi.max())
-              for _, key in groups]
-    which = np.empty(lengths.size, np.intp)  # each length's train
-    for g, (rows, _) in enumerate(groups):
-        which[rows] = g
+              else _Train(key, *_separations(key), hi.max()) for key in keys]
     x0, top = np.array([(unit.x0, unit.top) for unit in trains]).take(
         which, axis=0).T
     return (*_low_parts(which, trains, lo, hi, x0, top, lengths, alpha),
@@ -709,7 +714,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
         if not (positions == train(key, length)).all():
             key = np.concatenate(([0.0], positions, [length])) / length
     lengths = np.array([length], dtype=float)
-    res = _overlaps([(np.zeros(1, np.intp), key)], spectrum, lengths)
+    res = _overlaps([key], np.zeros(1, np.intp), spectrum, lengths)
     value, error = float(res.value[0]), float(res.error[0])
     if not res.converged[0]:
         raise QuadratureError(
@@ -727,7 +732,9 @@ def overlap_integral(seq, spectrum: NoiseSpectrum, length: float,
     CpmgDensity sequences the length must realize at least one pulse;
     sweep helpers in the evolution module handle the shorter regime.
     """
-    return overlap_from_positions(seq.positions(length), spectrum, length,
+    # a length that is not a number gets overlap_from_positions' error
+    positions = seq.positions(length) if np.ndim(length) == 0 else []
+    return overlap_from_positions(positions, spectrum, length,
                                   with_error=with_error)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import X_MIN, SpectralProfile, coherence_factor, \
+from .dephasing import SpectralProfile, coherence_factor, min_length, \
     overlap_from_positions, train_overlaps
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError
@@ -157,16 +157,15 @@ def curve_death_length(seq, spectrum: NoiseSpectrum,
     The bracket runs from the grid point before it.  When the first
     point is already dead, it runs from a billionth of the first length
     instead, walked down by further factors of a billion while that is
-    dead too, never below the shortest length the overlap integral
-    takes, the first whose ir_cutoff * length reaches X_MIN.  A state
-    dead even there dies between 0, alive by its own concurrence, and
-    that length, and gets the midpoint.  The refinement starts from the
-    curve's coherence factors at up to three grid points on each side of
-    the crossing, bracket ends included, the others only when they share
-    the pulse count of both ends (``CpmgDensity`` Gamma jumps where the
-    count changes), and from the walk's values at its ends.  A
-    BestEstimate comes back when a value it used did not converge.  A
-    state that is separable to begin with raises SeparableStateError.
+    dead too, never below ``min_length(spectrum)``.  A state dead even
+    there dies between 0, alive by its own concurrence, and that length,
+    and gets the midpoint.  The refinement starts from the curve's
+    coherence factors at up to three grid points on each side of the
+    crossing, bracket ends included, the others only when they share the
+    pulse count of both ends (``CpmgDensity`` Gamma jumps where the count
+    changes), and from the walk's values at its ends.  A BestEstimate
+    comes back when a value it used did not converge.  A state that is
+    separable to begin with raises SeparableStateError.
     """
     if concurrence(state) <= 0.0:
         raise SeparableStateError(
@@ -203,11 +202,8 @@ def _alive_below(seq, spectrum: NoiseSpectrum, profile: SpectralProfile,
     """An alive length below ``dead_length``, walking down from it by
     factors of a billion, and the dead length above it, with the
     (length, Gamma) pairs evaluated there; 0 as the alive length when
-    the state is dead even at the floor, the shortest length whose
-    ir_cutoff * length is at least X_MIN."""
-    floor = X_MIN / spectrum.ir_cutoff
-    while spectrum.ir_cutoff * floor < X_MIN:  # the quotient rounded down
-        floor = math.nextafter(floor, math.inf)
+    the state is dead even at the floor, ``min_length(spectrum)``."""
+    floor = min_length(spectrum)
     hi, lo, known = dead_length, max(dead_length * 1e-9, floor), []
     while True:
         gamma, dead = _probe(seq, spectrum, profile, state, lo)

@@ -381,6 +381,66 @@ def test_csv_row_template_formats_cells_as_fmt():
         assert _CURVE_ROW % row == ",".join(map(_fmt, row)) + "\n"
 
 
+SHORT_FIGURE = ("--length-max", "20", "--grid-points", "6",
+                "--uv-cutoff", "100")
+
+
+@pytest.mark.parametrize("preset, spectra", [("fig2a", 1), ("fig2b", 1),
+                                             ("fig3", 1), ("fig4", 5)])
+def test_figure_makes_one_overlap_call_per_noise_spectrum(
+        tmp_path, capsys, monkeypatch, preset, spectra):
+    import fiberdd.evolution as evolution
+    from fiberdd.dephasing import train_overlaps
+    seen = []
+
+    def counted(pulses, spectrum, lengths):
+        seen.append(spectrum)
+        return train_overlaps(pulses, spectrum, lengths)
+
+    monkeypatch.setattr(evolution, "train_overlaps", counted)
+    code, _, _ = run_cli(capsys, "figure", preset, *SHORT_FIGURE, "--out",
+                         str(tmp_path))
+    assert code == 0
+    assert len(seen) == len(set(seen)) == spectra
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig4"])
+def test_figure_rows_are_each_series_lone_curve(tmp_path, capsys, preset):
+    # one batch per spectrum gives every row the bits of its series' own
+    # decoherence_curve, as '%.17g' writes them
+    import dataclasses
+
+    from fiberdd import cli
+    from fiberdd import config as cfg
+    from fiberdd.evolution import decoherence_curve
+    from fiberdd.sequences import CpmgDensity, Free
+    code, _, _ = run_cli(capsys, "figure", preset, *SHORT_FIGURE, "--out",
+                         str(tmp_path))
+    assert code == 0
+    rows = read_csv(tmp_path / f"{preset}.csv")[2]
+    config = cfg.SimulationConfig(length_max=20.0, grid_points=6,
+                                  uv_cutoff=100.0)
+    _, spectrum, profile, state = cfg.build_runtime(config)
+    grid = cfg.length_grid(config)
+    if preset == "fig2a":
+        series = [("free", Free(), spectrum)] + [
+            (f"density={n:g}", CpmgDensity(n), spectrum)
+            for n in cli.FIG2A_DENSITIES]
+    else:
+        series = [(f"alpha={alpha:g}", CpmgDensity(cli.FIG4_DENSITY),
+                   dataclasses.replace(spectrum, exponent=alpha))
+                  for alpha in cli.FIG4_ALPHAS]
+    assert len(rows) == len(series) * grid.size
+    for k, (label, seq, spec) in enumerate(series):
+        curve = decoherence_curve(seq, spec, profile, state, grid)
+        mine = rows[k * grid.size:(k + 1) * grid.size]
+        assert [row[0] for row in mine] == [label] * grid.size
+        for i, name in enumerate(("lengths", "overlap", "gamma",
+                                  "concurrence"), start=1):
+            assert column(mine, i).tolist() == \
+                getattr(curve, name).tolist()
+
+
 def test_figure_creates_out_directory(tmp_path, capsys):
     target = tmp_path / "nested" / "figs"
     code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """Configuration layer: file parsing, precedence, consolidated errors."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -170,3 +171,18 @@ def test_ensure_state_valid_rejects_bad_matrix():
     bad = TwoQubitXState((0.5, 0.5, 0.25, -0.25), 0.4, 0.0)
     with pytest.raises(ConfigError, match="invalid density matrix"):
         ensure_state_valid(bad)
+
+
+def test_shortest_grid_length_may_sit_on_the_length_floor():
+    # the floor is min_length: a grid that starts exactly there is
+    # valid, one a float below it is not, and the message names X_MIN
+    from fiberdd.dephasing import X_MIN, min_length
+    config = SimulationConfig(ir_cutoff=1e-9, grid_points=2)
+    floor = min_length(build_runtime(config)[1])
+    config.length_max = 2.0 * floor
+    build_runtime(config)
+    config.length_max = 2.0 * np.nextafter(floor, 0.0)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"is below X_MIN = {X_MIN}, the documented floor of the "
+            f"length domain")):
+        build_runtime(config)

@@ -517,13 +517,13 @@ def test_each_length_meets_the_low_band_tolerance(seq, alpha):
     # matches the full-band oracle wherever that is cheap
     lengths = np.array([0.05, 1.0, 7.3, 30.0])
     counts = _counts(seq, lengths)
-    groups = [(np.flatnonzero(np.equal(counts, n)), n)
-              for n in sorted(set(counts))]
+    keys = sorted(set(counts))
+    which = np.searchsorted(keys, counts)
     stretch = lengths ** (1.0 + alpha)
     for band in [(1e-3, 1e3), (0.05, 50.0), (2.0, 1e3), (1e-9, 1e9)]:
         spec = NoiseSpectrum(1.0, alpha, *band)
         low, low_err, converged, *_ = dephasing._unit_parts(
-            groups, spec, lengths)
+            keys, which, spec, lengths)
         assert converged.all()
         assert np.all(low_err * stretch <= 1e-8 + 1e-8 * low * stretch)
 
@@ -855,6 +855,45 @@ def test_scalar_lengths_of_any_type_are_numbers(length):
             seq, spec, 2.0)
     assert overlap_from_positions([0.3, 1.1], spec, length) == \
         overlap_from_positions([0.3, 1.1], spec, 2.0)
+
+
+EVERY_SEQUENCE = [Free(), SpinEcho(), CpmgCount(2), CpmgDensity(2.0)]
+
+
+@pytest.mark.parametrize("seq", EVERY_SEQUENCE, ids=repr)
+@pytest.mark.parametrize("length", [[1.0], np.array([1.0])],
+                         ids=["list", "array"])
+def test_every_sequence_rejects_a_length_that_is_not_a_number(seq, length):
+    # the length is checked before the sequence counts its pulses, which
+    # raised TypeError for a list (Free) or an array (CpmgDensity)
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    with pytest.raises(ValueError, match=re.escape(
+            f"length must be a number, got {length}")):
+        overlap_integral(seq, spec, length)
+
+
+@pytest.mark.parametrize("seq", EVERY_SEQUENCE, ids=repr)
+def test_every_sequence_takes_scalar_lengths_of_any_type(seq):
+    spec = NoiseSpectrum(0.008, 1.0, 1e-3, 1e3)
+    for length in (np.array(1.0), np.float32(1.0)):
+        assert overlap_integral(seq, spec, length) == overlap_integral(
+            seq, spec, 1.0)
+
+
+@pytest.mark.parametrize("ir", [1e-9, 1e-3, 1.0, 3.7])
+def test_min_length_is_the_first_length_at_the_floor(ir):
+    floor = dephasing.min_length(NoiseSpectrum(0.008, 1.0, ir, 1e3))
+    assert ir * floor >= dephasing.X_MIN > ir * np.nextafter(floor, 0.0)
+    if ir == 1e-9:  # X_MIN / ir rounds one ulp low here
+        assert floor == np.nextafter(dephasing.X_MIN / ir, np.inf)
+
+
+def test_length_below_the_floor_names_the_floor():
+    with pytest.raises(ValueError, match=re.escape(
+            f"ir_cutoff * length = 1.0000000000000001e-93 is below X_MIN = "
+            f"{dephasing.X_MIN}, the documented floor of the length "
+            f"domain")):
+        train_overlaps([0], NoiseSpectrum(0.008), [1e-90])
 
 
 @pytest.mark.parametrize("pulses", list(range(41)) + [64, 257])

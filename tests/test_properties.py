@@ -118,8 +118,8 @@ def test_tiny_gaps_give_finite_batch_independent_overlaps(bounds, spectrum,
     def f(amplitude, rows):
         spec = NoiseSpectrum(amplitude, spectrum.exponent,
                              spectrum.ir_cutoff, spectrum.uv_cutoff)
-        return dephasing._overlaps([(np.arange(rows.size), bounds)], spec,
-                                   rows).value
+        return dephasing._overlaps([bounds], np.zeros(rows.size, np.intp),
+                                   spec, rows).value
 
     batch = f(1.0, lengths)
     assert np.isfinite(batch).all() and (batch >= 0.0).all()

@@ -17,10 +17,15 @@ For each checkout it prints the mean, p50 and p90 over the tasks of each
 task's best time, then the median over the tasks of B's best over A's,
 overall, for each sequence (free, se, cpmg) and for the tasks with and
 without a death length (as A printed it), and whether exit codes, stdout
-and CSV bytes agree task by task (each checkout's CSV path read as one
-placeholder).  The split shows whether a change moved the death-length
+and CSV bytes agree task by task (each checkout's out directory read as
+one placeholder).  The split shows whether a change moved the death-length
 probes or the curves, whose pulse counts the sequence sets.  Run it with the same
 checkout twice for an A/A baseline: its ratio should be within 1 % of 1.
+
+Then it runs ``figure`` for each preset (``FIGURES``) at its defaults
+the same way, alternating which checkout goes first from preset to
+preset, and prints each side's best time, B's over A's, and whether exit
+codes, stdout and CSV bytes agree.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from pathlib import Path
 DEFAULT_SEEDS = (5, 6)
 TASK_ROUNDS = 8
 REPEATS = 5
+FIGURES = ("fig2a", "fig2b", "fig3", "fig4")
 
 
 def load_package(root: Path, name: str):
@@ -73,6 +79,23 @@ def run_once(cli, argv: list[str]):
     return elapsed, code, out.getvalue()
 
 
+def paired(clis, argvs, csvs, first: int):
+    """Each side's best time over ``REPEATS`` runs of ``argvs[side]``, side
+    ``first`` going first in each round, and its last exit code, stdout
+    and CSV ``csvs[side]`` text, in which its out directory reads OUT."""
+    times = [float("inf"), float("inf")]
+    results = [None, None]
+    for _ in range(REPEATS):
+        for side in (first, 1 - first):
+            elapsed, code, out = run_once(clis[side], argvs[side])
+            times[side] = min(times[side], elapsed)
+            csv = csvs[side].read_text(encoding="utf-8")
+            where = str(csvs[side].parent)
+            results[side] = (code, out.replace(where, "OUT"),
+                             csv.replace(where, "OUT"))
+    return times, results
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2 or any(arg.startswith("-") for arg in argv):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -91,25 +114,22 @@ def main(argv: list[str]) -> int:
     agree = 0
     dies = []  # per task, whether A printed a death length
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [str(Path(tmp) / side / "sweep.csv") for side in "ab"]
-        for path in paths:
-            Path(path).parent.mkdir()
+        dirs = [Path(tmp) / side for side in "ab"]
+        for path in dirs:
+            path.mkdir()
+        csvs = [path / "sweep.csv" for path in dirs]
         for i, task in enumerate(work):
-            times = [float("inf"), float("inf")]
-            results = [None, None]
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            for _ in range(REPEATS):
-                for side in order:
-                    elapsed, code, out = run_once(
-                        clis[side], tasks.sweep_argv(task, paths[side]))
-                    times[side] = min(times[side], elapsed)
-                    csv = Path(paths[side]).read_text(encoding="utf-8")
-                    results[side] = (code, out.replace(paths[side], "OUT"),
-                                     csv.replace(paths[side], "OUT"))
+            times, results = paired(
+                clis, [tasks.sweep_argv(task, str(csv)) for csv in csvs],
+                csvs, i % 2)
             agree += results[0] == results[1]
             dies.append("esd_length = none;" not in results[0][1])
             for side in (0, 1):
                 best[side].append(times[side])
+        figures = [paired(clis, [["figure", preset, "--out", str(path)]
+                                 for path in dirs],
+                          [path / f"{preset}.csv" for path in dirs], i % 2)
+                   for i, preset in enumerate(FIGURES)]
 
     print(f"{len(work)} sweep tasks (seeds {', '.join(map(str, seeds))}, "
           f"rounds 0-{TASK_ROUNDS - 1}), best of {REPEATS} per task")
@@ -130,6 +150,11 @@ def main(argv: list[str]) -> int:
         print(f"  {label}: {median} over {len(mine)} tasks")
     print(f"exit code, stdout and CSV bytes agree on {agree} of "
           f"{len(work)} tasks")
+    print(f"figure presets, best of {REPEATS} each:")
+    for preset, (times, results) in zip(FIGURES, figures):
+        print(f"  {preset}: A {times[0] * 1e3:.3f} ms, "
+              f"B {times[1] * 1e3:.3f} ms, B/A {times[1] / times[0]:.3f}, "
+              f"outputs {'agree' if results[0] == results[1] else 'DIFFER'}")
     return 0
 
 
