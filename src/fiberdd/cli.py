@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from .dephasing import coherence_factor, overlap_from_positions
+from .dephasing import coherence_factor, max_length, min_length, \
+    overlap_from_positions
 from .evolution import DEATH_LENGTH_RTOL, BestEstimate, \
     SeparableStateError, curve_death_length, decoherence_curve, \
     pulse_count_curve
@@ -38,9 +39,6 @@ FIG3_LENGTH = 50.0
 FIG3_MAX_PULSES = 64
 FIG4_ALPHAS = (0.5, 0.75, 1.0, 1.25, 1.5)
 FIG4_DENSITY = FIG2A_DENSITIES[1]  # fig2a middle density
-
-_FLAG_KEYS = tuple(cfg._PARSERS)
-
 
 # One curve row of a CSV file: L, f_L, gamma, concurrence, each float
 # with 17 significant digits ('%.17g' formats a float as _fmt does).
@@ -84,7 +82,8 @@ def _write_csv(path: str, comments: list[str], header: str, rows,
 
 def _resolve(args, overrides: dict | None = None) -> cfg.SimulationConfig:
     file_values = cfg.load_config_file(args.config) if args.config else None
-    flag_values = {key: getattr(args, key) for key in _FLAG_KEYS}
+    flag_values = {f.name: getattr(args, f.name)
+                   for f in dataclasses.fields(cfg.SimulationConfig)}
     return cfg.resolve(overrides, file_values, flag_values)
 
 
@@ -147,13 +146,24 @@ def _figure_batches(preset: str, config: cfg.SimulationConfig, spectrum):
     else:  # fig2b
         batches = [(spectrum, [("free", Free()), ("se", SpinEcho())])]
     for spec, series in batches:
-        yield (spec, *zip(*[(label, seq.pulse_count(length), length)
-                            for label, seq in series for length in grid]))
+        lo, hi = min_length(spec), max_length(spec)
+        if not lo <= grid[0] <= grid[-1] <= hi:
+            raise cfg.ConfigError(
+                f"{preset}: length {grid[0] if grid[0] < lo else grid[-1]} "
+                f"is outside [{lo}, {hi}], the overlap's length domain at "
+                f"the cutoffs and alpha = {spec.exponent:g}")
+        try:
+            rows = [(label, seq.pulse_count(length), length)
+                    for label, seq in series for length in grid]
+        except ValueError as exc:  # a count above sequences.MAX_PULSES
+            raise cfg.ConfigError(f"{preset}: {exc}") from exc
+        yield (spec, *zip(*rows))
 
 
 def _cmd_figure(args) -> int:
     config = _resolve(args)
     _, spectrum, profile, state = cfg.build_runtime(config)
+    batches = list(_figure_batches(args.preset, config, spectrum))
 
     extras = {"preset": args.preset}
     if args.preset == "fig3":
@@ -170,8 +180,7 @@ def _cmd_figure(args) -> int:
 
     rows = []
     all_converged = True
-    for spec, labels, pulses, lengths in _figure_batches(
-            args.preset, config, spectrum):
+    for spec, labels, pulses, lengths in batches:
         curve = pulse_count_curve(pulses, spec, profile, state,
                                   np.array(lengths))
         all_converged &= bool(curve.converged.all())
@@ -235,6 +244,12 @@ def _cmd_validate_config(args) -> int:
     return 0
 
 
+# What a setting's flag has beyond its SimulationConfig field
+_FLAG_ONLY = {"sequence": {"choices": ("free", "se", "cpmg")},
+              "pulses": {"metavar": "N"}, "density": {"metavar": "X"},
+              "state": {"metavar": "SEL"}, "out": {"metavar": "PATH"}}
+
+
 @functools.cache
 def _build_parser():
     """The argument parser and its subcommands' parsers by name, built
@@ -243,56 +258,28 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key = value config file; flags override it")
-    common.add_argument("--sequence", choices=("free", "se", "cpmg"),
-                        help="pulse sequence (cpmg needs --pulses or --density)")
-    common.add_argument("--pulses", type=int, metavar="N",
-                        help="fixed CPMG pulse count")
-    common.add_argument("--density", type=float, metavar="X",
-                        help="CPMG pulses per unit length")
-    common.add_argument("--alpha", type=float, help="spectral exponent in [0, 2]")
-    common.add_argument("--noise-amp", type=float, dest="noise_amp",
-                        help="noise amplitude (0 disables noise)")
-    common.add_argument("--ir-cutoff", type=float, dest="ir_cutoff",
-                        help="lower spectral cutoff")
-    common.add_argument("--uv-cutoff", type=float, dest="uv_cutoff",
-                        help="upper spectral cutoff")
-    common.add_argument("--omega0", type=float, help="mean photon frequency")
-    common.add_argument("--sigma", type=float,
-                        help="optical bandwidth parameter (0 = monochromatic)")
-    common.add_argument("--length-max", type=float, dest="length_max",
-                        help="sweep end (simulate/figure) or evaluation "
-                             "length (mc-check)")
-    common.add_argument("--grid-points", type=int, dest="grid_points",
-                        help="number of sweep lengths")
-    common.add_argument("--state", metavar="SEL",
-                        help="paper | bell | werner:P | file:PATH")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials")
-    common.add_argument("--seed", type=int, help="Monte Carlo root seed")
-    common.add_argument("--out", metavar="PATH",
-                        help="CSV path (simulate) or output directory (figure)")
+    for f in dataclasses.fields(cfg.SimulationConfig):
+        common.add_argument("--" + f.name.replace("_", "-"),
+                            type=f.metadata["parse"], help=f.metadata["help"],
+                            **_FLAG_ONLY.get(f.name, {}))
 
     parser = argparse.ArgumentParser(
         prog="fiberdd",
         description="Entanglement decay and dynamical decoupling of "
                     "photon pairs in a noisy birefringent fiber.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="decoherence curve for one configuration")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("figure", parents=[common],
-                       help="multi-series preset sweeps")
-    p.add_argument("preset", choices=("fig2a", "fig2b", "fig3", "fig4"))
-    p.set_defaults(handler=_cmd_figure)
-
-    p = sub.add_parser("mc-check", parents=[common],
-                       help="Monte Carlo vs analytic coherence factor")
-    p.set_defaults(handler=_cmd_mc_check)
-
-    p = sub.add_parser("validate-config", parents=[common],
-                       help="resolve and validate, then exit")
-    p.set_defaults(handler=_cmd_validate_config)
+    for name, handler, text in (
+            ("simulate", _cmd_simulate,
+             "decoherence curve for one configuration"),
+            ("figure", _cmd_figure, "multi-series preset sweeps"),
+            ("mc-check", _cmd_mc_check,
+             "Monte Carlo vs analytic coherence factor"),
+            ("validate-config", _cmd_validate_config,
+             "resolve and validate, then exit")):
+        sub.add_parser(name, parents=[common],
+                       help=text).set_defaults(handler=handler)
+    sub.choices["figure"].add_argument(
+        "preset", choices=("fig2a", "fig2b", "fig3", "fig4"))
     return parser, sub.choices
 
 

@@ -9,7 +9,7 @@ the single source of truth for what is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,25 +31,39 @@ class ConfigError(ValueError):
     """Consolidated configuration failure: one line per bad field."""
 
 
+def _setting(default, parse, text: str):
+    """A SimulationConfig field: its default, the parser of its value's
+    text (config-file line and flag alike) and its flag's help."""
+    return field(default=default, metadata={"parse": parse, "help": text})
+
+
 @dataclass
 class SimulationConfig:
-    """Fully resolved run parameters (all defaults expanded)."""
+    """Fully resolved run parameters (all defaults expanded).  Each field
+    is a config-file key and, spelled with hyphens, a flag."""
 
-    sequence: str = "free"
-    pulses: int | None = None
-    density: float | None = None
-    alpha: float = 1.0
-    noise_amp: float = DEFAULT_NOISE_AMP
-    ir_cutoff: float = 1e-3
-    uv_cutoff: float = 1e3
-    omega0: float = 1.0
-    sigma: float = 0.1
-    length_max: float = 30.0
-    grid_points: int = 120
-    state: str = "paper"
-    trials: int = 10_000
-    seed: int = 0
-    out: str | None = None
+    sequence: str = _setting(
+        "free", str, "pulse sequence (cpmg needs --pulses or --density)")
+    pulses: int | None = _setting(None, int, "fixed CPMG pulse count")
+    density: float | None = _setting(None, float,
+                                     "CPMG pulses per unit length")
+    alpha: float = _setting(1.0, float, "spectral exponent in [0, 2]")
+    noise_amp: float = _setting(DEFAULT_NOISE_AMP, float,
+                                "noise amplitude (0 disables noise)")
+    ir_cutoff: float = _setting(1e-3, float, "lower spectral cutoff")
+    uv_cutoff: float = _setting(1e3, float, "upper spectral cutoff")
+    omega0: float = _setting(1.0, float, "mean photon frequency")
+    sigma: float = _setting(
+        0.1, float, "optical bandwidth parameter (0 = monochromatic)")
+    length_max: float = _setting(
+        30.0, float,
+        "sweep end (simulate/figure) or evaluation length (mc-check)")
+    grid_points: int = _setting(120, int, "number of sweep lengths")
+    state: str = _setting("paper", str, "paper | bell | werner:P | file:PATH")
+    trials: int = _setting(10_000, int, "Monte Carlo trials")
+    seed: int = _setting(0, int, "Monte Carlo root seed")
+    out: str | None = _setting(
+        None, str, "CSV path (simulate) or output directory (figure)")
 
 
 # Narrower band and shorter fiber for the Monte Carlo cross-check: the
@@ -57,18 +71,12 @@ class SimulationConfig:
 # trial, and the check only needs one representative point.
 MC_CHECK_OVERRIDES = {"ir_cutoff": 0.05, "uv_cutoff": 50.0, "length_max": 2.0}
 
-_PARSERS = {
-    "sequence": str, "state": str, "out": str,
-    "pulses": int, "grid_points": int, "trials": int, "seed": int,
-    "density": float, "alpha": float, "noise_amp": float,
-    "ir_cutoff": float, "uv_cutoff": float, "omega0": float,
-    "sigma": float, "length_max": float,
-}
-
 
 def load_config_file(path) -> dict:
     """Parse a ``key = value`` config file into typed values."""
-    return read_key_values(path, _PARSERS, ConfigError, "config")
+    return read_key_values(
+        path, {f.name: f.metadata["parse"] for f in fields(SimulationConfig)},
+        ConfigError, "config")
 
 
 def resolve(*sources: dict | None) -> SimulationConfig:
@@ -110,8 +118,11 @@ def build_runtime(config: SimulationConfig):
     """
     problems = []
     seq = spectrum = profile = state = None
+    positive = is_finite(config.length_max) and config.length_max > 0.0
     try:
         seq = build_sequence(config)
+        if positive:  # the run's largest pulse count
+            seq.pulse_count(config.length_max)
     except ValueError as exc:
         problems.append(f"sequence: {exc}")
     try:
@@ -129,7 +140,7 @@ def build_runtime(config: SimulationConfig):
         # a state file reports each bad line on a line of its own
         problems.extend(f"state: {line}" for line in str(exc).splitlines())
 
-    if not (is_finite(config.length_max) and config.length_max > 0.0):
+    if not positive:
         problems.append(f"length_max: must be positive, got {config.length_max}")
     elif spectrum is not None and not (
             config.length_max <= (limit := max_length(spectrum))):

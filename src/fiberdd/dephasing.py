@@ -122,7 +122,7 @@ import numpy as np
 from .filters import check_positions, segment_filter
 from .noise import NoiseSpectrum
 from .quadrature import QuadratureError, kronrod_nodes, kronrod_sums
-from .sequences import is_finite, train
+from .sequences import MAX_PULSES, is_finite, train
 
 # K(x) is summed as a power series below _TAIL_X0 and as a
 # contour-rotated Laplace integral (Gauss-Laguerre) above it; these
@@ -507,8 +507,8 @@ class Overlaps(NamedTuple):
 def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     """Overlap integrals of equally spaced trains at many lengths at once.
 
-    ``pulses[i]`` is the pulse count at ``lengths[i]`` (0 for free
-    evolution).  Every length of one count uses that count's cached
+    ``pulses[i]`` is the pulse count at ``lengths[i]``, an integer from
+    0 (free evolution) to ``MAX_PULSES``.  Every length of one count uses that count's cached
     train, weighed by the spectrum's exponent, for its low band and its
     pair sums (see the module docstring).  Both are computed for unit
     amplitude, so no convergence flag depends on the amplitude and f
@@ -524,10 +524,11 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     pulses = np.asarray(pulses)
     if lengths.ndim != 1 or pulses.shape != lengths.shape:
         raise ValueError("need one pulse count per length")
-    if pulses.size and not (pulses.dtype.kind in "iu" and pulses.min() >= 0):
-        raise ValueError("pulse counts must be nonnegative integers")
+    if pulses.size and not (pulses.dtype.kind in "iu" and pulses.min() >= 0
+                            and pulses.max() <= MAX_PULSES):
+        raise ValueError("pulse counts must be integers from 0 to 2**50")
     # train(n, L) places (k - 1/2) s with s = L/n rounded.  Where s >=
-    # 2^-1021 and n <= 2^50, the first position s/2 is exact and
+    # 2^-1021 (n is at most 2^50), the first position s/2 is exact and
     # positive, neighbours differ by a relative 1/(k + 1/2) > 2^-51 and
     # the last lies a relative 1/(2n) >= 2^-51 below L, far more than the
     # 2^-53 of each rounding: the train lies strictly inside (0, L) in
@@ -536,10 +537,8 @@ def train_overlaps(pulses, spectrum: NoiseSpectrum, lengths) -> Overlaps:
     # builds no mask.
     step = lengths / np.maximum(pulses, 1)
     if lengths.size and not (step.min() >= _SAFE_STEP
-                             and lengths.max() < np.inf
-                             and pulses.max() <= 2 ** 50):
-        unsafe = ~((step >= _SAFE_STEP) & (lengths < np.inf)
-                   & (pulses <= 2 ** 50))
+                             and lengths.max() < np.inf):
+        unsafe = ~((step >= _SAFE_STEP) & (lengths < np.inf))
         for i in unsafe.nonzero()[0].tolist():
             check_positions(train(pulses[i], lengths[i]), lengths[i])
     keys = sorted(set(pulses.tolist()))
@@ -708,7 +707,7 @@ def overlap_from_positions(positions, spectrum: NoiseSpectrum, length: float,
     positions = np.asarray(positions, dtype=float)
     key = positions.size
     if not (positions.ndim == 1 and is_finite(length)
-            and length / max(key, 1) >= _SAFE_STEP and key <= 2 ** 50
+            and length / max(key, 1) >= _SAFE_STEP and key <= MAX_PULSES
             and (positions == train(key, length)).all()):
         positions = check_positions(positions, length)
         if not (positions == train(key, length)).all():

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The largest pulse count: up to it, ``train`` places a train strictly
+# inside (0, L) wherever L / N >= 2^-1021 (see dephasing.train_overlaps)
+MAX_PULSES = 2 ** 50
+
 
 class SequenceDegenerateError(ValueError):
     """Fixed-density placement quantizes to zero pulses at this length."""
@@ -87,9 +91,10 @@ class CpmgCount(PulseSequence):
     n_pulses: int
 
     def __post_init__(self):
-        if not (isinstance(self.n_pulses, (int, np.integer)) and self.n_pulses >= 1):
-            raise ValueError(
-                f"n_pulses must be a positive integer, got {self.n_pulses!r}")
+        if not (isinstance(self.n_pulses, (int, np.integer))
+                and 1 <= self.n_pulses <= MAX_PULSES):
+            raise ValueError("n_pulses must be an integer from 1 to 2**50, "
+                             f"got {self.n_pulses!r}")
 
     def pulse_count(self, length: float) -> int:
         _check_length(length)
@@ -104,7 +109,8 @@ class CpmgDensity(PulseSequence):
     Python's round-half-to-even), so hardware with a per-unit-length
     pulse budget is modeled directly.  Lengths short enough that N
     rounds to zero raise SequenceDegenerateError; sweep helpers treat
-    that regime as free evolution instead.
+    that regime as free evolution instead.  A density * length above
+    MAX_PULSES raises ValueError.
     """
 
     density: float
@@ -115,7 +121,10 @@ class CpmgDensity(PulseSequence):
 
     def pulse_count(self, length: float) -> int:
         _check_length(length)
-        return int(round(self.density * length))
+        if not (count := self.density * length) <= MAX_PULSES:
+            raise ValueError(f"density * length = {count} is above 2**50, "
+                             "the largest pulse count")
+        return int(round(count))
 
     def positions(self, length: float) -> np.ndarray:
         n = self.pulse_count(length)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV contract."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from fiberdd.cli import main
+from fiberdd.config import SimulationConfig, load_config_file, resolve, \
+    resolved_lines
 
 
 def run_cli(capsys, *argv):
@@ -693,3 +696,62 @@ def test_subcommand_parse_matches_the_full_parser(argv, capsys):
             result = ("exit", exc.code)
         results.append((result, capsys.readouterr()))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--sequence", "cpmg", "--density", "1e308"),
+     "sequence: density * length = inf is above 2**50"),
+    (("simulate", "--sequence", "cpmg", "--pulses", "100000000000000000000"),
+     "sequence: n_pulses must be an integer from 1 to 2**50, got "
+     "100000000000000000000"),
+    (("simulate", "--sequence", "cpmg", "--density", "1e20",
+      "--grid-points", "2"),
+     "sequence: density * length = 3e+21 is above 2**50"),
+    (("figure", "fig4", "--length-max", "1e150", "--grid-points", "2"),
+     "fig4: density * length = 1e+149 is above 2**50"),
+    # fig3 runs at L = 50 whatever --length-max is
+    (("figure", "fig3", "--length-max", "10", "--uv-cutoff", "1e307"),
+     "fig3: length 50.0 is outside [8.636168555094445e-75, "
+     "17.97693134860518]"),
+    (("figure", "fig3", "--length-max", "1e10", "--grid-points", "2",
+      "--ir-cutoff", "1e-86"),
+     "fig3: length 50.0 is outside [863616855.5094444, "),
+], ids=["density-inf", "pulses-past-int64", "density-count-past-int64",
+        "fig4-count", "fig3-above-max-length", "fig3-below-min-length"])
+def test_count_or_length_a_run_cannot_evaluate_is_a_config_error(
+        tmp_path, capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, *argv, "--out",
+                                   str(tmp_path / "out"))
+    assert code == 2
+    assert stderr.startswith("config error:\n" + message)
+    assert stdout == "" and not (tmp_path / "out").exists()
+
+
+SETTING_TEXT = {str: "werner:0.9", int: "7", float: "2.5e-3"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+    SimulationConfig)])
+def test_flag_and_config_line_resolve_alike(tmp_path, name):
+    from fiberdd.cli import _parse_args, _resolve
+    setting = {f.name: f for f in dataclasses.fields(SimulationConfig)}[name]
+    text = "cpmg" if name == "sequence" else SETTING_TEXT[
+        setting.metadata["parse"]]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{name} = {text}\n")
+    from_file = resolve(load_config_file(path))
+    from_flag = _resolve(_parse_args(
+        ["simulate", "--" + name.replace("_", "-"), text]))
+    assert getattr(from_flag, name) != getattr(SimulationConfig(), name)
+    # the resolved lines tell 7 from 7.0 and '7' from 7
+    assert resolved_lines(from_flag) == resolved_lines(from_file)
+
+
+def test_simulate_options_are_the_settings_config_and_help():
+    from fiberdd.cli import _build_parser
+    parser = _build_parser()[1]["simulate"]
+    options = {option for action in parser._actions
+               for option in action.option_strings if option[1] == "-"}
+    assert options == {"--config", "--help"} | {
+        "--" + f.name.replace("_", "-")
+        for f in dataclasses.fields(SimulationConfig)}

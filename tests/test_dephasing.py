@@ -947,3 +947,17 @@ def test_series_band_matches_quadrature(pulses):
             value, _ = dephasing._series(np.log(x0 / np.array([a])),
                                          *weights)
             assert value[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pulses", [[2 ** 51], [10 ** 20], [-1], [1.0],
+                                    [3, 2 ** 50 + 1]])
+def test_pulse_counts_outside_the_bound_raise_before_any_train(pulses):
+    # each would otherwise ask for more memory than a host has, or be an
+    # object array of counts beyond int64
+    with pytest.raises(ValueError, match=r"integers from 0 to 2\*\*50"):
+        train_overlaps(pulses, NoiseSpectrum(0.008), [1.0] * len(pulses))
+
+
+def test_overlap_integral_of_a_count_past_the_bound_raises():
+    with pytest.raises(ValueError, match=r"from 1 to 2\*\*50"):
+        overlap_integral(CpmgCount(2 ** 51), NoiseSpectrum(0.008), 1.0)

@@ -1,9 +1,11 @@
 """Pulse placement policies."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fiberdd.sequences import (CpmgCount, CpmgDensity, Free,
+from fiberdd.sequences import (MAX_PULSES, CpmgCount, CpmgDensity, Free,
                                SequenceDegenerateError, SpinEcho, is_finite,
                                train)
 
@@ -111,3 +113,17 @@ def test_is_finite_answers_and_raises_as_numpy(value):
         except Exception as exc:  # the type is what must agree
             return type(exc)
     assert outcome(is_finite) == outcome(np.isfinite)
+
+
+def test_pulse_counts_stop_at_max_pulses():
+    # 2**50 is the largest count train_overlaps places without a check
+    assert MAX_PULSES == 2 ** 50
+    assert CpmgCount(MAX_PULSES).pulse_count(1.0) == MAX_PULSES
+    assert CpmgDensity(1.0).pulse_count(float(MAX_PULSES)) == MAX_PULSES
+    for count in (MAX_PULSES + 1, 10 ** 20, np.uint64(2 ** 63)):
+        with pytest.raises(ValueError, match=r"from 1 to 2\*\*50"):
+            CpmgCount(count)
+    for density, length in ((1.0, 2.0 ** 51), (1e308, 10.0), (1e20, 15.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"density * length = {density * length} is above 2**50")):
+            CpmgDensity(density).pulse_count(length)

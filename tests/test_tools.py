@@ -29,3 +29,18 @@ def test_tool_without_arguments_prints_its_usage(name):
     assert run.returncode == 2
     assert f"usage: python3 tools/{name} " in run.stderr
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("name, args", [
+    ("output_digest.py", ["--help"]),
+    ("work_census.py", ["/nonexistent"]),
+    ("task_ab.py", ["/nonexistent", "/nonexistent"]),
+    ("overlap_replay.py", ["/nonexistent"]),
+])
+def test_tool_with_bad_arguments_prints_its_usage(name, args):
+    # a CHECKOUT must hold src/fiberdd and bench/tasks.py, and the digest
+    # takes no arguments: nothing runs, nothing reaches stdout
+    run = run_tool(name, *args)
+    assert run.returncode == 2
+    assert f"usage: python3 tools/{name}" in run.stderr
+    assert run.stdout == ""

@@ -140,7 +140,12 @@ def digest(records: list) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python3 tools/output_digest.py (it takes no arguments)",
+              file=sys.stderr)
+        return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     for group, records in collect():
         print(f"{group} {digest(records)}", flush=True)
@@ -148,4 +153,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -131,10 +131,14 @@ def kinds(calls) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv or argv[0].startswith("-"):
+    if not (argv and all((Path(arg) / "src" / "fiberdd").is_dir()
+                         and (Path(arg) / "bench" / "tasks.py").is_file()
+                         for arg in argv)):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/overlap_replay.py CHECKOUT "
               "[CHECKOUT ...]", file=sys.stderr)
+        print("each CHECKOUT must hold src/fiberdd and bench/tasks.py",
+              file=sys.stderr)
         return 2
     import numpy as np
 

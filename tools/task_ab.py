@@ -97,10 +97,15 @@ def paired(clis, argvs, csvs, first: int):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 2 or any(arg.startswith("-") for arg in argv):
+    if not (len(argv) >= 2 and all(arg.isdigit() for arg in argv[2:])
+            and all((Path(arg) / "src" / "fiberdd").is_dir()
+                    and (Path(arg) / "bench" / "tasks.py").is_file()
+                    for arg in argv[:2])):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/task_ab.py CHECKOUT_A CHECKOUT_B "
               "[SEED ...]", file=sys.stderr)
+        print("each CHECKOUT must hold src/fiberdd and bench/tasks.py",
+              file=sys.stderr)
         return 2
     roots = [Path(arg).resolve() for arg in argv[:2]]
     seeds = [int(arg) for arg in argv[2:]] or list(DEFAULT_SEEDS)

@@ -150,9 +150,13 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
 
 
 def main(argv: list[str]) -> int:
-    if not (len(argv) == 1 or len(argv) == 2 and argv[1].isdigit()):
+    if not ((len(argv) == 1 or len(argv) == 2 and argv[1].isdigit())
+            and (Path(argv[0]) / "src" / "fiberdd").is_dir()
+            and (Path(argv[0]) / "bench" / "tasks.py").is_file()):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/work_census.py CHECKOUT [SEED]",
+              file=sys.stderr)
+        print("CHECKOUT must hold src/fiberdd and bench/tasks.py",
               file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
