@@ -46,12 +46,7 @@ _CURVE_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _fmt(value) -> str:
-    """One value of a summary line: '.'-decimal, 17 significant digits
-    for floats."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """One float of a summary line: '.'-decimal, 17 significant digits."""
     return format(float(value), ".17g")
 
 

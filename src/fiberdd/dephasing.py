@@ -364,30 +364,31 @@ def _pair_halves(x: np.ndarray, which: np.ndarray, pairs, alpha: float):
     One _tail call serves every x, from a table of separations padded
     with zeros.  Each x's terms are then summed along a row of their own,
     over its own train's first columns of that table in separation order,
-    so a value depends on its own x and train only.
+    so a value depends on its own x and train only.  One train (every
+    explicit-position call) needs neither table nor padding; several
+    trains have distinct pulse counts, whose separations differ in number
+    (1 for N = 0, 2N otherwise).
     """
-    sizes = [d.size for d, _ in pairs]
-    if len(pairs) == 1:  # every x of one train: no table to gather from
+    if len(pairs) == 1:
         args = x[:, None] * pairs[0][0]
-    else:
-        table = np.zeros((len(pairs), max(sizes)))
-        for g, (d, _) in enumerate(pairs):
-            table[g, :sizes[g]] = d
-        args = x[:, None] * table.take(which, axis=0)
-    if min(sizes) == args.shape[1]:  # no padding
         tails = _tail(args.ravel(), alpha).reshape(args.shape)
+        rows = [slice(None)]
     else:
+        table = np.zeros((len(pairs), max(d.size for d, _ in pairs)))
+        for g, (d, _) in enumerate(pairs):
+            table[g, :d.size] = d
+        args = x[:, None] * table.take(which, axis=0)
         real = args > 0.0  # x > 0, so only the padding gives 0
         tails = np.zeros(args.shape)
         tails[real] = _tail(args[real], alpha)
+        rows = [np.flatnonzero(which == g) for g in range(len(pairs))]
     out = np.empty((2, x.size))  # the sums, then their term magnitudes
-    for g, (_, weights) in enumerate(pairs):
-        rows = slice(None) if len(pairs) == 1 else np.flatnonzero(which == g)
+    for at, (d, weights) in zip(rows, pairs):
         # a C-order product, so each row sum is the pairwise sum a lone x
         # gets
-        terms = weights * tails[rows, :sizes[g]]
-        out[0, rows] = terms.sum(axis=1)
-        out[1, rows] = np.abs(terms).sum(axis=1)
+        terms = weights * tails[at, :d.size]
+        out[0, at] = terms.sum(axis=1)
+        out[1, at] = np.abs(terms).sum(axis=1)
     return out
 
 

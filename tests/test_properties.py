@@ -1,5 +1,7 @@
 """Property tests of the overlap integral over random spectra and pulses."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 @st.composite
 def spectra(draw, max_uv=1e3):
     ir = draw(st.floats(1e-3, 1.0))
-    uv = ir * draw(st.floats(2.0, 1e4))
-    return NoiseSpectrum(1.0, draw(st.floats(0.0, 2.0)), ir, min(uv, max_uv))
+    uv = draw(st.floats(2.0 * ir, max_uv))
+    return NoiseSpectrum(1.0, draw(st.floats(0.0, 2.0)), ir, uv)
 
 
 @st.composite
@@ -48,8 +50,10 @@ def tiny_gap_bounds(draw, max_pulses=12):
 
 @st.composite
 def configurations(draw, max_uv=1e3, max_length=40.0):
+    """Pulses, a spectrum and a length, the length log-uniform in
+    [0.05, max_length]."""
     spectrum = draw(spectra(max_uv))
-    length = draw(st.floats(0.05, max_length))
+    length = math.exp(draw(st.floats(math.log(0.05), math.log(max_length))))
     return draw(pulse_positions(length)), spectrum, length
 
 

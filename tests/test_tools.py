@@ -44,3 +44,38 @@ def test_tool_with_bad_arguments_prints_its_usage(name, args):
     assert run.returncode == 2
     assert f"usage: python3 tools/{name}" in run.stderr
     assert run.stdout == ""
+
+
+def test_task_ab_of_one_checkout_twice_agrees_everywhere():
+    run = run_tool("task_ab.py", str(ROOT), str(ROOT), "5")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-6].endswith("agree on 96 of 96 tasks")
+    assert lines[-5] == "figure presets, best of 5 each:"
+    assert all(line.endswith("outputs agree") for line in lines[-4:])
+
+
+def test_overlap_replay_of_one_checkout_twice_prints_both_sides():
+    run = run_tool("overlap_replay.py", str(ROOT), str(ROOT))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("178 overlap calls ")
+    assert lines.count(f"checkout {ROOT}") == 2
+    assert sum(line.startswith("  probe: 82 calls, ") for line in lines) == 2
+    assert lines[-1].startswith(f"total / first checkout's: {ROOT}: ")
+
+
+def test_overlap_replay_keeps_rounds_passes_for_each_side(monkeypatch):
+    # one checkout given twice is two sides, each with its own passes,
+    # not one side with twice as many
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import checkout
+    import overlap_replay
+
+    loaded = [checkout.load(ROOT, f"replay_test_fiberdd_{i}")
+              for i in range(2)]
+    calls = overlap_replay.record(*loaded[0])
+    assert len(calls) == 178
+    runs = overlap_replay.replay([fiberdd for fiberdd, _ in loaded],
+                                 calls[:8])
+    assert [run.shape for run in runs] == [(overlap_replay.ROUNDS, 8)] * 2

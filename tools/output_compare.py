@@ -6,9 +6,9 @@ Usage, from anywhere::
 
 The outputs are the 12 groups of ``tools/output_digest.py`` (960
 ``sweep`` tasks, three partial-band ``simulate`` requests, four figures,
-``mc-check``, five demos), gathered by its
-``collect`` for each checkout in a subprocess of its own that imports
-that checkout's ``src`` and ``bench``.  For each group one line says
+``mc-check``, five demos), gathered by its ``collect`` for each checkout
+in a subprocess of its own (``collect`` changes its working directory,
+and the two run side by side).  For each group one line says
 ``identical`` or how many places differ, followed by:
 
 - exit codes and non-numeric text that differ (they must agree
@@ -30,32 +30,24 @@ import json
 import re
 import subprocess
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import checkout
+import output_digest
+
 ROOT = Path(__file__).resolve().parent.parent
-TOOLS = Path(__file__).resolve().parent
 NUMBER = re.compile(
     r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 WORD = re.compile(r"[A-Za-z_][\w]*")
 SHOWN = 3  # text mismatches listed per group
 
 
-def _collect(root: Path, out: Path) -> None:
-    """Run in a subprocess: dump ``collect(root)`` as JSON to ``out``."""
-    sys.path[:0] = [str(root / "src"), str(root / "bench"), str(TOOLS)]
-    import output_digest
-
-    groups = [[group, records]
-              for group, records in output_digest.collect(root)]
-    out.write_text(json.dumps(groups), encoding="utf-8")
-
-
-def _gather(root: Path, out: Path) -> list:
-    subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                    "--collect", str(root), str(out)], check=True)
-    return json.loads(out.read_text(encoding="utf-8"))
+def _gather(root: Path) -> list:
+    """``collect(root)``, run in a subprocess that prints it as JSON."""
+    return json.loads(subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--collect",
+         str(root)], check=True, stdout=subprocess.PIPE).stdout)
 
 
 class Report:
@@ -183,20 +175,14 @@ def compare(ours: list, theirs: list) -> tuple[list[str], bool]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--collect":
-        _collect(Path(argv[1]).resolve(), Path(argv[2]))
+    if len(argv) == 2 and argv[0] == "--collect":
+        print(json.dumps(list(output_digest.collect(Path(argv[1])))))
         return 0
-    if len(argv) != 1 or not (Path(argv[0]) / "src" / "fiberdd").is_dir():
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/output_compare.py OTHER_CHECKOUT",
-              file=sys.stderr)
-        print("OTHER_CHECKOUT must hold src/fiberdd", file=sys.stderr)
-        return 2
-    other = Path(argv[0]).resolve()
-    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
-        ours = pool.submit(_gather, ROOT, Path(tmp, "ours.json"))
-        theirs = pool.submit(_gather, other, Path(tmp, "theirs.json"))
-        ours, theirs = ours.result(), theirs.result()
+    other, = checkout.roots(argv, __doc__, "output_compare.py OTHER_CHECKOUT",
+                            "OTHER_CHECKOUT", valid=len(argv) == 1,
+                            tasks=False)
+    with ThreadPoolExecutor(2) as pool:
+        ours, theirs = pool.map(_gather, (ROOT, other))
     print(f"ours: {ROOT}\ntheirs: {other}")
     lines, same = compare(ours, theirs)
     print("\n".join(lines))

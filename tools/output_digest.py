@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import checkout
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(10)
@@ -49,15 +50,6 @@ PARTIAL_BAND = (
 )
 
 
-def _run_cli(argv: list[str]) -> tuple[int, str, str]:
-    from fiberdd import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8")
@@ -65,33 +57,31 @@ def _read(path: str) -> str:
         return "<no file>"
 
 
-def _simulate_record(label: str, argv: list[str]) -> tuple:
+def _simulate_record(cli, label: str, argv: list[str]) -> tuple:
     """(label, parts) of one ``simulate`` request writing ``sweep.csv``."""
     with contextlib.suppress(FileNotFoundError):
         os.remove("sweep.csv")
-    code, out, err = _run_cli(argv)
+    code, out, err = checkout.run_quiet(cli, argv)
     return label, {"exit": code, "stdout": out, "stderr": err,
                    "csv": _read("sweep.csv")}
 
 
-def sweep_records() -> list:
-    import tasks
-
-    return [_simulate_record(f"seed {seed} task {i}",
+def sweep_records(cli, tasks) -> list:
+    return [_simulate_record(cli, f"seed {seed} task {i}",
                              tasks.sweep_argv(task, "sweep.csv"))
             for seed in SWEEP_SEEDS
             for i, task in enumerate(tasks.task_list("sweep", seed,
                                                      SWEEP_ROUNDS))]
 
 
-def partial_band_records() -> list:
-    return [_simulate_record(" ".join(flags),
+def partial_band_records(cli) -> list:
+    return [_simulate_record(cli, " ".join(flags),
                              ["simulate", *flags, "--out", "sweep.csv"])
             for flags in PARTIAL_BAND]
 
 
-def figure_records(preset: str) -> list:
-    _, out, _ = _run_cli(["figure", preset, "--out", "figures"])
+def figure_records(cli, preset: str) -> list:
+    _, out, _ = checkout.run_quiet(cli, ["figure", preset, "--out", "figures"])
     return [(preset, {"csv": _read(os.path.join("figures", f"{preset}.csv")),
                       "stdout": out})]
 
@@ -105,21 +95,23 @@ def demo_records(root: Path, script: Path) -> list:
 
 def collect(root: Path = ROOT):
     """Yield (group, records) for every output group of the checkout at
-    ``root``, whose ``src`` and ``bench`` must lead ``sys.path``.
+    ``root``, whose ``src/fiberdd`` and ``bench/tasks.py`` it loads.
 
     Each record is a (label, parts) pair, ``parts`` mapping a part name
     (exit, stdout, stderr, csv) to its text or exit code in the order
     they are hashed.  Runs in a fresh temporary directory.
     """
+    fiberdd, tasks = checkout.load(root, "digest_fiberdd")
+    cli = fiberdd.cli
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            yield "sweep", sweep_records()
-            yield "partial band", partial_band_records()
+            yield "sweep", sweep_records(cli, tasks)
+            yield "partial band", partial_band_records(cli)
             for preset in FIGURES:
-                yield f"figure {preset}", figure_records(preset)
-            yield "mc-check", [("mc-check",
-                                {"stdout": _run_cli(["mc-check"])[1]})]
+                yield f"figure {preset}", figure_records(cli, preset)
+            yield "mc-check", [("mc-check", {
+                "stdout": checkout.run_quiet(cli, ["mc-check"])[1]})]
             for script in sorted((root / "demos").glob("*.py")):
                 yield f"demo {script.name}", demo_records(root, script)
         finally:
@@ -142,11 +134,8 @@ def digest(records: list) -> str:
 
 def main(argv: list[str]) -> int:
     if argv:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/output_digest.py (it takes no arguments)",
-              file=sys.stderr)
-        return 2
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+        checkout.usage_exit(__doc__, "usage: python3 tools/output_digest.py "
+                            "(it takes no arguments)")
     for group, records in collect():
         print(f"{group} {digest(records)}", flush=True)
     return 0

@@ -30,53 +30,18 @@ codes, stdout and CSV bytes agree.
 
 from __future__ import annotations
 
-import contextlib
-import importlib
-import importlib.util
-import io
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import checkout
+
 DEFAULT_SEEDS = (5, 6)
 TASK_ROUNDS = 8
 REPEATS = 5
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4")
-
-
-def load_package(root: Path, name: str):
-    """The ``cli`` module of the checkout at ``root``, whose ``fiberdd``
-    is imported as ``name``."""
-    package = root / "src" / "fiberdd"
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py",
-        submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli")
-
-
-def load_tasks(root: Path):
-    """The checkout's ``bench/tasks.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "task_ab_tasks", root / "bench" / "tasks.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def run_once(cli, argv: list[str]):
-    """Wall seconds of one ``cli.main`` call, its exit code and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        start = time.perf_counter()
-        code = cli.main(argv)
-        elapsed = time.perf_counter() - start
-    return elapsed, code, out.getvalue()
 
 
 def paired(clis, argvs, csvs, first: int):
@@ -87,8 +52,9 @@ def paired(clis, argvs, csvs, first: int):
     results = [None, None]
     for _ in range(REPEATS):
         for side in (first, 1 - first):
-            elapsed, code, out = run_once(clis[side], argvs[side])
-            times[side] = min(times[side], elapsed)
+            start = time.perf_counter()
+            code, out, _ = checkout.run_quiet(clis[side], argvs[side])
+            times[side] = min(times[side], time.perf_counter() - start)
             csv = csvs[side].read_text(encoding="utf-8")
             where = str(csvs[side].parent)
             results[side] = (code, out.replace(where, "OUT"),
@@ -97,21 +63,14 @@ def paired(clis, argvs, csvs, first: int):
 
 
 def main(argv: list[str]) -> int:
-    if not (len(argv) >= 2 and all(arg.isdigit() for arg in argv[2:])
-            and all((Path(arg) / "src" / "fiberdd").is_dir()
-                    and (Path(arg) / "bench" / "tasks.py").is_file()
-                    for arg in argv[:2])):
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/task_ab.py CHECKOUT_A CHECKOUT_B "
-              "[SEED ...]", file=sys.stderr)
-        print("each CHECKOUT must hold src/fiberdd and bench/tasks.py",
-              file=sys.stderr)
-        return 2
-    roots = [Path(arg).resolve() for arg in argv[:2]]
+    roots = checkout.roots(
+        argv[:2], __doc__, "task_ab.py CHECKOUT_A CHECKOUT_B [SEED ...]",
+        "each CHECKOUT",
+        valid=len(argv) >= 2 and all(arg.isdigit() for arg in argv[2:]))
     seeds = [int(arg) for arg in argv[2:]] or list(DEFAULT_SEEDS)
-    clis = [load_package(root, name)
-            for root, name in zip(roots, ("fiberdd_a", "fiberdd_b"))]
-    tasks = load_tasks(roots[0])
+    (a, tasks), (b, _) = [checkout.load(root, name) for root, name
+                          in zip(roots, ("fiberdd_a", "fiberdd_b"))]
+    clis = [a.cli, b.cli]
     work = [task for seed in seeds
             for task in tasks.task_list("sweep", seed, TASK_ROUNDS)]
 

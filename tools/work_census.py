@@ -56,8 +56,6 @@ whole run is printed before it; it is one run, not a benchmark.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import os
 import sys
 import tempfile
@@ -65,17 +63,17 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import checkout
+
 SEED = 5
 ROUNDS = 8
 
 
 def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
     """Work counters, wall seconds and task count of the ``sweep`` tasks
-    of ``seed`` in the checkout at ``root``, whose ``src`` and ``bench``
-    are put first on sys.path."""
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import tasks
-    from fiberdd import cli, dephasing, evolution
+    of ``seed`` in the checkout at ``root``."""
+    fiberdd, tasks = checkout.load(root, "census_fiberdd")
+    dephasing, evolution = fiberdd.dephasing, fiberdd.evolution
 
     counts = Counter()
     tables = set()
@@ -131,9 +129,8 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
         os.chdir(tmp)
         start = time.perf_counter()
         for task in task_list:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                cli.main(tasks.sweep_argv(task, "sweep.csv"))
+            checkout.run_quiet(fiberdd.cli,
+                               tasks.sweep_argv(task, "sweep.csv"))
         seconds = time.perf_counter() - start
         os.chdir(root)
     counts["node table pulse counts"] = sorted(tables)
@@ -150,16 +147,9 @@ def census(root: Path, seed: int = SEED) -> tuple[Counter, float, int]:
 
 
 def main(argv: list[str]) -> int:
-    if not ((len(argv) == 1 or len(argv) == 2 and argv[1].isdigit())
-            and (Path(argv[0]) / "src" / "fiberdd").is_dir()
-            and (Path(argv[0]) / "bench" / "tasks.py").is_file()):
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/work_census.py CHECKOUT [SEED]",
-              file=sys.stderr)
-        print("CHECKOUT must hold src/fiberdd and bench/tasks.py",
-              file=sys.stderr)
-        return 2
-    root = Path(argv[0]).resolve()
+    root, = checkout.roots(
+        argv[:1], __doc__, "work_census.py CHECKOUT [SEED]", "CHECKOUT",
+        valid=len(argv) == 1 or len(argv) == 2 and argv[1].isdigit())
     seed = int(argv[1]) if len(argv) == 2 else SEED
     counts, seconds, count = census(root, seed)
     print(f"checkout {root}: bench sweep seed {seed}, rounds 0-{ROUNDS - 1}, "
